@@ -32,12 +32,12 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
 from .bernoulli import bernoulli_hi_poly
-from .polynomial import Polynomial, falling_factorial, interpolate
+from .polynomial import Polynomial, _as_fraction, falling_factorial, interpolate
 from .series import PowerSeries, cauchy1_gf, cauchy2_gf, egf_coeff
-from .stirling import compositions, multinomial, stirling1_signed, stirling1_unsigned
+from .stirling import stirling1_signed, stirling1_unsigned
 
 
 class CauchyKind(enum.Enum):
@@ -143,7 +143,7 @@ def poly_cauchy_poly1(n: int, k: int, z: Fraction) -> Fraction:
     sum_m [n m](-1)^(n-m) sum_i C(m,i)(-z)^i/(m-i+1)^k.
     """
     _check_poly_args(n, k)
-    z = Fraction(z)
+    z = _as_fraction(z)
     total = Fraction(0)
     for m in range(n + 1):
         u = stirling1_unsigned(n, m)
@@ -161,7 +161,7 @@ def poly_cauchy_poly2(n: int, k: int, z: Fraction) -> Fraction:
     Evaluates sum_m [n m](-1)^n sum_i C(m,i)(-z)^i/(m-i+1)^k.
     """
     _check_poly_args(n, k)
-    z = Fraction(z)
+    z = _as_fraction(z)
     total = Fraction(0)
     for m in range(n + 1):
         u = stirling1_unsigned(n, m)
@@ -177,19 +177,21 @@ def poly_cauchy_poly2(n: int, k: int, z: Fraction) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _sum_power_volume(l: int, k: int) -> Fraction:
-    """Integral of (x_1+...+x_k)^l over the unit k-cube, as the composition sum
+    """V(l,k), the integral of (x_1+...+x_k)^l over the unit k-cube.
 
-    sum_{l_1+...+l_k = l} multinomial(l; parts) / ((l_1+1)...(l_k+1)).
+    V(l,k) is the composition sum
+    sum_{l_1+...+l_k = l} multinomial(l; parts) / ((l_1+1)...(l_k+1)),
+    computed as a k-fold binomial convolution filled bottom-up in k: split
+    off the last part, V(l,k) = sum_j C(l,j) V(j,k-1) / (l-j+1), with
+    V(l,0) = [l = 0].  Scaled by (l+k)!/l! every V is an integer E, and
+    the fold becomes E(l,k) = sum_j C(l+k, l-j+1) E(j,k-1), so it runs on
+    ints in O(k l^2) steps and builds one ``Fraction`` at the end.
     """
-    if k == 0:
-        return Fraction(1) if l == 0 else Fraction(0)
-    total = Fraction(0)
-    for parts in compositions(l, k):
-        denom = 1
-        for p in parts:
-            denom *= p + 1
-        total += Fraction(multinomial(l, parts), denom)
-    return total
+    row = [1] + [0] * l
+    for order in range(1, k + 1):
+        row = [sum(comb(m + order, m - j + 1) * row[j] for j in range(m + 1))
+               for m in range(l + 1)]
+    return Fraction(row[l] * factorial(l), factorial(l + k))
 
 
 @lru_cache(maxsize=None)
@@ -200,15 +202,18 @@ def _hi_gf(kind: CauchyKind, k: int, order: int) -> PowerSeries:
 
 @lru_cache(maxsize=None)
 def _convolution_first(n: int, k: int) -> Fraction:
-    if k == 0:
-        return Fraction(1) if n == 0 else Fraction(0)
-    total = Fraction(0)
-    for parts in compositions(n, k):
-        prod = Fraction(multinomial(n, parts))
-        for p in parts:
-            prod *= cauchy1(p)
-        total += prod
-    return total
+    """sum_{n_1+...+n_k = n} multinomial(n; parts) C_(n_1)...C_(n_k).
+
+    The k-fold binomial convolution of classical values, filled bottom-up
+    in k: F(m,k) = sum_j C(m,j) F(j,k-1) cauchy1(m-j), F(m,0) = [m = 0].
+    """
+    classical = [cauchy1(j) for j in range(n + 1)]
+    row = [Fraction(1)] + [Fraction(0)] * n
+    for _ in range(k):
+        row = [sum((comb(m, j) * row[j] * classical[m - j] for j in range(m + 1)),
+                   Fraction(0))
+               for m in range(n + 1)]
+    return row[n]
 
 
 def _check_hi_args(n: int, k: int, method: CauchyMethod) -> None:
@@ -309,16 +314,16 @@ def cauchy_hi_poly2_bridge(n: int, k: int) -> Polynomial:
 def cauchy_hi_poly1_oracle(n: int, k: int) -> Polynomial:
     """C_n^(k)(x) by cube-integrating (u - x0)_n at x0 = 0..n and interpolating."""
     _check_poly_args(n, k)
-    samples = [(Fraction(x0), cube_integrate(falling_factorial(n).shift(-x0), k))
-               for x0 in range(n + 1)]
+    ff = falling_factorial(n)
+    samples = [(Fraction(x0), cube_integrate(ff.shift(-x0), k)) for x0 in range(n + 1)]
     return interpolate(samples)
 
 
 def cauchy_hi_poly2_oracle(n: int, k: int) -> Polynomial:
     """Chat_n^(k)(x) by cube-integrating (x0 - u)_n at x0 = 0..n and interpolating."""
     _check_poly_args(n, k)
-    samples = [(Fraction(x0), cube_integrate(falling_factorial(n).reflect().shift(-x0), k))
-               for x0 in range(n + 1)]
+    ff = falling_factorial(n).reflect()
+    samples = [(Fraction(x0), cube_integrate(ff.shift(-x0), k)) for x0 in range(n + 1)]
     return interpolate(samples)
 
 

@@ -209,11 +209,16 @@ def _load_config(path: str | None, parser) -> dict:
             raw = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         parser.error(f"cannot read config {path!r}: {exc}")
+    if not isinstance(raw, dict):
+        parser.error(f"config {path!r} must hold a JSON object, not {type(raw).__name__}")
     allowed = {"n_max", "k_max", "alpha_max"}
     bad = set(raw) - allowed
     if bad:
         parser.error(f"unknown config keys: {sorted(bad)}")
-    return {key: int(value) for key, value in raw.items()}
+    for key, value in raw.items():
+        if type(value) is not int:
+            parser.error(f"config value {key}={json.dumps(value)} must be a JSON integer")
+    return raw
 
 
 def _cmd_verify(args, parser) -> int:

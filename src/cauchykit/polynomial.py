@@ -16,7 +16,7 @@ the first kind, and exact Lagrange interpolation.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -180,25 +180,52 @@ class Polynomial:
     # -- calculus and substitution -----------------------------------------
 
     def evaluate(self, point: Scalar) -> Fraction:
-        """Exact Horner evaluation."""
+        """Exact Horner evaluation; a float point raises ``TypeError``."""
+        point = _as_fraction(point)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * point + c
         return acc
 
     def shift(self, offset: Scalar) -> "Polynomial":
-        """p(x + offset), expanded exactly via binomial rows."""
+        """p(x + offset), computed on Python ints over one common denominator.
+
+        With p = sum_i N_i x^i / D (D the lcm of the coefficient
+        denominators), degree d and offset a/b, the x^j coefficient is
+
+            sum_i N_i C(i,j) a^(i-j) b^(d-i+j) / (D b^d).
+
+        The numerators come from a Taylor shift by the integer a of
+        r(y) = sum_i N_i b^(d-i) y^i (Ruffini's repeated synthetic division,
+        d(d+1)/2 integer multiply-adds): r(y + a) = b^d D p((y + a)/b), so
+        its y^j coefficient times b^j is the numerator above.  One
+        ``Fraction`` is built per output coefficient.
+        """
         offset = _as_fraction(offset)
-        if offset == 0 or self.is_zero():
+        cs = self.coeffs
+        if offset == 0 or not cs:
             return self
-        out = [Fraction(0)] * len(self.coeffs)
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            power = Fraction(1)
-            for j in range(i, -1, -1):
-                out[j] += c * comb(i, j) * power
-                power *= offset
+        a, b = offset.numerator, offset.denominator
+        d = len(cs) - 1
+        # A running lcm: lcm(*generator) grows a temporary argument tuple,
+        # which raised the peak RSS of a full verify by about 0.5 MB.
+        den = 1
+        for c in cs:
+            den = lcm(den, c.denominator)
+        r = [0] * (d + 1)
+        scale = 1
+        for i in range(d, -1, -1):
+            r[i] = cs[i].numerator * (den // cs[i].denominator) * scale
+            scale *= b
+        for i in range(d):
+            for j in range(d - 1, i - 1, -1):
+                r[j] += a * r[j + 1]
+        total = den * b ** d
+        out = []
+        scale = 1
+        for rj in r:
+            out.append(Fraction(rj * scale, total))
+            scale *= b
         return Polynomial(out)
 
     def reflect(self) -> "Polynomial":

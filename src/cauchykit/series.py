@@ -7,11 +7,12 @@ equality likewise compares at the common precision.  There is no global
 precision state: callers pick the order each series is built at, usually
 one above the largest index they will read.
 
-Coefficients are ``Fraction`` scalars or ``Polynomial`` values over them.
-Both form exact commutative rings, and every algorithm here is written
-against that contract only, so series in t with polynomial coefficients
-(two-variable generating functions such as (1+t)^x, realised as
-exp(x*log(1+t))) reuse the same code paths.
+Coefficients are ``Fraction`` scalars or ``Polynomial`` values over them
+(ints are promoted, floats rejected with ``TypeError``).  Both form exact
+commutative rings, and every algorithm here is written against that
+contract only, so series in t with polynomial coefficients (two-variable
+generating functions such as (1+t)^x, realised as exp(x*log(1+t))) reuse
+the same code paths.
 
 The module provides the arithmetic needed to realise the generating
 functions of the Cauchy/Bernoulli families,
@@ -22,6 +23,10 @@ including division with explicit cancellation of a shared power of t,
 integer powers (negative powers of unit series included), composition,
 compositional inversion, and exponentials, plus the Sheffer-sequence and
 connection-coefficient extractors built on top of them.
+
+Costs at order n, in coefficient operations: multiplication and division
+are O(n^2); ``compose`` (Horner, n-1 products) and ``revert`` (Lagrange
+inversion, n-2 products) are O(n^3).
 
 Exponential-generating-function coefficients are read off with
 ``egf_coeff(f, n)`` = n! * [t^n] f, the normalisation linking series to the
@@ -34,7 +39,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable, Union
 
-from .polynomial import Polynomial
+from .polynomial import Polynomial, _as_fraction
 
 Coefficient = Union[Fraction, Polynomial]
 _SCALARS = (int, Fraction, Polynomial)
@@ -56,7 +61,8 @@ class PowerSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = (), order: int | None = None):
-        cs = [Fraction(c) if isinstance(c, int) else c for c in coeffs]
+        cs = [c if isinstance(c, (Fraction, Polynomial)) else _as_fraction(c)
+              for c in coeffs]
         if any(isinstance(c, Polynomial) for c in cs):
             cs = [c if isinstance(c, Polynomial) else Polynomial((c,)) for c in cs]
         if order is not None:
@@ -227,21 +233,25 @@ class PowerSeries:
         return acc
 
     def revert(self) -> "PowerSeries":
-        """Compositional inverse of a delta series, solved term by term.
+        """Compositional inverse of a delta series, by Lagrange inversion.
 
-        Needs a zero constant term and a nonzero linear one.  Each degree m
-        coefficient is fixed so that self(result) matches t through t^m.
+        Needs a zero constant term and a nonzero linear one.  With
+        h = t/self, the inverse has [t^m] = [t^(m-1)] h^m / m (Knuth, TAOCP
+        vol. 2, section 4.7).  At order n that is one series division and
+        n-2 series products of n-1 terms each, O(n^3) coefficient
+        operations.  Only ring operations and division by the linear
+        coefficient are used, so series with ``Polynomial`` coefficients
+        invert too, provided that coefficient is a nonzero constant.
         """
         n = len(self.coeffs)
         if n < 2 or self.coeffs[0] != 0 or self.coeffs[1] == 0:
             raise ValueError("not a delta series")
-        f1 = self.coeffs[1]
-        one = self._one()
-        g = [self._zero() for _ in range(n)]
-        g[1] = one / f1
+        h = PowerSeries([self._one()], order=n - 1) / PowerSeries(self.coeffs[1:])
+        g = [self._zero(), h.coeffs[0]]
+        power = h
         for m in range(2, n):
-            residual = self.compose(PowerSeries(g)).coeffs[m]
-            g[m] = -(residual / f1)
+            power = power * h
+            g.append(power.coeffs[m - 1] / m)
         return PowerSeries(g)
 
     def exp(self) -> "PowerSeries":

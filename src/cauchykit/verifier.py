@@ -384,10 +384,13 @@ def _cases_t12_corrected(grid: Grid) -> Iterator[Case]:
     return _cases_t12(grid, printed_sign=False)
 
 
-def _t13_coefficient(n: int, m: int, k: int, alpha: int) -> Fraction:
-    return sum((comb(n, l) * stirling1_signed(n - l, m)
-                * cauchy_hi_poly2(l, k + alpha).evaluate(alpha)
-                for l in range(n - m + 1)), Fraction(0))
+def _t13_coefficients(n_max: int, k: int, alpha: int) -> list[list[Fraction]]:
+    """Rows n = 0..n_max of sum_l C(n,l) S1(n-l,m) Chat_l^(k+alpha)(alpha), m = 0..n."""
+    values = [cauchy_hi_poly2(l, k + alpha).evaluate(alpha) for l in range(n_max + 1)]
+    return [[sum((comb(n, l) * stirling1_signed(n - l, m) * values[l]
+                  for l in range(n - m + 1)), Fraction(0))
+             for m in range(n + 1)]
+            for n in range(n_max + 1)]
 
 
 def _cases_t13(grid: Grid, printed_index: bool = True) -> Iterator[Case]:
@@ -402,19 +405,19 @@ def _cases_t13(grid: Grid, printed_index: bool = True) -> Iterator[Case]:
             g = ((t_series(order) * exp_t) / expm1_series(order + 1)) ** k
             f = expm1_series(order)
             matrix = connection_coeffs(g, f, h, l, grid.n_max)
+            coefficients = _t13_coefficients(grid.n_max, k, alpha)
             for n in grid.ns():
                 target = cauchy_hi_poly2(n, k)
                 resummed = Polynomial.zero()
                 for m in range(n + 1):
-                    c = _t13_coefficient(n, m, k, alpha)
                     basis = bernoulli_hi_poly(n if printed_index else m, alpha)
-                    resummed = resummed + basis * c
+                    resummed = resummed + basis * coefficients[n][m]
                 yield ({"alpha": alpha, "k": k, "n": n, "form": "resummation"},
                        resummed, target)
                 for m in range(n + 1):
                     yield ({"alpha": alpha, "k": k, "n": n, "m": m,
                             "form": "connection_matrix"},
-                           _t13_coefficient(n, m, k, alpha), matrix[n][m])
+                           coefficients[n][m], matrix[n][m])
 
 
 def _cases_t13_corrected(grid: Grid) -> Iterator[Case]:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cauchykit import cauchy
 from cauchykit.cauchy import (
     CauchyKind,
     CauchyMethod,
@@ -25,6 +26,7 @@ from cauchykit.cauchy import (
 )
 from cauchykit.bernoulli import bernoulli_hi_poly
 from cauchykit.polynomial import Polynomial, falling_factorial
+from cauchykit.stirling import compositions, multinomial
 
 F = Fraction
 
@@ -127,6 +129,13 @@ def test_poly_cauchy_polynomials_linear_case(z):
     assert poly_cauchy_poly2(1, 1, z) == z - F(1, 2)
 
 
+def test_poly_cauchy_polynomials_reject_float_argument():
+    with pytest.raises(TypeError):
+        poly_cauchy_poly1(3, 2, 0.1)
+    with pytest.raises(TypeError):
+        poly_cauchy_poly2(3, 2, 0.1)
+
+
 def test_poly_cauchy_polynomials_at_zero_reduce_to_numbers():
     for n in range(7):
         for k in range(1, 4):
@@ -192,6 +201,49 @@ def test_all_methods_agree_on_a_grid():
             assert len(set(first.values())) == 1, (n, k, first)
             second = {m: cauchy_hi2(n, k, m) for m in SECOND_KIND_METHODS}
             assert len(set(second.values())) == 1, (n, k, second)
+
+
+def enumerated_volume(l, k):
+    """Reference cube volume: the composition sum, term by term."""
+    if k == 0:
+        return F(int(l == 0))
+    total = F(0)
+    for parts in compositions(l, k):
+        denom = 1
+        for p in parts:
+            denom *= p + 1
+        total += F(multinomial(l, parts), denom)
+    return total
+
+
+def enumerated_convolution(n, k):
+    """Reference convolution: multinomial-weighted products of classical values."""
+    if k == 0:
+        return F(int(n == 0))
+    total = F(0)
+    for parts in compositions(n, k):
+        prod = F(multinomial(n, parts))
+        for p in parts:
+            prod *= cauchy1(p)
+        total += prod
+    return total
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_binomial_folds_match_composition_enumeration(k):
+    # every (l, k) with l <= 8, k <= 4, on the uncached kernels
+    for l in range(9):
+        assert cauchy._sum_power_volume.__wrapped__(l, k) == enumerated_volume(l, k), (l, k)
+        assert cauchy._convolution_first.__wrapped__(l, k) == enumerated_convolution(l, k), (l, k)
+
+
+def test_large_order_needs_no_deep_recursion():
+    # the folds are iterative in k, so k far beyond the recursion limit works
+    k = 1500
+    expected = cauchy_hi1(3, k, CauchyMethod.GF_COEFF)
+    assert cauchy_hi1(3, k, CauchyMethod.STIRLING_SUM) == expected
+    assert cauchy_hi1(3, k, CauchyMethod.CONVOLUTION) == expected
+    assert cauchy_hi2(3, k, CauchyMethod.STIRLING_SUM) == cauchy_hi2(3, k, CauchyMethod.GF_COEFF)
 
 
 def test_k_zero_convention():

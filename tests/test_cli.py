@@ -217,3 +217,21 @@ def test_bad_grid_entry_is_usage_error(capsys):
 def test_negative_terms_is_usage_error(capsys):
     assert run_cli_expect_usage_error(
         capsys, "series", "log1p", "--terms", "0") == 2
+
+
+@pytest.mark.parametrize("content, message", [
+    ('{"n_max": "abc"}', 'n_max="abc" must be a JSON integer'),
+    ('{"n_max": 1.9}', "n_max=1.9 must be a JSON integer"),
+    ("5", "must hold a JSON object, not int"),
+    ('"x"', "must hold a JSON object, not str"),
+    ("[1]", "must hold a JSON object, not list"),
+])
+def test_malformed_config_is_usage_error(tmp_path, capsys, content, message):
+    config = tmp_path / "grid.json"
+    config.write_text(content)
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["verify", "--checks", "T1", "--config", str(config)])
+    err = capsys.readouterr().err
+    assert excinfo.value.code == 2
+    assert err.splitlines()[-1].endswith(message)
+    assert "Traceback" not in err

@@ -1,10 +1,10 @@
 """Dense exact polynomials and the factorial-polynomial constructors."""
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cauchykit.polynomial import (
@@ -130,6 +130,32 @@ polys = st.lists(small_fractions, min_size=0, max_size=7).map(Polynomial)
 @given(polys, small_fractions)
 def test_shift_round_trip(p, a):
     assert p.shift(a).shift(-a) == p
+
+
+def binomial_shift(p, offset):
+    """Reference p(x + offset): expand each (x + offset)^i by the binomial theorem."""
+    out = [Fraction(0)] * len(p.coeffs)
+    for i, c in enumerate(p.coeffs):
+        for j in range(i + 1):
+            out[j] += c * comb(i, j) * Fraction(offset) ** (i - j)
+    return Polynomial(out)
+
+
+@settings(max_examples=80, derandomize=True)
+@given(polys, st.one_of(st.integers(-9, 9), small_fractions))
+@example(Polynomial(), 3)
+@example(Polynomial(), Fraction(-2, 3))
+@example(Polynomial((Fraction(5, 3),)), Fraction(-2, 3))
+@example(Polynomial((7,)), -4)
+def test_shift_matches_binomial_expansion(p, a):
+    assert p.shift(a) == binomial_shift(p, a)
+
+
+def test_float_arguments_rejected():
+    with pytest.raises(TypeError):
+        Polynomial([1, 2]).evaluate(0.5)
+    with pytest.raises(TypeError):
+        Polynomial([1, 2]).shift(0.5)
 
 
 @settings(max_examples=60, derandomize=True)

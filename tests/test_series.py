@@ -201,6 +201,38 @@ def test_revert_round_trip(f):
     assert f.compose(f.revert()) == t_series(12)
 
 
+def term_by_term_revert(f):
+    """Reference inverse: fix each coefficient so that f(result) matches t."""
+    n = f.order
+    f1 = f.coeffs[1]
+    one = Polynomial.one() if isinstance(f1, Polynomial) else F(1)
+    g = [one * 0 for _ in range(n)]
+    g[1] = one / f1
+    for m in range(2, n):
+        residual = f.compose(PowerSeries(g)).coeffs[m]
+        g[m] = -(residual / f1)
+    return PowerSeries(g)
+
+
+nonzero_fractions = small_fractions.filter(lambda c: c != 0)
+delta_series_9 = st.tuples(
+    nonzero_fractions, st.lists(small_fractions, min_size=7, max_size=7)).map(
+    lambda parts: PowerSeries([F(0), parts[0]] + parts[1]))
+small_polys = st.lists(small_fractions, max_size=3).map(Polynomial)
+poly_delta_series_7 = st.tuples(
+    nonzero_fractions, st.lists(small_polys, min_size=5, max_size=5)).map(
+    lambda parts: PowerSeries([Polynomial.zero(), Polynomial((parts[0],))] + parts[1]))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.one_of(delta_series_9, poly_delta_series_7))
+def test_revert_matches_term_by_term_solve(f):
+    g = f.revert()
+    assert g.coeffs == term_by_term_revert(f).coeffs
+    assert f.compose(g) == t_series(f.order)
+    assert g.revert() == f
+
+
 unit_series_10 = st.lists(small_fractions, min_size=9, max_size=9).map(
     lambda rest: PowerSeries([F(1)] + rest))
 
@@ -231,6 +263,11 @@ def test_egf_coeff_insufficient_truncation():
 
 
 # -- truncation discipline --------------------------------------------------------------
+
+def test_float_coefficient_rejected():
+    with pytest.raises(TypeError):
+        PowerSeries([0.5, 1])
+
 
 def test_equality_at_common_precision():
     assert cauchy1_gf(4) == cauchy1_gf(9)
