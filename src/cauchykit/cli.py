@@ -8,6 +8,9 @@ named-series registry, and ``verify`` runs the identity suite.
 All payload goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 verification failure, 2 usage error.  Output is deterministic; JSON uses
 compact separators so re-serialising a parsed document is byte-identical.
+Python's limit on int-to-decimal conversion (4300 digits by default) is
+lifted while output is rendered, so large table entries such as the
+first-kind Stirling number (n-1)! at n = 1700 print in full.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import argparse
 import json
 import re
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .bernoulli import bernoulli_hi_numbers, bernoulli_hi_poly
@@ -49,6 +53,21 @@ POLY_FAMILIES = ("cauchy_hi_poly1", "cauchy_hi_poly2", "bernoulli_hi_poly")
 
 _SERIES_REGISTRY_HELP = ("log1p", "exp_m1", "cauchy1_gf", "cauchy2_gf", "bernoulli_gf(alpha)")
 _BERNOULLI_GF_RE = re.compile(r"^bernoulli_gf\((-?\d+)\)$")
+
+
+@contextmanager
+def _unlimited_int_text():
+    """Lift the int-to-str digit limit for the block, then restore it."""
+    setter = getattr(sys, "set_int_max_str_digits", None)  # Python >= 3.11
+    if setter is None:
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    setter(0)
+    try:
+        yield
+    finally:
+        setter(previous)
 
 
 def _emit(text: str) -> None:
@@ -100,21 +119,24 @@ def _cmd_table(args, parser) -> int:
     if family in TRIANGLE_FAMILIES:
         kind = StirlingKind.SIGNED_FIRST if family == "stirling1" else StirlingKind.SECOND
         table = stirling_table(kind)
-        if args.format == "json":
-            obj = [{"n": n, "row": [str(v) for v in table.row(n)]}
-                   for n in range(args.n_max + 1)]
-            _emit(_dump_json(obj))
-        else:
-            rows = [[str(n)] + [str(v) for v in table.row(n)]
-                    for n in range(args.n_max + 1)]
-            _emit(_render_cells(rows, args.format))
+        with _unlimited_int_text():
+            if args.format == "json":
+                obj = [{"n": n, "row": [str(v) for v in table.row(n)]}
+                       for n in range(args.n_max + 1)]
+                _emit(_dump_json(obj))
+            else:
+                rows = [[str(n)] + [str(v) for v in table.row(n)]
+                        for n in range(args.n_max + 1)]
+                _emit(_render_cells(rows, args.format))
         return 0
 
     values = [(n, _number_value(family, n, args)) for n in range(args.n_max + 1)]
-    if args.format == "json":
-        _emit(_dump_json([{"n": n, "value": format_rational(v)} for n, v in values]))
-    else:
-        _emit(_render_cells([[str(n), format_rational(v)] for n, v in values], args.format))
+    with _unlimited_int_text():
+        if args.format == "json":
+            _emit(_dump_json([{"n": n, "value": format_rational(v)} for n, v in values]))
+        else:
+            _emit(_render_cells([[str(n), format_rational(v)] for n, v in values],
+                                args.format))
     return 0
 
 
@@ -132,11 +154,12 @@ def _cmd_poly(args, parser) -> int:
             parser.error(f"family {args.family} needs --order >= 1")
         maker = cauchy_hi_poly1 if args.family == "cauchy_hi_poly1" else cauchy_hi_poly2
         poly = maker(args.n, args.order)
-    cells = _poly_cells(poly)
-    if args.format == "json":
-        _emit(_dump_json(cells))
-    else:
-        _emit(_render_cells([cells], args.format))
+    with _unlimited_int_text():
+        cells = _poly_cells(poly)
+        if args.format == "json":
+            _emit(_dump_json(cells))
+        else:
+            _emit(_render_cells([cells], args.format))
     return 0
 
 
@@ -171,11 +194,12 @@ def _cmd_series(args, parser) -> int:
     if series is None:
         parser.error(f"unknown series {args.name!r}; registry: "
                      + ", ".join(_SERIES_REGISTRY_HELP))
-    cells = [format_rational(c) for c in series.coeffs[:args.terms]]
-    if args.format == "json":
-        _emit(_dump_json(cells))
-    else:
-        _emit(_render_cells([cells], args.format))
+    with _unlimited_int_text():
+        cells = [format_rational(c) for c in series.coeffs[:args.terms]]
+        if args.format == "json":
+            _emit(_dump_json(cells))
+        else:
+            _emit(_render_cells([cells], args.format))
     return 0
 
 

@@ -10,7 +10,13 @@ Besides ring arithmetic the module provides the factorial polynomials
     rising_factorial(n)  = x(x+1)...(x+n-1)
 
 whose monomial coefficients are the signed and unsigned Stirling numbers of
-the first kind, and exact Lagrange interpolation.
+the first kind, and exact interpolation (Newton form).
+
+Products and Taylor shifts run on Python ints: each operand is put over the
+lcm of its coefficient denominators, the inner loops multiply and add
+numerators only, and one ``Fraction`` is built per output coefficient (the
+design of FLINT's ``fmpq_poly``).  Coefficients are still stored, and
+returned, as ``Fraction`` values.
 """
 
 from __future__ import annotations
@@ -30,6 +36,20 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"not an exact scalar: {value!r}")
 
 
+def _over_common_denominator(cs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators N_i and one denominator D with cs[i] = N_i / D.
+
+    D is the lcm of the denominators, taken as a running loop: lcm(*generator)
+    grows a temporary argument tuple, which raised the peak RSS of a full
+    verify by about 0.5 MB.
+    """
+    den = 1
+    for c in cs:
+        if den % c.denominator:
+            den = lcm(den, c.denominator)
+    return [c.numerator * (den // c.denominator) for c in cs], den
+
+
 class Polynomial:
     """Immutable dense polynomial with ``Fraction`` coefficients."""
 
@@ -40,6 +60,13 @@ class Polynomial:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    @classmethod
+    def _trusted(cls, cs: Sequence[Fraction]) -> "Polynomial":
+        """Wrap ``Fraction`` coefficients already free of trailing zeros."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", tuple(cs))
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -118,21 +145,31 @@ class Polynomial:
         return other + (-self)
 
     def __mul__(self, other):
+        """Product with a scalar or a polynomial.
+
+        Two polynomials are multiplied as integer numerator vectors over
+        their common denominators Da and Db (schoolbook convolution on
+        Python ints), then each output coefficient becomes one
+        ``Fraction(v, Da*Db)``.
+        """
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return Polynomial()
-            return Polynomial(tuple(c * other for c in self.coeffs))
+            return Polynomial._trusted([c * other for c in self.coeffs])
         if not isinstance(other, Polynomial):
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
+        na, da = _over_common_denominator(self.coeffs)
+        nb, db = _over_common_denominator(other.coeffs)
+        out = [0] * (len(na) + len(nb) - 1)
+        for i, a in enumerate(na):
+            if a:
+                for j, b in enumerate(nb, i):
+                    out[j] += a * b
+        den = da * db
+        # Leading coefficients are nonzero, so their product is too.
+        return Polynomial._trusted([Fraction(v, den) for v in out])
 
     __rmul__ = __mul__
 
@@ -207,15 +244,10 @@ class Polynomial:
             return self
         a, b = offset.numerator, offset.denominator
         d = len(cs) - 1
-        # A running lcm: lcm(*generator) grows a temporary argument tuple,
-        # which raised the peak RSS of a full verify by about 0.5 MB.
-        den = 1
-        for c in cs:
-            den = lcm(den, c.denominator)
-        r = [0] * (d + 1)
+        r, den = _over_common_denominator(cs)
         scale = 1
         for i in range(d, -1, -1):
-            r[i] = cs[i].numerator * (den // cs[i].denominator) * scale
+            r[i] *= scale
             scale *= b
         for i in range(d):
             for j in range(d - 1, i - 1, -1):
@@ -226,7 +258,7 @@ class Polynomial:
         for rj in r:
             out.append(Fraction(rj * scale, total))
             scale *= b
-        return Polynomial(out)
+        return Polynomial._trusted(out)
 
     def reflect(self) -> "Polynomial":
         """p(-x): sign flip on odd powers."""
@@ -294,21 +326,35 @@ def rising_factorial(n: int) -> Polynomial:
 
 
 def interpolate(points: Sequence[tuple[Scalar, Scalar]]) -> Polynomial:
-    """Exact Lagrange interpolation through distinct sample points."""
+    """Exact interpolation through distinct sample points, in Newton form.
+
+    The divided differences c_i = f[x_0, ..., x_i] take n(n-1)/2 scalar
+    subtractions and divisions; the polynomial
+
+        c_0 + (x - x_0)(c_1 + (x - x_1)(c_2 + ...))
+
+    is then expanded by Horner's scheme over the linear factors, O(n) per
+    factor.  Both stages are O(n^2) scalar operations.  No points give the
+    zero polynomial; repeated nodes raise ``ValueError``.
+    """
     xs = [_as_fraction(p[0]) for p in points]
     ys = [_as_fraction(p[1]) for p in points]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation nodes must be distinct")
-    result = Polynomial.zero()
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        if yi == 0:
-            continue
-        basis = Polynomial.one()
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            basis = basis * Polynomial((-xj, 1))
-            denom *= xi - xj
-        result = result + basis * (yi / denom)
-    return result
+    n = len(xs)
+    if n == 0:
+        return Polynomial.zero()
+    c = list(ys)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - j])
+    acc = [c[n - 1]]
+    for i in range(n - 2, -1, -1):
+        xi = xs[i]
+        # acc * (x - xi) + c[i], coefficient by coefficient
+        nxt = [c[i] - xi * acc[0]]
+        for m in range(1, len(acc)):
+            nxt.append(acc[m - 1] - xi * acc[m])
+        nxt.append(acc[-1])
+        acc = nxt
+    return Polynomial(acc)

@@ -26,7 +26,12 @@ connection-coefficient extractors built on top of them.
 
 Costs at order n, in coefficient operations: multiplication and division
 are O(n^2); ``compose`` (Horner, n-1 products) and ``revert`` (Lagrange
-inversion, n-2 products) are O(n^3).
+inversion, n-2 products) are O(n^3).  A product of two ``Fraction`` series
+runs on Python ints over each operand's common denominator, with one
+``Fraction`` built per output coefficient, so it costs O(n^2) integer
+multiply-adds and only n rational normalisations.  Series with
+``Polynomial`` coefficients keep the generic loop over ring elements: their
+coefficients do not share one integer denominator.
 
 Exponential-generating-function coefficients are read off with
 ``egf_coeff(f, n)`` = n! * [t^n] f, the normalisation linking series to the
@@ -39,7 +44,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable, Union
 
-from .polynomial import Polynomial, _as_fraction
+from .polynomial import Polynomial, _as_fraction, _over_common_denominator
 
 Coefficient = Union[Fraction, Polynomial]
 _SCALARS = (int, Fraction, Polynomial)
@@ -73,6 +78,13 @@ class PowerSeries:
         elif not cs:
             raise ValueError("a series needs coefficients or an explicit order")
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    @classmethod
+    def _trusted(cls, cs) -> "PowerSeries":
+        """Wrap a nonempty list of ``Fraction`` coefficients as they are."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "coeffs", tuple(cs))
+        return f
 
     def __setattr__(self, name, value):
         raise AttributeError("PowerSeries is immutable")
@@ -143,11 +155,28 @@ class PowerSeries:
         return (-self) + other
 
     def __mul__(self, other):
+        """Product truncated to the smaller order.
+
+        Two ``Fraction`` series are multiplied as integer numerator vectors
+        over their common denominators Da and Db, and each output
+        coefficient becomes one ``Fraction(v, Da*Db)``.  A ``Polynomial``
+        coefficient on either side selects the generic ring loop.
+        """
         if isinstance(other, _SCALARS):
             return PowerSeries([c * other for c in self.coeffs])
         if not isinstance(other, PowerSeries):
             return NotImplemented
         n = min(len(self.coeffs), len(other.coeffs))
+        if isinstance(self.coeffs[0], Fraction) and isinstance(other.coeffs[0], Fraction):
+            na, da = _over_common_denominator(self.coeffs[:n])
+            nb, db = _over_common_denominator(other.coeffs[:n])
+            acc = [0] * n
+            for i, a in enumerate(na):
+                if a:
+                    for j, b in enumerate(nb[:n - i], i):
+                        acc[j] += a * b
+            den = da * db
+            return PowerSeries._trusted([Fraction(v, den) for v in acc])
         out = [self._zero() for _ in range(n)]
         for i, a in enumerate(self.coeffs[:n]):
             if a == 0:

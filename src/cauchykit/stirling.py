@@ -5,13 +5,16 @@ one table per kind, so dense sweeps cost amortised O(1) per query.  Indices
 outside the triangle (l < 0 or l > n, or n < 0) return 0, matching the
 over-wide summation ranges of the identities verified elsewhere.
 
-Tables mutate only while growing; fill them up front (``preload``) before
-sharing across threads, or guard access externally.
+Tables mutate only while growing, and they grow under a per-table lock:
+a reader whose row already exists takes no lock, and rows are built in full
+before they are appended, so concurrent first use from several threads
+yields the same triangle as a single-threaded fill.
 """
 
 from __future__ import annotations
 
 import enum
+import threading
 from math import comb
 from typing import Iterator, Sequence
 
@@ -36,31 +39,37 @@ class StirlingTable:
     def __init__(self, kind: StirlingKind):
         self.kind = kind
         self.rows: list[list[int]] = [[1]]
+        self._lock = threading.Lock()
 
     def preload(self, n_max: int) -> None:
         self._grow(n_max)
 
     def _grow(self, n: int) -> None:
-        while len(self.rows) <= n:
-            m = len(self.rows)
-            prev = self.rows[-1]
-            row = [0] * (m + 1)
-            for l in range(1, m + 1):
-                row[l] = prev[l - 1]
-            for l in range(m):
-                if self.kind is StirlingKind.SIGNED_FIRST:
-                    row[l] -= (m - 1) * prev[l]
-                elif self.kind is StirlingKind.UNSIGNED_FIRST:
-                    row[l] += (m - 1) * prev[l]
-                else:
-                    row[l] += l * prev[l]
-            self.rows.append(row)
+        if n < len(self.rows):
+            return
+        with self._lock:
+            while len(self.rows) <= n:
+                m = len(self.rows)
+                prev = self.rows[-1]
+                row = [0] * (m + 1)
+                for l in range(1, m + 1):
+                    row[l] = prev[l - 1]
+                for l in range(m):
+                    if self.kind is StirlingKind.SIGNED_FIRST:
+                        row[l] -= (m - 1) * prev[l]
+                    elif self.kind is StirlingKind.UNSIGNED_FIRST:
+                        row[l] += (m - 1) * prev[l]
+                    else:
+                        row[l] += l * prev[l]
+                self.rows.append(row)
 
     def value(self, n: int, l: int) -> int:
         if n < 0 or l < 0 or l > n:
             return 0
-        self._grow(n)
-        return self.rows[n][l]
+        rows = self.rows
+        if n >= len(rows):
+            self._grow(n)
+        return rows[n][l]
 
     def row(self, n: int) -> Sequence[int]:
         if n < 0:
@@ -96,22 +105,36 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
     Lexicographic order, each tuple exactly once; there are
     comb(total+parts-1, parts-1) of them.  Lazily generated: consumers in
-    this package fold immediately and the count grows fast.
+    this package fold immediately and the count grows fast.  The generator
+    is iterative, so any number of parts works without deep recursion.
     """
     if parts < 1:
         raise ValueError("parts must be positive")
     if total < 0:
         raise ValueError("total must be nonnegative")
+    return _compositions(total, parts)
 
-    def rec(remaining: int, slots: int) -> Iterator[tuple[int, ...]]:
-        if slots == 1:
-            yield (remaining,)
+
+def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    # Each successor raises the rightmost entry that still has something
+    # after it by one and puts all that is left after it into the last slot.
+    c = [0] * parts
+    c[-1] = total
+    while True:
+        yield tuple(c)
+        last = c[-1]
+        if last and parts > 1:
+            c[-2] += 1
+            c[-1] = last - 1
+            continue
+        j = parts - 2
+        while j >= 0 and c[j] == 0:
+            j -= 1
+        if j <= 0:
             return
-        for first in range(remaining + 1):
-            for rest in rec(remaining - first, slots - 1):
-                yield (first,) + rest
-
-    return rec(total, parts)
+        c[-1] = c[j] - 1
+        c[j] = 0
+        c[j - 1] += 1
 
 
 def multinomial(n: int, parts: Sequence[int]) -> int:

@@ -20,6 +20,7 @@ import enum
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, perm
 from typing import Callable, Iterable, Iterator
 
@@ -355,20 +356,29 @@ def _t12_first_display(n: int, k: int, printed_sign: bool) -> Polynomial:
     return Polynomial(coeffs)
 
 
-def _t12_second_display(n: int, k: int) -> Polynomial:
+def _sum_powers(base: Polynomial, weights: list[Fraction]) -> Polynomial:
+    """sum_m weights[m] * base**m."""
     result = Polynomial.zero()
-    base = Polynomial((-k, 1))
-    powers = [Polynomial.one()]
-    for _ in range(n):
-        powers.append(powers[-1] * base)
+    power = Polynomial.one()
+    for m, weight in enumerate(weights):
+        if m:
+            power = power * base
+        result = result + power * weight
+    return result
+
+
+def _t12_second_display(n: int, k: int) -> Polynomial:
+    # sum over l,m of C(l,m)/C(k+l-m,k) S2(k+l-m,k) S1(n,l) (x-k)^m; the
+    # scalar weights are summed per power first
+    weights = [Fraction(0)] * (n + 1)
     for l in range(n + 1):
         s1 = stirling1_signed(n, l)
         if s1 == 0:
             continue
         for m in range(l + 1):
-            result = result + powers[m] * (Fraction(comb(l, m), comb(k + l - m, k))
-                                           * stirling2(k + l - m, k) * s1)
-    return result
+            weights[m] += (Fraction(comb(l, m), comb(k + l - m, k))
+                           * stirling2(k + l - m, k) * s1)
+    return _sum_powers(Polynomial((-k, 1)), weights)
 
 
 def _cases_t12(grid: Grid, printed_sign: bool = True) -> Iterator[Case]:
@@ -393,19 +403,37 @@ def _t13_coefficients(n_max: int, k: int, alpha: int) -> list[list[Fraction]]:
             for n in range(n_max + 1)]
 
 
-def _cases_t13(grid: Grid, printed_index: bool = True) -> Iterator[Case]:
-    if grid.n_max < 0:
-        return
-    order = grid.n_max + 2
-    for alpha in grid.alphas():
+@lru_cache(maxsize=1)
+def _t13_tables(n_max: int, k_max: int, alpha_max: int
+                ) -> dict[tuple[int, int], tuple[list[list[Fraction]], list[list[Fraction]]]]:
+    """Per (alpha, k): the Sheffer connection matrix and the coefficient table.
+
+    The printed and the corrected reading of T13 read the same two tables,
+    so they are built once per grid; the single cache slot holds only the
+    grid last verified, and callers only read it.  The two tables share no
+    code path with each other.
+    """
+    tables = {}
+    order = n_max + 2
+    for alpha in range(1, alpha_max + 1):
         h = (expm1_series(order + 1) / t_series(order + 1)) ** alpha
         l = t_series(order)
-        for k in grid.ks():
+        for k in range(1, k_max + 1):
             exp_t = expm1_series(order) + 1
             g = ((t_series(order) * exp_t) / expm1_series(order + 1)) ** k
             f = expm1_series(order)
-            matrix = connection_coeffs(g, f, h, l, grid.n_max)
-            coefficients = _t13_coefficients(grid.n_max, k, alpha)
+            tables[alpha, k] = (connection_coeffs(g, f, h, l, n_max),
+                                _t13_coefficients(n_max, k, alpha))
+    return tables
+
+
+def _cases_t13(grid: Grid, printed_index: bool = True) -> Iterator[Case]:
+    if grid.n_max < 0:
+        return
+    tables = _t13_tables(grid.n_max, grid.k_max, grid.alpha_max)
+    for alpha in grid.alphas():
+        for k in grid.ks():
+            matrix, coefficients = tables[alpha, k]
             for n in grid.ns():
                 target = cauchy_hi_poly2(n, k)
                 resummed = Polynomial.zero()
@@ -535,19 +563,17 @@ def _eq59_expansion(n: int, k: int, printed_sign: bool) -> Polynomial:
 
 
 def _eq61_expansion(n: int, k: int) -> Polynomial:
-    result = Polynomial.zero()
-    base = Polynomial((-k, 1))
-    powers = [Polynomial.one()]
-    for _ in range(n):
-        powers.append(powers[-1] * base)
+    # sum over l,m of C(l,m)/C(m+k,m) S2(k+m,k) S1(n,l) (x-k)^(l-m); the
+    # scalar weights are summed per power first
+    weights = [Fraction(0)] * (n + 1)
     for l in range(n + 1):
         s1 = stirling1_signed(n, l)
         if s1 == 0:
             continue
         for m in range(l + 1):
-            result = result + powers[l - m] * (Fraction(comb(l, m), comb(m + k, m))
-                                               * stirling2(k + m, k) * s1)
-    return result
+            weights[l - m] += (Fraction(comb(l, m), comb(m + k, m))
+                               * stirling2(k + m, k) * s1)
+    return _sum_powers(Polynomial((-k, 1)), weights)
 
 
 def _cases_eq59_61(grid: Grid, printed_sign: bool = True) -> Iterator[Case]:

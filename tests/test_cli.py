@@ -1,6 +1,8 @@
 """CLI contract: exact output strings, formats, exit codes."""
 
 import json
+import sys
+from math import factorial
 
 import pytest
 
@@ -235,3 +237,23 @@ def test_malformed_config_is_usage_error(tmp_path, capsys, content, message):
     assert excinfo.value.code == 2
     assert err.splitlines()[-1].endswith(message)
     assert "Traceback" not in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="Python < 3.11 has no int-to-str digit limit")
+def test_table_entries_beyond_the_int_digit_limit_render(capsys):
+    # s(n, 1) = (-1)^(n-1) (n-1)!; 319! has 660 digits, above the lowest
+    # settable limit (640), so this exercises what the default 4300-digit
+    # limit does to `table --family stirling1 --n-max 1700` at a small size
+    previous = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        expected = str(factorial(319))
+        sys.set_int_max_str_digits(640)
+        code, out = run_cli(capsys, "table", "--family", "stirling1",
+                            "--n-max", "320", "--format", "csv")
+        assert code == 0
+        assert sys.get_int_max_str_digits() == 640
+        assert out.splitlines()[-1].startswith("320,0,-" + expected + ",")
+    finally:
+        sys.set_int_max_str_digits(previous)

@@ -166,3 +166,71 @@ def test_antiderivative_matches_independent_integral(p):
     anti = p.antiderivative()
     assert anti.evaluate(1) - anti.evaluate(0) == expected
     assert anti.derivative() == p
+
+
+# -- integer-kernel product and Newton interpolation against the old code ------
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+
+
+def fraction_loop_mul(p, q):
+    """Reference product: one Fraction multiply-add per pair of coefficients."""
+    if not p.coeffs or not q.coeffs:
+        return Polynomial()
+    out = [Fraction(0)] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return Polynomial(out)
+
+
+def lagrange_interpolate(points):
+    """Reference interpolation: sum of y_i times the Lagrange basis polynomial."""
+    result = Polynomial.zero()
+    for i, (xi, yi) in enumerate(points):
+        basis = Polynomial.one()
+        denom = Fraction(1)
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                basis = fraction_loop_mul(basis, Polynomial((-xj, 1)))
+                denom *= xi - xj
+        result = result + basis * (Fraction(yi) / denom)
+    return result
+
+
+# each coefficient over its own prime: the common denominator is their product
+coprime_polys = st.lists(st.integers(-60, 60), max_size=len(PRIMES)).map(
+    lambda nums: Polynomial(Fraction(v, p) for v, p in zip(nums, PRIMES)))
+wide_fractions = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
+any_polys = st.one_of(polys, coprime_polys,
+                      st.lists(wide_fractions, max_size=9).map(Polynomial))
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(any_polys, any_polys)
+@example(Polynomial(), Polynomial((1, 2)))
+@example(Polynomial((Fraction(-3, 4),)), Polynomial((Fraction(1, 6), 0, Fraction(5, 9))))
+@example(Polynomial((0, 0, Fraction(2, 7))), Polynomial((Fraction(7, 2),)))
+def test_mul_matches_fraction_loop(p, q):
+    product = p * q
+    assert product.coeffs == fraction_loop_mul(p, q).coeffs
+    assert all(type(c) is Fraction for c in product.coeffs)
+    assert product == q * p
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(small_fractions, small_fractions), max_size=8,
+                unique_by=lambda point: point[0]))
+def test_interpolate_matches_lagrange_form(points):
+    poly = interpolate(points)
+    assert poly.coeffs == lagrange_interpolate(points).coeffs
+    assert all(poly.evaluate(x) == y for x, y in points)
+    assert poly.degree < max(len(points), 1)
+
+
+def test_interpolate_keeps_edge_cases():
+    assert interpolate([]) == Polynomial.zero()
+    assert interpolate([(Fraction(1, 3), 0), (2, 0)]) == Polynomial.zero()
+    assert interpolate([(5, Fraction(-2, 3))]) == Polynomial((Fraction(-2, 3),))
+    with pytest.raises(ValueError):
+        interpolate([(Fraction(1, 2), 1), (3, 0), (Fraction(2, 4), 2)])

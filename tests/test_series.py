@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cauchykit.bernoulli import bernoulli_hi_poly
@@ -231,6 +231,52 @@ def test_revert_matches_term_by_term_solve(f):
     assert g.coeffs == term_by_term_revert(f).coeffs
     assert f.compose(g) == t_series(f.order)
     assert g.revert() == f
+
+
+def fraction_loop_mul(f, g):
+    """Reference product: the generic ring loop over the first min(order) terms."""
+    n = min(f.order, g.order)
+    out = [f.coeffs[0] * 0 for _ in range(n)]
+    for i in range(n):
+        for j in range(n - i):
+            out[i + j] = out[i + j] + f.coeffs[i] * g.coeffs[j]
+    return PowerSeries(out)
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+# each coefficient over its own prime: the common denominator is their product
+coprime_series = st.lists(st.integers(-60, 60), min_size=1, max_size=len(PRIMES)).map(
+    lambda nums: PowerSeries([F(v, p) for v, p in zip(nums, PRIMES)]))
+wide_series = st.lists(
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6),
+    min_size=1, max_size=12).map(PowerSeries)
+scalar_series = st.one_of(
+    st.lists(small_fractions, min_size=1, max_size=12).map(PowerSeries),
+    coprime_series, wide_series)
+poly_series = st.lists(small_polys, min_size=1, max_size=6).map(
+    lambda cs: PowerSeries([Polynomial.one()] + cs))
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(scalar_series, scalar_series)
+@example(series(0, order=6), series(1, 2, 3))
+@example(series(F(-2, 3), order=5), series(F(1, 7), 0, F(5, 4), order=5))
+@example(t_series(9), cauchy1_gf(8))
+def test_mul_matches_fraction_loop(f, g):
+    product = f * g
+    assert product.coeffs == fraction_loop_mul(f, g).coeffs
+    assert all(type(c) is F for c in product.coeffs)
+    assert product.coeffs == (g * f).coeffs
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(poly_series, st.one_of(poly_series, scalar_series))
+def test_mul_with_polynomial_coefficients_matches_ring_loop(f, g):
+    product = f * g
+    expected = fraction_loop_mul(f, g)
+    assert product.coeffs == expected.coeffs
+    assert all(isinstance(c, Polynomial) for c in product.coeffs)
+    assert (g * f).coeffs == expected.coeffs
 
 
 unit_series_10 = st.lists(small_fractions, min_size=9, max_size=9).map(

@@ -1,5 +1,7 @@
 """Stirling triangles, compositions, multinomials."""
 
+import sys
+import threading
 from math import comb, factorial
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from cauchykit.polynomial import falling_factorial, rising_factorial
 from cauchykit.stirling import (
     StirlingKind,
+    StirlingTable,
     compositions,
     multinomial,
     stirling1_signed,
@@ -155,3 +158,39 @@ def test_preload_matches_lazy_fill():
     table.preload(20)
     assert table.value(20, 10) == stirling2(20, 10)
     assert table.row(3) == (0, 1, 3, 1)
+
+
+def test_compositions_with_many_parts_need_no_deep_recursion():
+    seen = list(compositions(1, 1200))
+    assert len(seen) == 1200
+    assert seen[0] == (0,) * 1199 + (1,)
+    assert seen[-1] == (1,) + (0,) * 1199
+    assert seen == sorted(seen)
+
+
+def test_concurrent_first_use_builds_the_same_triangle():
+    reference = StirlingTable(StirlingKind.SIGNED_FIRST)
+    reference.preload(60)
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    errors = []
+
+    def fill(table):
+        try:
+            table.preload(60)
+        except Exception as exc:  # a race shows up as IndexError
+            errors.append(exc)
+
+    try:
+        for _ in range(30):
+            table = StirlingTable(StirlingKind.SIGNED_FIRST)
+            threads = [threading.Thread(target=fill, args=(table,)) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            assert not errors
+            assert table.rows == reference.rows
+    finally:
+        sys.setswitchinterval(previous)

@@ -1,0 +1,45 @@
+"""Differential checks against sympy, an oracle implemented outside this package.
+
+Skipped when sympy is not installed (it is in the ``test`` extra).
+"""
+
+from fractions import Fraction
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+from sympy.functions.combinatorial.numbers import stirling  # noqa: E402
+
+from cauchykit.bernoulli import bernoulli_hi_poly  # noqa: E402
+from cauchykit.series import cauchy1_gf  # noqa: E402
+from cauchykit.stirling import stirling1_signed, stirling1_unsigned, stirling2  # noqa: E402
+
+N_MAX = 40
+t, x = sympy.symbols("t x")
+
+
+def as_fraction(value) -> Fraction:
+    value = sympy.Rational(value)
+    return Fraction(int(value.p), int(value.q))
+
+
+def test_stirling_numbers_match_sympy():
+    for n in range(N_MAX + 1):
+        for l in range(n + 1):
+            assert stirling1_signed(n, l) == stirling(n, l, kind=1, signed=True)
+            assert stirling1_unsigned(n, l) == stirling(n, l, kind=1)
+            assert stirling2(n, l) == stirling(n, l, kind=2)
+
+
+def test_order_one_bernoulli_polynomials_match_sympy():
+    for n in range(25):
+        expected = sympy.Poly(sympy.bernoulli(n, x), x).all_coeffs()[::-1]
+        assert bernoulli_hi_poly(n, 1).coeffs == tuple(as_fraction(c) for c in expected)
+
+
+def test_cauchy1_gf_matches_sympy_series():
+    order = 20
+    expansion = sympy.series(t / sympy.log(1 + t), t, 0, order).removeO()
+    expected = sympy.Poly(expansion, t).all_coeffs()[::-1]
+    assert len(expected) == order
+    assert list(cauchy1_gf(order).coeffs[:order]) == [as_fraction(c) for c in expected]

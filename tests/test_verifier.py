@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from cauchykit import verifier
 from cauchykit.cauchy import cauchy_hi_poly1, cauchy_hi_poly2
 from cauchykit.polynomial import Polynomial
 from cauchykit.verifier import (
@@ -14,6 +15,7 @@ from cauchykit.verifier import (
     TAG_POLYC_INDEX,
     TAG_SIGN_FIRST_KIND,
     TAG_T13_INDEX,
+    DEFAULT_GRID,
     CheckId,
     Counterexample,
     Grid,
@@ -199,3 +201,21 @@ def test_text_rendering_mentions_failures():
     text = reports_to_text([failing])
     assert "FAIL" in text
     assert "n=1, k=2" in text and "1/2 != 1/3" in text
+
+
+def test_t13_builds_each_connection_matrix_once(monkeypatch):
+    # the printed and the corrected reading share one matrix per (alpha, k)
+    calls = []
+    original = verifier.connection_coeffs
+
+    def counting(*args):
+        calls.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(verifier, "connection_coeffs", counting)
+    verifier._t13_tables.cache_clear()
+    report = verify(CheckId.T13)
+    assert report.status == PASS_WITH_CORRECTION
+    assert len(calls) == DEFAULT_GRID.k_max * DEFAULT_GRID.alpha_max == 12
+    verify(CheckId.T13, SMALL)
+    assert verifier._t13_tables.cache_info().currsize == 1
