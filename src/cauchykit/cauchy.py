@@ -216,6 +216,17 @@ def _convolution_first(n: int, k: int) -> Fraction:
     return row[n]
 
 
+def cauchy_hi_numbers(kind: CauchyKind, n_max: int, k: int) -> list[Fraction]:
+    """Higher-order Cauchy numbers of `kind`, n = 0..n_max, off one EGF.
+
+    The values are those of the GF_COEFF path, read from one series rather
+    than from one series power per n.
+    """
+    _check_hi_args(n_max, k, CauchyMethod.GF_COEFF)
+    gf = _hi_gf(kind, k, n_max + 1)
+    return [egf_coeff(gf, n) for n in range(n_max + 1)]
+
+
 def _check_hi_args(n: int, k: int, method: CauchyMethod) -> None:
     if n < 0:
         raise ValueError("n must be nonnegative")

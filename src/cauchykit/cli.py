@@ -6,17 +6,27 @@ Four subcommands: ``table`` renders number sequences and Stirling triangles,
 named-series registry, and ``verify`` runs the identity suite.
 
 All payload goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
-1 verification failure, 2 usage error.  Output is deterministic; JSON uses
-compact separators so re-serialising a parsed document is byte-identical.
-Python's limit on int-to-decimal conversion (4300 digits by default) is
-lifted while output is rendered, so large table entries such as the
-first-kind Stirling number (n-1)! at n = 1700 print in full.
+1 verification failure, 2 usage error, 141 (128 + SIGPIPE) when the reader
+closes stdout early, as ``cauchykit table ... | head`` does.  Output is
+deterministic; JSON uses compact separators so re-serialising a parsed
+document is byte-identical.
+
+Stirling triangles are streamed: each row is built from the one before by
+the exact recurrence on ``decimal.Decimal`` integers and written as soon as
+it is built, so a triangle needs memory for one row, and its entries go
+through neither the memo tables nor int-to-str conversion, which is
+quadratic in the number of digits.  Python's limit on that conversion
+(4300 digits by default) therefore matters only for ``Fraction``, ``poly``
+and ``series`` output; it is lifted while those render, so large values
+print in full.
 """
 
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
+import os
 import re
 import sys
 from contextlib import contextmanager
@@ -24,10 +34,10 @@ from fractions import Fraction
 
 from .bernoulli import bernoulli_hi_numbers, bernoulli_hi_poly
 from .cauchy import (
+    CauchyKind,
     cauchy1,
     cauchy2,
-    cauchy_hi1,
-    cauchy_hi2,
+    cauchy_hi_numbers,
     cauchy_hi_poly1,
     cauchy_hi_poly2,
     poly_cauchy1,
@@ -36,7 +46,7 @@ from .cauchy import (
 from .polynomial import Polynomial
 from .rational import format_rational
 from .series import bernoulli_gf, cauchy1_gf, cauchy2_gf, expm1_series, log1p_series
-from .stirling import stirling_table, StirlingKind
+from .stirling import StirlingKind, stirling_rows
 from .verifier import (
     CheckId,
     Grid,
@@ -53,6 +63,13 @@ POLY_FAMILIES = ("cauchy_hi_poly1", "cauchy_hi_poly2", "bernoulli_hi_poly")
 
 _SERIES_REGISTRY_HELP = ("log1p", "exp_m1", "cauchy1_gf", "cauchy2_gf", "bernoulli_gf(alpha)")
 _BERNOULLI_GF_RE = re.compile(r"^bernoulli_gf\((-?\d+)\)$")
+
+# Exact integer arithmetic for the triangles: any result that would have to
+# be rounded raises instead of printing a wrong digit.
+EXACT_INTEGERS = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+    traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow,
+           decimal.Inexact, decimal.Rounded])
 
 
 @contextmanager
@@ -88,20 +105,36 @@ def _render_cells(rows: list[list[str]], fmt: str) -> str:
 
 # -- table ------------------------------------------------------------------
 
-def _number_value(family: str, n: int, args) -> Fraction:
-    if family == "cauchy1":
-        return cauchy1(n)
-    if family == "cauchy2":
-        return cauchy2(n)
+def _number_values(family: str, n_max: int, args) -> list[Fraction]:
+    # the generating-function families read all values off one series
     if family == "cauchy_hi1":
-        return cauchy_hi1(n, args.order)
+        return cauchy_hi_numbers(CauchyKind.FIRST, n_max, args.order)
     if family == "cauchy_hi2":
-        return cauchy_hi2(n, args.order)
-    if family == "poly_cauchy1":
-        return poly_cauchy1(n, args.order)
-    if family == "poly_cauchy2":
-        return poly_cauchy2(n, args.order)
-    return bernoulli_hi_numbers(n, args.alpha)[n]
+        return cauchy_hi_numbers(CauchyKind.SECOND, n_max, args.order)
+    if family == "bernoulli_hi":
+        return bernoulli_hi_numbers(n_max, args.alpha)
+    if family in ("cauchy1", "cauchy2"):
+        value = cauchy1 if family == "cauchy1" else cauchy2
+        return [value(n) for n in range(n_max + 1)]
+    value = poly_cauchy1 if family == "poly_cauchy1" else poly_cauchy2
+    return [value(n, args.order) for n in range(n_max + 1)]
+
+
+def _stream_triangle(kind: StirlingKind, n_max: int, fmt: str) -> None:
+    """Write rows 0..n_max of the triangle of `kind` to stdout as each is built."""
+    write = sys.stdout.write
+    with decimal.localcontext(EXACT_INTEGERS):
+        rows = enumerate(stirling_rows(kind, n_max, decimal.Decimal(1)))
+        if fmt == "json":
+            lead = "["
+            for n, row in rows:
+                write(f'{lead}{{"n":{n},"row":["' + '","'.join(map(str, row)) + '"]}')
+                lead = ","
+            write("]\n")
+        else:
+            sep = "," if fmt == "csv" else " "
+            for n, row in rows:
+                write(str(n) + sep + sep.join(map(str, row)) + "\n")
 
 
 def _cmd_table(args, parser) -> int:
@@ -118,19 +151,10 @@ def _cmd_table(args, parser) -> int:
 
     if family in TRIANGLE_FAMILIES:
         kind = StirlingKind.SIGNED_FIRST if family == "stirling1" else StirlingKind.SECOND
-        table = stirling_table(kind)
-        with _unlimited_int_text():
-            if args.format == "json":
-                obj = [{"n": n, "row": [str(v) for v in table.row(n)]}
-                       for n in range(args.n_max + 1)]
-                _emit(_dump_json(obj))
-            else:
-                rows = [[str(n)] + [str(v) for v in table.row(n)]
-                        for n in range(args.n_max + 1)]
-                _emit(_render_cells(rows, args.format))
+        _stream_triangle(kind, args.n_max, args.format)
         return 0
 
-    values = [(n, _number_value(family, n, args)) for n in range(args.n_max + 1)]
+    values = list(enumerate(_number_values(family, args.n_max, args)))
     with _unlimited_int_text():
         if args.format == "json":
             _emit(_dump_json([{"n": n, "value": format_rational(v)} for n, v in values]))
@@ -324,7 +348,17 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at the null device so the flush
+        # at interpreter shutdown cannot raise again, and exit as a process
+        # killed by SIGPIPE would, without a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(141)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,9 +1,15 @@
 """Stirling numbers of both kinds, integer compositions, multinomials.
 
-Triangles are filled row by row from the standard recurrences and memoised,
-one table per kind, so dense sweeps cost amortised O(1) per query.  Indices
-outside the triangle (l < 0 or l > n, or n < 0) return 0, matching the
-over-wide summation ranges of the identities verified elsewhere.
+Each kind has one recurrence, ``next_row``, which builds row n from row
+n-1 in any ring that holds the integers: Python ints for the memo tables,
+exact ``decimal.Decimal`` integers for the CLI, which renders them in
+linear time.  ``stirling_rows`` walks the recurrence and keeps only the
+current row.
+
+Triangles are filled row by row and memoised, one table per kind, so dense
+sweeps cost amortised O(1) per query.  Indices outside the triangle
+(l < 0 or l > n, or n < 0) return 0, matching the over-wide summation
+ranges of the identities verified elsewhere.
 
 Tables mutate only while growing, and they grow under a per-table lock:
 a reader whose row already exists takes no lock, and rows are built in full
@@ -25,16 +31,45 @@ class StirlingKind(enum.Enum):
     SECOND = "second"
 
 
-class StirlingTable:
-    """Memoised triangle of Stirling numbers of one kind.
+def next_row(kind: StirlingKind, prev: Sequence) -> list:
+    """Row n of the triangle of `kind` from row n-1 (`prev`, length n >= 1).
 
-    Each kind grows from its own recurrence (no kind is derived from
-    another, so cross-kind identities stay genuine checks):
+    Each kind has its own recurrence (no kind is derived from another, so
+    cross-kind identities stay genuine checks):
 
         signed    s(n,l) = s(n-1,l-1) - (n-1)s(n-1,l)
         unsigned  u(n,l) = u(n-1,l-1) + (n-1)u(n-1,l)
         second    S(n,l) = S(n-1,l-1) + l*S(n-1,l)
+
+    Only additions and products by small ints are used, so the entries
+    stay in the ring of `prev`.
     """
+    shifted = [0, *prev]
+    if kind is StirlingKind.SECOND:
+        row = [a + l * b for l, (a, b) in enumerate(zip(shifted, prev))]
+    else:
+        c = len(prev) - 1
+        if kind is StirlingKind.SIGNED_FIRST:
+            c = -c
+        row = [a + c * b for a, b in zip(shifted, prev)]
+    row.append(prev[-1])
+    return row
+
+
+def stirling_rows(kind: StirlingKind, n_max: int, one=1) -> Iterator[list]:
+    """Rows 0..n_max of the triangle of `kind`, with entries in the ring of `one`.
+
+    Only the current row is kept, and the memo tables are not touched.
+    """
+    row = [one]
+    yield row
+    for _ in range(n_max):
+        row = next_row(kind, row)
+        yield row
+
+
+class StirlingTable:
+    """Memoised triangle of Stirling numbers of one kind, grown by `next_row`."""
 
     def __init__(self, kind: StirlingKind):
         self.kind = kind
@@ -48,20 +83,11 @@ class StirlingTable:
         if n < len(self.rows):
             return
         with self._lock:
-            while len(self.rows) <= n:
-                m = len(self.rows)
-                prev = self.rows[-1]
-                row = [0] * (m + 1)
-                for l in range(1, m + 1):
-                    row[l] = prev[l - 1]
-                for l in range(m):
-                    if self.kind is StirlingKind.SIGNED_FIRST:
-                        row[l] -= (m - 1) * prev[l]
-                    elif self.kind is StirlingKind.UNSIGNED_FIRST:
-                        row[l] += (m - 1) * prev[l]
-                    else:
-                        row[l] += l * prev[l]
-                self.rows.append(row)
+            rows = self.rows
+            while len(rows) <= n:
+                # [:] drops the spare capacity a built list carries, which
+                # would otherwise stay for the life of the table
+                rows.append(next_row(self.kind, rows[-1])[:])
 
     def value(self, n: int, l: int) -> int:
         if n < 0 or l < 0 or l > n:

@@ -1,12 +1,19 @@
 """CLI contract: exact output strings, formats, exit codes."""
 
+import hashlib
 import json
+import os
+import subprocess
 import sys
+from decimal import Decimal, Inexact, Rounded
 from math import factorial
 
 import pytest
 
-from cauchykit import cli
+import cauchykit
+from cauchykit import bernoulli, cauchy, cli, stirling
+from cauchykit.rational import format_rational
+from cauchykit.stirling import StirlingKind, StirlingTable, stirling_table
 from cauchykit.verifier import CheckId
 
 
@@ -257,3 +264,137 @@ def test_table_entries_beyond_the_int_digit_limit_render(capsys):
         assert out.splitlines()[-1].startswith("320,0,-" + expected + ",")
     finally:
         sys.set_int_max_str_digits(previous)
+
+
+def test_number_entries_beyond_the_int_digit_limit_render(capsys):
+    # triangles no longer convert ints, so a Fraction table keeps the limit
+    # covered: the numerator of cauchy1(350) has 749 digits (limit 640)
+    previous = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        expected = str(cauchy.cauchy1(350).numerator)
+        assert len(expected) > 640
+        sys.set_int_max_str_digits(640)
+        code, out = run_cli(capsys, "table", "--family", "cauchy1",
+                            "--n-max", "350", "--format", "csv")
+        assert code == 0
+        assert sys.get_int_max_str_digits() == 640
+        assert out.splitlines()[-1].startswith("350," + expected + "/")
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+# -- streamed Stirling triangles ---------------------------------------------------
+
+def old_triangle_output(family, n_max, fmt):
+    """The triangle as the int-based renderer wrote it, all in one string."""
+    kind = StirlingKind.SIGNED_FIRST if family == "stirling1" else StirlingKind.SECOND
+    table = stirling_table(kind)
+    if fmt == "json":
+        obj = [{"n": n, "row": [str(v) for v in table.row(n)]} for n in range(n_max + 1)]
+        return json.dumps(obj, separators=(",", ":")) + "\n"
+    sep = "," if fmt == "csv" else " "
+    rows = [[str(n)] + [str(v) for v in table.row(n)] for n in range(n_max + 1)]
+    return "\n".join(sep.join(row) for row in rows) + "\n"
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 37, 150])
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("family", ["stirling1", "stirling2"])
+def test_streamed_triangle_matches_int_rendering(capsys, family, fmt, n_max):
+    code, out = run_cli(capsys, "table", "--family", family,
+                        "--n-max", str(n_max), "--format", fmt)
+    assert code == 0
+    assert out == old_triangle_output(family, n_max, fmt)
+
+
+class HashingStdout:
+    """Stands in for stdout and keeps only a digest of what is written."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        self.digest.update(text.encode("utf-8"))
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("family, fmt, sha256", [
+    ("stirling1", "csv", "abc83b64c9fef00ecda2f243cb11dbad2d4051bd435a8a3c6cb8a73da2280c1b"),
+    ("stirling1", "json", "1ec51343d261e6b70ba8d9c4b07986cfd34ca6f2030dae8c7f24e801d2db9619"),
+    ("stirling2", "csv", "d83020aaf48aeffc03c74ae3ecfb5abc61917a1e639f58407d8be6780276eb81"),
+    ("stirling2", "json", "75e56e637f8aa95fd30560726a562904acce743f48d6ea6ac560ca3e5fdc83f1"),
+])
+def test_large_triangle_output_is_pinned(monkeypatch, family, fmt, sha256):
+    # digests of the int-based renderer's output at n-max 600
+    sink = HashingStdout()
+    monkeypatch.setattr(sys, "stdout", sink)
+    code = cli.main(["table", "--family", family, "--n-max", "600", "--format", fmt])
+    assert code == 0
+    assert sink.digest.hexdigest() == sha256
+
+
+def test_streamed_triangle_leaves_the_memo_tables_alone(capsys, monkeypatch):
+    fresh = {kind: StirlingTable(kind) for kind in StirlingKind}
+    monkeypatch.setattr(stirling, "_TABLES", fresh)
+    code, _ = run_cli(capsys, "table", "--family", "stirling1", "--n-max", "200")
+    assert code == 0
+    assert all(len(stirling_table(kind).rows) == 1 for kind in StirlingKind)
+
+
+def test_triangle_context_traps_rounding():
+    ctx = cli.EXACT_INTEGERS.copy()
+    assert ctx.traps[Inexact] and ctx.traps[Rounded]
+    ctx.prec = 5  # small enough to force rounding
+    with pytest.raises(Rounded):
+        ctx.plus(Decimal(123450))
+    with pytest.raises(Inexact):
+        ctx.plus(Decimal(123456))
+
+
+@pytest.mark.parametrize("family, param, builder", [
+    ("bernoulli_hi", ("--alpha", "-2"), (bernoulli, "bernoulli_gf")),
+    ("bernoulli_hi", ("--alpha", "3"), (bernoulli, "bernoulli_gf")),
+    ("cauchy_hi1", ("--order", "3"), (cauchy, "cauchy1_gf")),
+    ("cauchy_hi1", ("--order", "0"), (cauchy, "cauchy1_gf")),
+    ("cauchy_hi2", ("--order", "2"), (cauchy, "cauchy2_gf")),
+])
+def test_number_table_builds_one_series(capsys, monkeypatch, family, param, builder):
+    module, name = builder
+    bernoulli._gf.cache_clear()
+    cauchy._hi_gf.cache_clear()
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    code, out = run_cli(capsys, "table", "--family", family, *param,
+                        "--n-max", "30", "--format", "json")
+    assert code == 0
+    assert len(calls) == 1
+    order = int(param[1])
+    single = {"bernoulli_hi": cauchykit.bernoulli_hi_number,
+              "cauchy_hi1": cauchykit.cauchy_hi1,
+              "cauchy_hi2": cauchykit.cauchy_hi2}[family]
+    assert json.loads(out) == [{"n": n, "value": format_rational(single(n, order))}
+                               for n in range(31)]
+
+
+def test_closed_pipe_exits_141_without_traceback():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cauchykit.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cauchykit.cli", "table", "--family", "stirling1",
+         "--n-max", "300"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(100).startswith(b"0 1\n1 0 1\n")
+    proc.stdout.close()  # the reader leaves long before the table ends
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert stderr == b""

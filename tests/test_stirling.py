@@ -12,9 +12,11 @@ from cauchykit.stirling import (
     StirlingTable,
     compositions,
     multinomial,
+    next_row,
     stirling1_signed,
     stirling1_unsigned,
     stirling2,
+    stirling_rows,
     stirling_table,
 )
 
@@ -194,3 +196,35 @@ def test_concurrent_first_use_builds_the_same_triangle():
             assert table.rows == reference.rows
     finally:
         sys.setswitchinterval(previous)
+
+
+def old_grow_loop(kind, n_max):
+    """The int-only table fill that `next_row` replaced, kept as a reference."""
+    rows = [[1]]
+    while len(rows) <= n_max:
+        m = len(rows)
+        prev = rows[-1]
+        row = [0] * (m + 1)
+        for l in range(1, m + 1):
+            row[l] = prev[l - 1]
+        for l in range(m):
+            if kind is StirlingKind.SIGNED_FIRST:
+                row[l] -= (m - 1) * prev[l]
+            elif kind is StirlingKind.UNSIGNED_FIRST:
+                row[l] += (m - 1) * prev[l]
+            else:
+                row[l] += l * prev[l]
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("kind", list(StirlingKind))
+def test_next_row_matches_the_old_grow_loop(kind):
+    reference = old_grow_loop(kind, 300)
+    for n in range(1, 301):
+        assert next_row(kind, reference[n - 1]) == reference[n]
+    assert list(stirling_rows(kind, 300)) == reference
+    table = StirlingTable(kind)
+    table.preload(300)
+    assert table.rows == reference
+    assert all(type(v) is int for row in table.rows for v in row)
