@@ -27,7 +27,7 @@ from .cauchy import (
     product_integrate,
 )
 from .polynomial import Polynomial, falling_factorial, interpolate, rising_factorial
-from .rational import Rational, format_rational, parse_rational, rational
+from .rational import format_rational, parse_rational, rational
 from .series import (
     PowerSeries,
     bernoulli_gf,

@@ -17,14 +17,17 @@ while the higher-order family integrates the *sum* of k coordinates,
 with exponential generating functions (t/log(1+t))^k (1+t)^{-x} and
 (t/((1+t)log(1+t)))^k (1+t)^x.
 
+Every second-kind family is the first-kind one with the integrand (-x)_n in
+place of (x)_n, so each concept is written once and takes a ``CauchyKind``;
+the numbered names (``cauchy1``, ``poly_cauchy_poly2``, ...) are wrappers.
+
 Every higher-order number is computable along several independent paths
 (``CauchyMethod``): a Stirling-number sum, a multinomial convolution of
 classical values, an EGF coefficient, a Bernoulli-polynomial bridge of
 order n-k+1, and an iterated-antiderivative integration oracle.  The oracle
-(``cube_integrate``/``product_integrate``) never touches Stirling numbers
-or series, so agreement between paths is a genuine cross-check, not a
-tautology.  Second-kind reflections are handled by flipping signs of odd
-polynomial coefficients, never by re-deriving formulas.
+(``cube_integrate``/``product_integrate``, and ``cauchy_hi_poly_oracle`` for
+the polynomials) never touches Stirling numbers or series, so agreement
+between paths is a genuine cross-check, not a tautology.
 """
 
 from __future__ import annotations
@@ -35,9 +38,10 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .bernoulli import bernoulli_hi_poly
-from .polynomial import Polynomial, _as_fraction, falling_factorial, interpolate
+from .polynomial import Polynomial, falling_factorial
+from .rational import _as_fraction
 from .series import PowerSeries, cauchy1_gf, cauchy2_gf, egf_coeff
-from .stirling import stirling1_signed, stirling1_unsigned
+from .stirling import stirling1_signed
 
 
 class CauchyKind(enum.Enum):
@@ -53,24 +57,42 @@ class CauchyMethod(enum.Enum):
     INTEGRAL_ORACLE = "integral_oracle"
 
 
+# -- the two kinds: the integrand for the oracles, its coefficients for the sums --
+
+def _integrand(kind: CauchyKind, n: int) -> Polynomial:
+    """(x)_n for the first kind, (-x)_n for the second; no Stirling numbers."""
+    ff = falling_factorial(n)
+    return ff if kind is CauchyKind.FIRST else ff.reflect()
+
+
+def _stirling_row(kind: CauchyKind, n: int) -> list[int]:
+    """The x^m coefficients of the integrand: s(n,m), or (-1)^m s(n,m)."""
+    sign = 1 if kind is CauchyKind.FIRST else -1
+    return [sign ** m * stirling1_signed(n, m) for m in range(n + 1)]
+
+
 # -- integration oracles -------------------------------------------------------
 
-def cube_integrate(p: Polynomial, k: int) -> Fraction:
-    """Exact integral of p(x_1+...+x_k) over the unit k-cube.
+def _cube_mean(p: Polynomial, k: int) -> Polynomial:
+    """u -> the integral of p(u + x_1 + ... + x_k) over the unit k-cube.
 
     One coordinate is integrated out per round: with P the antiderivative of
-    the current integrand q, the next integrand is u -> P(u+1) - P(u); after
-    k rounds the remaining polynomial is evaluated at 0.  Only antiderivative,
-    shift and evaluation are used, keeping this path independent of the
+    the current integrand q, the next integrand is u -> P(u+1) - P(u).  Only
+    antiderivative and shift are used, keeping this path independent of the
     combinatorial formulas it is used to check.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
     q = p
     for _ in range(k):
         anti = q.antiderivative()
         q = anti.shift(1) - anti
-    return q.evaluate(0)
+    return q
+
+
+def cube_integrate(p: Polynomial, k: int) -> Fraction:
+    """Exact integral of p(x_1+...+x_k) over the unit k-cube, ``_cube_mean`` at 0."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    return _cube_mean(p, k).constant
 
 
 def product_integrate(p: Polynomial, k: int) -> Fraction:
@@ -88,31 +110,7 @@ def product_integrate(p: Polynomial, k: int) -> Fraction:
     return q.evaluate(1)
 
 
-# -- classical numbers ----------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def cauchy1(n: int) -> Fraction:
-    """First-kind Cauchy number: sum_m S1(n,m)/(m+1)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return sum((Fraction(stirling1_signed(n, m), m + 1) for m in range(n + 1)),
-               Fraction(0))
-
-
-@lru_cache(maxsize=None)
-def cauchy2(n: int) -> Fraction:
-    """Second-kind Cauchy number: sum_m S1(n,m)(-1)^m/(m+1)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return sum((Fraction((-1) ** m * stirling1_signed(n, m), m + 1) for m in range(n + 1)),
-               Fraction(0))
-
-
-def classical_cauchy(n: int, kind: CauchyKind) -> Fraction:
-    return cauchy1(n) if kind is CauchyKind.FIRST else cauchy2(n)
-
-
-# -- poly-Cauchy family ----------------------------------------------------------
+# -- poly-Cauchy family and the classical numbers ------------------------------------
 
 def _check_poly_args(n: int, k: int) -> None:
     if n < 0:
@@ -121,56 +119,61 @@ def _check_poly_args(n: int, k: int) -> None:
         raise ValueError("k must be positive")
 
 
-def poly_cauchy1(n: int, k: int) -> Fraction:
-    """sum_m S1(n,m)/(m+1)^k, the k-fold product-integral of the falling factorial."""
+def poly_cauchy(kind: CauchyKind, n: int, k: int) -> Fraction:
+    """sum_m row(n,m)/(m+1)^k, the k-fold product-integral of the integrand."""
     _check_poly_args(n, k)
-    return sum((stirling1_signed(n, m) * Fraction(1, (m + 1) ** k) for m in range(n + 1)),
+    return sum((c * Fraction(1, (m + 1) ** k) for m, c in enumerate(_stirling_row(kind, n))),
                Fraction(0))
 
 
-def poly_cauchy2(n: int, k: int) -> Fraction:
-    """(-1)^n sum_m [n m]/(m+1)^k (unsigned Stirling numbers)."""
-    _check_poly_args(n, k)
-    total = sum((stirling1_unsigned(n, m) * Fraction(1, (m + 1) ** k) for m in range(n + 1)),
-                Fraction(0))
-    return -total if n % 2 else total
-
-
-def poly_cauchy_poly1(n: int, k: int, z: Fraction) -> Fraction:
-    """First-kind poly-Cauchy polynomial value at z.
-
-    Evaluates the explicit double sum
-    sum_m [n m](-1)^(n-m) sum_i C(m,i)(-z)^i/(m-i+1)^k.
-    """
+def poly_cauchy_poly(kind: CauchyKind, n: int, k: int, z: Fraction) -> Fraction:
+    """Poly-Cauchy polynomial value, sum_m row(n,m) sum_i C(m,i)(-z)^i/(m-i+1)^k."""
     _check_poly_args(n, k)
     z = _as_fraction(z)
     total = Fraction(0)
-    for m in range(n + 1):
-        u = stirling1_unsigned(n, m)
-        if u == 0:
+    for m, c in enumerate(_stirling_row(kind, n)):
+        if c == 0:
             continue
         inner = sum((comb(m, i) * (-z) ** i * Fraction(1, (m - i + 1) ** k)
                      for i in range(m + 1)), Fraction(0))
-        total += (-1) ** (n - m) * u * inner
+        total += c * inner
     return total
 
 
-def poly_cauchy_poly2(n: int, k: int, z: Fraction) -> Fraction:
-    """Second-kind poly-Cauchy polynomial value at z.
+@lru_cache(maxsize=None)
+def classical_cauchy(n: int, kind: CauchyKind) -> Fraction:
+    """C_n or Chat_n: sum_m row(n,m)/(m+1), the poly-Cauchy number at k = 1."""
+    return poly_cauchy(kind, n, 1)
 
-    Evaluates sum_m [n m](-1)^n sum_i C(m,i)(-z)^i/(m-i+1)^k.
-    """
-    _check_poly_args(n, k)
-    z = _as_fraction(z)
-    total = Fraction(0)
-    for m in range(n + 1):
-        u = stirling1_unsigned(n, m)
-        if u == 0:
-            continue
-        inner = sum((comb(m, i) * (-z) ** i * Fraction(1, (m - i + 1) ** k)
-                     for i in range(m + 1)), Fraction(0))
-        total += u * inner
-    return -total if n % 2 else total
+
+def cauchy1(n: int) -> Fraction:
+    """First-kind Cauchy number: sum_m S1(n,m)/(m+1)."""
+    return classical_cauchy(n, CauchyKind.FIRST)
+
+
+def cauchy2(n: int) -> Fraction:
+    """Second-kind Cauchy number: sum_m S1(n,m)(-1)^m/(m+1)."""
+    return classical_cauchy(n, CauchyKind.SECOND)
+
+
+def poly_cauchy1(n: int, k: int) -> Fraction:
+    """First-kind poly-Cauchy number, sum_m S1(n,m)/(m+1)^k."""
+    return poly_cauchy(CauchyKind.FIRST, n, k)
+
+
+def poly_cauchy2(n: int, k: int) -> Fraction:
+    """Second-kind poly-Cauchy number, (-1)^n sum_m [n m]/(m+1)^k."""
+    return poly_cauchy(CauchyKind.SECOND, n, k)
+
+
+def poly_cauchy_poly1(n: int, k: int, z: Fraction) -> Fraction:
+    """First-kind poly-Cauchy polynomial value at z."""
+    return poly_cauchy_poly(CauchyKind.FIRST, n, k, z)
+
+
+def poly_cauchy_poly2(n: int, k: int, z: Fraction) -> Fraction:
+    """Second-kind poly-Cauchy polynomial value at z."""
+    return poly_cauchy_poly(CauchyKind.SECOND, n, k, z)
 
 
 # -- higher-order numbers ----------------------------------------------------------
@@ -236,129 +239,92 @@ def _check_hi_args(n: int, k: int, method: CauchyMethod) -> None:
         raise ValueError("the integral oracle needs k >= 1")
 
 
-def cauchy_hi1(n: int, k: int, method: CauchyMethod = CauchyMethod.GF_COEFF) -> Fraction:
-    """Higher-order Cauchy number of the first kind, by the chosen path.
+def cauchy_hi(kind: CauchyKind, n: int, k: int,
+              method: CauchyMethod = CauchyMethod.GF_COEFF) -> Fraction:
+    """Higher-order Cauchy number of `kind`, by the chosen path.
 
     All methods agree; the agreement over a grid is the package's master
-    cross-check.  k = 0 degenerates to the Kronecker delta at n = 0.
+    cross-check.  k = 0 degenerates to the Kronecker delta at n = 0.  The
+    classical-convolution path exists for the first kind only.
     """
     _check_hi_args(n, k, method)
     if method is CauchyMethod.STIRLING_SUM:
-        return sum((stirling1_signed(n, l) * _sum_power_volume(l, k) for l in range(n + 1)),
+        return sum((c * _sum_power_volume(l, k) for l, c in enumerate(_stirling_row(kind, n))),
                    Fraction(0))
     if method is CauchyMethod.CONVOLUTION:
+        if kind is not CauchyKind.FIRST:
+            raise ValueError("convolution path is defined only for the first kind")
         return _convolution_first(n, k)
     if method is CauchyMethod.GF_COEFF:
-        return egf_coeff(_hi_gf(CauchyKind.FIRST, k, n + 1), n)
+        return egf_coeff(_hi_gf(kind, k, n + 1), n)
     if method is CauchyMethod.BERNOULLI_BRIDGE:
-        return bernoulli_hi_poly(n, n - k + 1).evaluate(1)
-    return cube_integrate(falling_factorial(n), k)
+        return cauchy_hi_poly_bridge(kind, n, k).constant
+    return cube_integrate(_integrand(kind, n), k)
+
+
+def cauchy_hi1(n: int, k: int, method: CauchyMethod = CauchyMethod.GF_COEFF) -> Fraction:
+    """Higher-order Cauchy number of the first kind, by the chosen path."""
+    return cauchy_hi(CauchyKind.FIRST, n, k, method)
 
 
 def cauchy_hi2(n: int, k: int, method: CauchyMethod = CauchyMethod.GF_COEFF) -> Fraction:
-    """Higher-order Cauchy number of the second kind, by the chosen path.
-
-    Four paths are defined (no classical-convolution form exists for this
-    kind); the integrand is the falling factorial of the negated sum.
-    """
-    _check_hi_args(n, k, method)
-    if method is CauchyMethod.STIRLING_SUM:
-        return sum(((-1) ** l * stirling1_signed(n, l) * _sum_power_volume(l, k)
-                    for l in range(n + 1)), Fraction(0))
-    if method is CauchyMethod.CONVOLUTION:
-        raise ValueError("convolution path is defined only for the first kind")
-    if method is CauchyMethod.GF_COEFF:
-        return egf_coeff(_hi_gf(CauchyKind.SECOND, k, n + 1), n)
-    if method is CauchyMethod.BERNOULLI_BRIDGE:
-        return bernoulli_hi_poly(n, n - k + 1).evaluate(1 - k)
-    return cube_integrate(falling_factorial(n).reflect(), k)
+    """Higher-order Cauchy number of the second kind, by the chosen path."""
+    return cauchy_hi(CauchyKind.SECOND, n, k, method)
 
 
 # -- higher-order polynomials -------------------------------------------------------
 
-def cauchy_hi_poly1_sum(n: int, k: int) -> Polynomial:
-    """C_n^(k)(x) from the explicit triple sum
+def cauchy_hi_poly_sum(kind: CauchyKind, n: int, k: int) -> Polynomial:
+    """C_n^(k)(x) or Chat_n^(k)(x) from the explicit triple sum
 
-    sum_l sum_j sum_{j_1+..+j_k=j} multinomial(j;parts) C(l,j) S1(n,l)
+    sum_l sum_j sum_{j_1+..+j_k=j} multinomial(j;parts) C(l,j) row(n,l)
         (-x)^(l-j) / ((j_1+1)...(j_k+1)),
 
     with the composition sum folded into the cube volume of degree j.
     """
     _check_poly_args(n, k)
     coeffs = [Fraction(0)] * (n + 1)
-    for l in range(n + 1):
-        s1 = stirling1_signed(n, l)
-        if s1 == 0:
+    for l, c in enumerate(_stirling_row(kind, n)):
+        if c == 0:
             continue
         for j in range(l + 1):
-            weight = s1 * comb(l, j) * _sum_power_volume(j, k) * (-1) ** (l - j)
-            coeffs[l - j] += weight
+            coeffs[l - j] += c * comb(l, j) * _sum_power_volume(j, k) * (-1) ** (l - j)
     return Polynomial(coeffs)
 
 
-def cauchy_hi_poly2_sum(n: int, k: int) -> Polynomial:
-    """Chat_n^(k)(x) from the explicit triple sum with alternating inner signs."""
+def cauchy_hi_poly_bridge(kind: CauchyKind, n: int, k: int) -> Polynomial:
+    """C_n^(k)(x) = B_n^(n-k+1)(1-x), or Chat_n^(k)(x) = B_n^(n-k+1)(x-k+1), k >= 0."""
+    _check_hi_args(n, k, CauchyMethod.BERNOULLI_BRIDGE)
+    bernoulli = bernoulli_hi_poly(n, n - k + 1)
+    return bernoulli.reflect().shift(-1) if kind is CauchyKind.FIRST else bernoulli.shift(1 - k)
+
+
+def cauchy_hi_poly_oracle(kind: CauchyKind, n: int, k: int) -> Polynomial:
+    """C_n^(k)(x) or Chat_n^(k)(x) by iterated integration, without sampling.
+
+    The integrand is I(S - x), with I the kind's integrand and S the
+    coordinate sum; ``_cube_mean`` commutes with shifts, so the polynomial
+    is the cube mean of I read at -x.
+    """
     _check_poly_args(n, k)
-    coeffs = [Fraction(0)] * (n + 1)
-    for l in range(n + 1):
-        s1 = stirling1_signed(n, l)
-        if s1 == 0:
-            continue
-        for i in range(l + 1):
-            weight = s1 * comb(l, i) * _sum_power_volume(i, k) * (-1) ** i
-            coeffs[l - i] += weight
-    return Polynomial(coeffs)
+    return _cube_mean(_integrand(kind, n), k).reflect()
 
 
-def cauchy_hi_poly1_bridge(n: int, k: int) -> Polynomial:
-    """C_n^(k)(x) as the reflected Bernoulli polynomial B_n^(n-k+1)(1-x)."""
-    _check_poly_args(n, k)
-    return bernoulli_hi_poly(n, n - k + 1).reflect().shift(-1)
-
-
-def cauchy_hi_poly2_bridge(n: int, k: int) -> Polynomial:
-    """Chat_n^(k)(x) as the shifted Bernoulli polynomial B_n^(n-k+1)(x-k+1)."""
-    _check_poly_args(n, k)
-    return bernoulli_hi_poly(n, n - k + 1).shift(1 - k)
-
-
-def cauchy_hi_poly1_oracle(n: int, k: int) -> Polynomial:
-    """C_n^(k)(x) by cube-integrating (u - x0)_n at x0 = 0..n and interpolating."""
-    _check_poly_args(n, k)
-    ff = falling_factorial(n)
-    samples = [(Fraction(x0), cube_integrate(ff.shift(-x0), k)) for x0 in range(n + 1)]
-    return interpolate(samples)
-
-
-def cauchy_hi_poly2_oracle(n: int, k: int) -> Polynomial:
-    """Chat_n^(k)(x) by cube-integrating (x0 - u)_n at x0 = 0..n and interpolating."""
-    _check_poly_args(n, k)
-    ff = falling_factorial(n).reflect()
-    samples = [(Fraction(x0), cube_integrate(ff.shift(-x0), k)) for x0 in range(n + 1)]
-    return interpolate(samples)
+def _checked_hi_poly(kind: CauchyKind, n: int, k: int) -> Polynomial:
+    """The triple sum; a mismatch with the Bernoulli bridge is an internal error."""
+    by_sum = cauchy_hi_poly_sum(kind, n, k)
+    if by_sum != cauchy_hi_poly_bridge(kind, n, k):
+        raise ArithmeticError(f"{kind.value}-kind polynomial paths disagree at n={n}, k={k}")
+    return by_sum
 
 
 @lru_cache(maxsize=None)
 def cauchy_hi_poly1(n: int, k: int) -> Polynomial:
-    """Higher-order Cauchy polynomial of the first kind, degree n in x.
-
-    Computed along the triple-sum and Bernoulli-bridge paths and compared
-    coefficientwise; a mismatch would be an internal inconsistency.
-    """
-    by_sum = cauchy_hi_poly1_sum(n, k)
-    by_bridge = cauchy_hi_poly1_bridge(n, k)
-    if by_sum != by_bridge:
-        raise ArithmeticError(
-            f"first-kind polynomial paths disagree at n={n}, k={k}")
-    return by_sum
+    """Higher-order Cauchy polynomial of the first kind, degree n in x."""
+    return _checked_hi_poly(CauchyKind.FIRST, n, k)
 
 
 @lru_cache(maxsize=None)
 def cauchy_hi_poly2(n: int, k: int) -> Polynomial:
     """Higher-order Cauchy polynomial of the second kind, degree n in x."""
-    by_sum = cauchy_hi_poly2_sum(n, k)
-    by_bridge = cauchy_hi_poly2_bridge(n, k)
-    if by_sum != by_bridge:
-        raise ArithmeticError(
-            f"second-kind polynomial paths disagree at n={n}, k={k}")
-    return by_sum
+    return _checked_hi_poly(CauchyKind.SECOND, n, k)

@@ -25,15 +25,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence, Union
 
+from .rational import _as_fraction
+
 Scalar = Union[int, Fraction]
-
-
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"not an exact scalar: {value!r}")
 
 
 def _over_common_denominator(cs: Sequence[Fraction]) -> tuple[list[int], int]:

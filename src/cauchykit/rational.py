@@ -4,7 +4,9 @@ The whole package computes over ``fractions.Fraction``, which already keeps
 values in the canonical form we rely on everywhere: reduced terms, positive
 denominator, zero stored as 0/1.  Equality of results is therefore plain
 structural equality.  This module pins down the constructor contract and the
-text form used by the CLI ("-19/30", "3").
+text form used by the CLI ("-19/30", "3").  It also owns the scalar
+contract of every public entry point: an ``int`` or a ``Fraction`` is
+accepted, anything else (a float, a ``Decimal``) raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -12,9 +14,16 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-Rational = Fraction
+_RATIONAL_RE = re.compile(r"^(-?[0-9]+)(?:/([0-9]+))?$")
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+
+def _as_fraction(value) -> Fraction:
+    """``value`` as a ``Fraction`` if it is an exact scalar; ``TypeError`` otherwise."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise TypeError(f"not an exact scalar: {value!r}")
 
 
 def rational(numerator: int, denominator: int = 1) -> Fraction:
@@ -28,8 +37,9 @@ def parse_rational(text: str) -> Fraction:
     """Parse the canonical text form.
 
     Accepted: an optional leading "-", a decimal numerator, and optionally
-    "/" followed by a positive decimal denominator.  Anything else (floats,
-    exponents, signed denominators) is rejected.
+    "/" followed by a positive decimal denominator, in the ASCII digits
+    0-9.  Anything else (floats, exponents, signed denominators, other
+    scripts' digits) is rejected.
     """
     match = _RATIONAL_RE.match(text.strip())
     if match is None:
@@ -42,5 +52,8 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Render canonically: "numerator" or "numerator/denominator" (denominator > 1 only)."""
-    return str(Fraction(value))
+    """Render canonically: "numerator" or "numerator/denominator" (denominator > 1 only).
+
+    An ``int`` or a ``Fraction`` only; a float or a ``Decimal`` raises ``TypeError``.
+    """
+    return str(_as_fraction(value))

@@ -44,7 +44,8 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable, Union
 
-from .polynomial import Polynomial, _as_fraction, _over_common_denominator
+from .polynomial import Polynomial, _over_common_denominator
+from .rational import _as_fraction
 
 Coefficient = Union[Fraction, Polynomial]
 _SCALARS = (int, Fraction, Polynomial)

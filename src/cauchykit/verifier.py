@@ -20,21 +20,21 @@ import enum
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, factorial, perm
 from typing import Callable, Iterable, Iterator
 
 from .bernoulli import bernoulli_hi_poly
 from .cauchy import (
+    CauchyKind,
     CauchyMethod,
     cauchy_hi1,
     cauchy_hi2,
     cauchy_hi_poly1,
-    cauchy_hi_poly1_oracle,
-    cauchy_hi_poly1_sum,
     cauchy_hi_poly2,
-    cauchy_hi_poly2_oracle,
-    cauchy_hi_poly2_sum,
+    cauchy_hi_poly_bridge,
+    cauchy_hi_poly_oracle,
+    cauchy_hi_poly_sum,
     poly_cauchy1,
     poly_cauchy2,
     poly_cauchy_poly1,
@@ -244,22 +244,15 @@ def _cases_t3(grid: Grid) -> Iterator[Case]:
                                 for n in range(m + 1)), Fraction(0)))
 
 
-def _poly_pair_cases(grid: Grid, sum_form, oracle_form, hi_poly) -> Iterator[Case]:
+def _cases_poly_paths(grid: Grid, kind: CauchyKind) -> Iterator[Case]:
+    # T4 (first kind) and T7 (second kind)
     for n in grid.ns():
         for k in grid.ks():
-            by_sum = sum_form(n, k)
-            yield ({"n": n, "k": k, "form": "bernoulli_bridge"}, by_sum, hi_poly(n, k))
-            yield ({"n": n, "k": k, "form": "integral_oracle"}, by_sum, oracle_form(n, k))
-
-
-def _cases_t4(grid: Grid) -> Iterator[Case]:
-    return _poly_pair_cases(grid, cauchy_hi_poly1_sum, cauchy_hi_poly1_oracle,
-                            lambda n, k: bernoulli_hi_poly(n, n - k + 1).reflect().shift(-1))
-
-
-def _cases_t7(grid: Grid) -> Iterator[Case]:
-    return _poly_pair_cases(grid, cauchy_hi_poly2_sum, cauchy_hi_poly2_oracle,
-                            lambda n, k: bernoulli_hi_poly(n, n - k + 1).shift(1 - k))
+            by_sum = cauchy_hi_poly_sum(kind, n, k)
+            yield ({"n": n, "k": k, "form": "bernoulli_bridge"},
+                   by_sum, cauchy_hi_poly_bridge(kind, n, k))
+            yield ({"n": n, "k": k, "form": "integral_oracle"},
+                   by_sum, cauchy_hi_poly_oracle(kind, n, k))
 
 
 def _cases_t5(grid: Grid) -> Iterator[Case]:
@@ -300,27 +293,19 @@ def _cases_t8(grid: Grid) -> Iterator[Case]:
             yield ({"m": m, "k": k}, lhs, rhs)
 
 
-def _cases_t9(grid: Grid) -> Iterator[Case]:
+def _cases_reciprocity(grid: Grid, kind: CauchyKind) -> Iterator[Case]:
+    # T9 (first kind on the left) and T10 (second kind on the left); the
+    # right-hand side sums polynomials of the other kind
+    poly, other = ((cauchy_hi_poly1, cauchy_hi_poly2) if kind is CauchyKind.FIRST
+                   else (cauchy_hi_poly2, cauchy_hi_poly1))
     for n in grid.ns():
         if n < 1:
             continue
         for k in grid.ks():
-            lhs = cauchy_hi_poly1(n, k) * Fraction((-1) ** n, factorial(n))
+            lhs = poly(n, k) * Fraction((-1) ** n, factorial(n))
             rhs = Polynomial.zero()
             for m in range(1, n + 1):
-                rhs = rhs + cauchy_hi_poly2(m, k) * Fraction(comb(n - 1, n - m), factorial(m))
-            yield ({"n": n, "k": k}, lhs, rhs)
-
-
-def _cases_t10(grid: Grid) -> Iterator[Case]:
-    for n in grid.ns():
-        if n < 1:
-            continue
-        for k in grid.ks():
-            lhs = cauchy_hi_poly2(n, k) * Fraction((-1) ** n, factorial(n))
-            rhs = Polynomial.zero()
-            for m in range(1, n + 1):
-                rhs = rhs + cauchy_hi_poly1(m, k) * Fraction(comb(n - 1, n - m), factorial(m))
+                rhs = rhs + other(m, k) * Fraction(comb(n - 1, n - m), factorial(m))
             yield ({"n": n, "k": k}, lhs, rhs)
 
 
@@ -624,13 +609,13 @@ _PRINTED: dict[CheckId, Callable[[Grid], Iterator[Case]]] = {
     CheckId.T1: _cases_t1,
     CheckId.T2: _cases_t2,
     CheckId.T3: _cases_t3,
-    CheckId.T4: _cases_t4,
+    CheckId.T4: partial(_cases_poly_paths, kind=CauchyKind.FIRST),
     CheckId.T5: _cases_t5,
     CheckId.T6: _cases_t6,
-    CheckId.T7: _cases_t7,
+    CheckId.T7: partial(_cases_poly_paths, kind=CauchyKind.SECOND),
     CheckId.T8: _cases_t8,
-    CheckId.T9: _cases_t9,
-    CheckId.T10: _cases_t10,
+    CheckId.T9: partial(_cases_reciprocity, kind=CauchyKind.FIRST),
+    CheckId.T10: partial(_cases_reciprocity, kind=CauchyKind.SECOND),
     CheckId.L11: _cases_l11,
     CheckId.T12: _cases_t12,
     CheckId.T13: _cases_t13,

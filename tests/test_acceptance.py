@@ -5,6 +5,7 @@ criterion with timings.  All tolerances are exact rational equality; grids
 are the stated ones, pinned here.
 """
 
+import hashlib
 import json
 import random
 import subprocess
@@ -16,6 +17,7 @@ from math import comb
 
 from cauchykit.bernoulli import bernoulli_hi_numbers
 from cauchykit.cauchy import (
+    CauchyKind,
     CauchyMethod,
     cauchy1,
     cauchy2,
@@ -23,8 +25,7 @@ from cauchykit.cauchy import (
     cauchy_hi2,
     cauchy_hi_poly1,
     cauchy_hi_poly2,
-    cauchy_hi_poly1_sum,
-    cauchy_hi_poly2_sum,
+    cauchy_hi_poly_sum,
     poly_cauchy1,
 )
 from cauchykit.bernoulli import bernoulli_hi_poly
@@ -58,6 +59,9 @@ SECOND_KIND_METHODS = tuple(m for m in CauchyMethod if m is not CauchyMethod.CON
 # pre-registered corrected readings; the first-kind sign fix is the one the
 # oracle forces beyond the anticipated index corrections
 REGISTERED_READINGS = {TAG_SIGN_FIRST_KIND, TAG_T13_INDEX, TAG_POLYC_INDEX}
+
+# SHA-256 of `cauchykit verify --format json` on the default grid
+VERIFY_JSON_SHA256 = "cb786c278c3e9eb9968f9026ef25458935b8fb280cf729d8ee52e41ac054fa8a"
 
 _SUITE_CACHE: dict = {}
 
@@ -131,9 +135,9 @@ def test_criterion_4_polynomial_identities_coefficientwise():
         # both computation paths give identical coefficient tuples
         for n in range(13):
             for k in range(1, 5):
-                assert (cauchy_hi_poly1_sum(n, k).coeffs
+                assert (cauchy_hi_poly_sum(CauchyKind.FIRST, n, k).coeffs
                         == bernoulli_hi_poly(n, n - k + 1).reflect().shift(-1).coeffs)
-                assert (cauchy_hi_poly2_sum(n, k).coeffs
+                assert (cauchy_hi_poly_sum(CauchyKind.SECOND, n, k).coeffs
                         == bernoulli_hi_poly(n, n - k + 1).shift(1 - k).coeffs)
 
 
@@ -253,5 +257,7 @@ def test_criterion_8_determinism():
         second = _run_cli("verify", "--format", "json")
         assert first.returncode == 0 and second.returncode == 0
         assert first.stdout == second.stdout
+        # pinned: a refactor must leave the default-grid report byte-identical
+        assert hashlib.sha256(first.stdout.encode()).hexdigest() == VERIFY_JSON_SHA256
         reports = _SUITE_CACHE.get("reports") or run_suite()
         assert reports_to_json(reports) + "\n" == first.stdout

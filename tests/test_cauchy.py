@@ -1,6 +1,7 @@
 """Cauchy families: classical, poly-, higher-order; all computation paths."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -13,9 +14,8 @@ from cauchykit.cauchy import (
     cauchy_hi1,
     cauchy_hi2,
     cauchy_hi_poly1,
-    cauchy_hi_poly1_oracle,
     cauchy_hi_poly2,
-    cauchy_hi_poly2_oracle,
+    cauchy_hi_poly_oracle,
     classical_cauchy,
     cube_integrate,
     poly_cauchy1,
@@ -25,13 +25,14 @@ from cauchykit.cauchy import (
     product_integrate,
 )
 from cauchykit.bernoulli import bernoulli_hi_poly
-from cauchykit.polynomial import Polynomial, falling_factorial
-from cauchykit.stirling import compositions, multinomial
+from cauchykit.polynomial import Polynomial, falling_factorial, interpolate
+from cauchykit.stirling import compositions, multinomial, stirling1_unsigned
 
 F = Fraction
 
 ALL_METHODS = tuple(CauchyMethod)
 SECOND_KIND_METHODS = tuple(m for m in CauchyMethod if m is not CauchyMethod.CONVOLUTION)
+GRID_ZS = [F(0), F(1), F(-1), F(1, 2), F(-3, 7)]
 
 # values fixed from the iterated-integral oracle
 CLASSICAL_FIRST = [F(1), F(1, 2), F(-1, 6), F(1, 4), F(-19, 30), F(9, 4),
@@ -151,14 +152,31 @@ def test_poly_cauchy_polynomial_shifted_value():
 
 
 def test_poly_cauchy_polynomial_against_oracle():
-    zs = [F(0), F(1), F(-1), F(1, 2), F(-3, 7)]
     for n in range(7):
         ff = falling_factorial(n)
         for k in range(1, 4):
-            for z in zs:
+            for z in GRID_ZS:
                 assert poly_cauchy_poly1(n, k, z) == product_integrate(ff.shift(-z), k)
                 assert poly_cauchy_poly2(n, k, z) == product_integrate(
                     ff.reflect().shift(-z), k)
+
+
+def unsigned_poly_cauchy_poly2(n, k, z):
+    """Reference: the paper's second-kind formula in unsigned Stirling numbers,
+    (-1)^n sum_m [n m] sum_i C(m,i)(-z)^i/(m-i+1)^k."""
+    total = sum((stirling1_unsigned(n, m)
+                 * sum((comb(m, i) * (-z) ** i * F(1, (m - i + 1) ** k) for i in range(m + 1)),
+                       F(0))
+                 for m in range(n + 1)), F(0))
+    return -total if n % 2 else total
+
+
+def test_second_kind_matches_the_unsigned_stirling_formula():
+    for n in range(13):
+        for k in range(1, 5):
+            assert poly_cauchy2(n, k) == unsigned_poly_cauchy_poly2(n, k, F(0)), (n, k)
+            for z in GRID_ZS:
+                assert poly_cauchy_poly2(n, k, z) == unsigned_poly_cauchy_poly2(n, k, z), (n, k, z)
 
 
 # -- higher-order numbers -----------------------------------------------------------
@@ -291,7 +309,7 @@ def test_hi_poly1_linear():
 def test_hi_poly1_quadratic_flat():
     # fixed from the integral oracle: x^2 - x + 1/6
     assert cauchy_hi_poly1(2, 2) == Polynomial((F(1, 6), -1, 1))
-    assert cauchy_hi_poly1(2, 2) == cauchy_hi_poly1_oracle(2, 2)
+    assert cauchy_hi_poly1(2, 2) == cauchy_hi_poly_oracle(CauchyKind.FIRST, 2, 2)
 
 
 def test_hi_poly1_cubic():
@@ -327,11 +345,39 @@ def test_reflection_structure():
             assert cauchy_hi_poly2(n, k) == bridge.shift(1 - k)
 
 
+def sampled_oracle(kind, n, k):
+    """Reference: cube-integrate the integrand at x0 = 0..n and interpolate."""
+    ff = falling_factorial(n)
+    if kind is CauchyKind.SECOND:
+        ff = ff.reflect()
+    return interpolate([(F(x0), cube_integrate(ff.shift(-x0), k)) for x0 in range(n + 1)])
+
+
 def test_hi_poly_against_interpolated_oracle():
     for n in range(8):
         for k in range(1, 4):
-            assert cauchy_hi_poly1(n, k) == cauchy_hi_poly1_oracle(n, k)
-            assert cauchy_hi_poly2(n, k) == cauchy_hi_poly2_oracle(n, k)
+            assert cauchy_hi_poly1(n, k) == cauchy_hi_poly_oracle(CauchyKind.FIRST, n, k)
+            assert cauchy_hi_poly2(n, k) == cauchy_hi_poly_oracle(CauchyKind.SECOND, n, k)
+
+
+@pytest.mark.parametrize("kind", list(CauchyKind))
+def test_operator_power_oracle_matches_sample_and_interpolate(kind):
+    for n in range(13):
+        for k in range(1, 5):
+            assert cauchy_hi_poly_oracle(kind, n, k) == sampled_oracle(kind, n, k), (n, k)
+
+
+def test_polynomial_oracle_needs_no_stirling_series_or_interpolation(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the oracle reached a path it is meant to check")
+
+    monkeypatch.setattr(cauchy, "stirling1_signed", forbidden)
+    monkeypatch.setattr(cauchy, "bernoulli_hi_poly", forbidden)
+    monkeypatch.setattr(cauchy, "egf_coeff", forbidden)
+    monkeypatch.setattr(cauchy, "interpolate", forbidden, raising=False)
+    assert cauchy_hi_poly_oracle(CauchyKind.FIRST, 2, 2) == Polynomial((F(1, 6), -1, 1))
+    assert cauchy_hi_poly_oracle(CauchyKind.SECOND, 2, 2) == Polynomial((F(13, 6), -3, 1))
+    assert cauchy_hi1(6, 3, CauchyMethod.INTEGRAL_ORACLE) == F(16, 21)
 
 
 def test_oracle_supremacy_for_numbers():

@@ -1,5 +1,6 @@
 """Canonical rational construction, text form, and exact field behaviour."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -39,7 +40,9 @@ def test_parse_accepts_canonical_forms(text, expected):
     assert parse_rational(text) == expected
 
 
-@pytest.mark.parametrize("text", ["1.5", "", "3e2", "2/-3", "+4", "1/2/3", "a"])
+# the last two are Arabic-Indic 3/4 and fullwidth 12: digits, but not ASCII ones
+@pytest.mark.parametrize("text", ["1.5", "", "3e2", "2/-3", "+4", "1/2/3", "a",
+                                  "\u0663/\u0664", "\uff11\uff12"])
 def test_parse_rejects_non_canonical_forms(text):
     with pytest.raises(ValueError):
         parse_rational(text)
@@ -55,9 +58,16 @@ def test_parse_rejects_zero_denominator():
     (Fraction(3), "3"),
     (Fraction(0), "0"),
     (Fraction(4, 2), "2"),
+    (-7, "-7"),
 ])
 def test_format_canonical(value, text):
     assert format_rational(value) == text
+
+
+@pytest.mark.parametrize("value", [0.1, 2.0, Decimal("0.5"), "1/2"])
+def test_format_rejects_anything_but_int_or_fraction(value):
+    with pytest.raises(TypeError):
+        format_rational(value)
 
 
 def test_parse_format_round_trip():
