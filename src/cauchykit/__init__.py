@@ -46,8 +46,6 @@ from .series import (
 from .stirling import (
     StirlingKind,
     StirlingTable,
-    compositions,
-    multinomial,
     stirling1_signed,
     stirling1_unsigned,
     stirling2,

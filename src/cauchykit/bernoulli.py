@@ -21,7 +21,7 @@ from .polynomial import Polynomial
 from .series import PowerSeries, bernoulli_gf, egf_coeff
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _gf(alpha: int, order: int) -> PowerSeries:
     return bernoulli_gf(alpha, order)
 

@@ -140,7 +140,7 @@ def poly_cauchy_poly(kind: CauchyKind, n: int, k: int, z: Fraction) -> Fraction:
     return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def classical_cauchy(n: int, kind: CauchyKind) -> Fraction:
     """C_n or Chat_n: sum_m row(n,m)/(m+1), the poly-Cauchy number at k = 1."""
     return poly_cauchy(kind, n, 1)
@@ -178,7 +178,7 @@ def poly_cauchy_poly2(n: int, k: int, z: Fraction) -> Fraction:
 
 # -- higher-order numbers ----------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _sum_power_volume(l: int, k: int) -> Fraction:
     """V(l,k), the integral of (x_1+...+x_k)^l over the unit k-cube.
 
@@ -197,13 +197,13 @@ def _sum_power_volume(l: int, k: int) -> Fraction:
     return Fraction(row[l] * factorial(l), factorial(l + k))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _hi_gf(kind: CauchyKind, k: int, order: int) -> PowerSeries:
     base = cauchy1_gf(order) if kind is CauchyKind.FIRST else cauchy2_gf(order)
     return base ** k
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _convolution_first(n: int, k: int) -> Fraction:
     """sum_{n_1+...+n_k = n} multinomial(n; parts) C_(n_1)...C_(n_k).
 
@@ -318,13 +318,13 @@ def _checked_hi_poly(kind: CauchyKind, n: int, k: int) -> Polynomial:
     return by_sum
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def cauchy_hi_poly1(n: int, k: int) -> Polynomial:
     """Higher-order Cauchy polynomial of the first kind, degree n in x."""
     return _checked_hi_poly(CauchyKind.FIRST, n, k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def cauchy_hi_poly2(n: int, k: int) -> Polynomial:
     """Higher-order Cauchy polynomial of the second kind, degree n in x."""
     return _checked_hi_poly(CauchyKind.SECOND, n, k)

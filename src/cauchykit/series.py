@@ -376,23 +376,14 @@ def one_plus_t_pow(exponent, order: int) -> PowerSeries:
 def sheffer_polys(g: PowerSeries, f: PowerSeries, n_max: int) -> list[Polynomial]:
     """First n_max+1 members of the Sheffer sequence for the pair (g, f).
 
-    S_n is read off the generating function exp(y*fbar(t))/g(fbar(t)) with
-    fbar the compositional inverse of f: the y^j coefficient of S_n is
-    n! * [t^n] (fbar^j / (j! * g(fbar))).  deg S_n = n.
+    S_n is row n of the connection matrix into the monomials, the Sheffer
+    sequence for (1, t): the x^m coefficient of S_n is
+    (n!/m!) * [t^n] (fbar^m / g(fbar)), with fbar the compositional inverse
+    of f.  deg S_n = n.  The identity pair is sized by f, so the
+    truncation needed is that of g and f alone.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    n = min(g.order, f.order)
-    if n <= n_max:
-        raise ValueError("insufficient truncation")
-    fbar = f.revert()
-    columns = [one_series(n) / g.compose(fbar)]
-    for j in range(1, n_max + 1):
-        columns.append(columns[-1] * fbar * Fraction(1, j))
-    return [
-        Polynomial([factorial(m) * columns[j].coeffs[m] for j in range(m + 1)])
-        for m in range(n_max + 1)
-    ]
+    rows = connection_coeffs(g, f, one_series(f.order), t_series(f.order), n_max)
+    return [Polynomial(row) for row in rows]
 
 
 def connection_coeffs(g: PowerSeries, f: PowerSeries,

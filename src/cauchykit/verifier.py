@@ -255,18 +255,26 @@ def _cases_poly_paths(grid: Grid, kind: CauchyKind) -> Iterator[Case]:
                    by_sum, cauchy_hi_poly_oracle(kind, n, k))
 
 
+# The paper prints most identities once per kind.  Each display is built
+# here from one weight polynomial w, transcribed once: the first kind reads
+# it in powers of -x, w.reflect(), and the second kind in powers of x-k,
+# w.shift(-k), because Chat_n^(k)(x) = C_n^(k)(k-x).
+
+def _s2_weights(m: int, k: int) -> Polynomial:
+    # T5/T8: sum over n of C(m,n)/C(n+k,n) S2(n+k,k) y^(m-n)
+    coeffs = [Fraction(0)] * (m + 1)
+    for n in range(m + 1):
+        coeffs[m - n] = Fraction(comb(m, n), comb(n + k, n)) * stirling2(n + k, k)
+    return Polynomial(coeffs)
+
+
 def _cases_t5(grid: Grid) -> Iterator[Case]:
     for m in grid.ns():
         for k in grid.ks():
-            coeffs = [Fraction(0)] * (m + 1)
-            for n in range(m + 1):
-                coeffs[m - n] = (Fraction(comb(m, n), comb(n + k, n))
-                                 * stirling2(n + k, k) * (-1) ** (m - n))
-            lhs = Polynomial(coeffs)
             rhs = Polynomial.zero()
             for n in range(m + 1):
                 rhs = rhs + cauchy_hi_poly1(n, k) * stirling2(m, n)
-            yield ({"m": m, "k": k}, lhs, rhs)
+            yield ({"m": m, "k": k}, _s2_weights(m, k).reflect(), rhs)
 
 
 def _cases_t6(grid: Grid) -> Iterator[Case]:
@@ -285,12 +293,7 @@ def _cases_t8(grid: Grid) -> Iterator[Case]:
             lhs = Polynomial.zero()
             for n in range(m + 1):
                 lhs = lhs + cauchy_hi_poly2(n, k) * stirling2(m, n)
-            rhs = Polynomial.zero()
-            shifted = Polynomial((-k, 1))
-            for n in range(m + 1):
-                rhs = rhs + shifted ** (m - n) * (Fraction(comb(m, n), comb(n + k, n))
-                                                  * stirling2(n + k, k))
-            yield ({"m": m, "k": k}, lhs, rhs)
+            yield ({"m": m, "k": k}, lhs, _s2_weights(m, k).shift(-k))
 
 
 def _cases_reciprocity(grid: Grid, kind: CauchyKind) -> Iterator[Case]:
@@ -322,39 +325,8 @@ def _cases_l11(grid: Grid) -> Iterator[Case]:
                    second.shift(1) - second)
 
 
-def _sign(exponent: int) -> int:
-    """(-1)**exponent for any integer exponent, stays in Z."""
-    return -1 if exponent % 2 else 1
-
-
-def _t12_first_display(n: int, k: int, printed_sign: bool) -> Polynomial:
-    # sum over l,m of C(l,m)/C(k+l-m,k) S2(k+l-m,k) S1(n,l) sign x^m
-    coeffs = [Fraction(0)] * (n + 1)
-    for l in range(n + 1):
-        s1 = stirling1_signed(n, l)
-        if s1 == 0:
-            continue
-        for m in range(l + 1):
-            sign = _sign(k - m) if printed_sign else _sign(m)
-            coeffs[m] += (Fraction(comb(l, m), comb(k + l - m, k))
-                          * stirling2(k + l - m, k) * s1 * sign)
-    return Polynomial(coeffs)
-
-
-def _sum_powers(base: Polynomial, weights: list[Fraction]) -> Polynomial:
-    """sum_m weights[m] * base**m."""
-    result = Polynomial.zero()
-    power = Polynomial.one()
-    for m, weight in enumerate(weights):
-        if m:
-            power = power * base
-        result = result + power * weight
-    return result
-
-
-def _t12_second_display(n: int, k: int) -> Polynomial:
-    # sum over l,m of C(l,m)/C(k+l-m,k) S2(k+l-m,k) S1(n,l) (x-k)^m; the
-    # scalar weights are summed per power first
+def _umbral_weights(n: int, k: int) -> Polynomial:
+    # T12: sum over l,m of C(l,m)/C(k+l-m,k) S2(k+l-m,k) S1(n,l) y^m
     weights = [Fraction(0)] * (n + 1)
     for l in range(n + 1):
         s1 = stirling1_signed(n, l)
@@ -363,20 +335,47 @@ def _t12_second_display(n: int, k: int) -> Polynomial:
         for m in range(l + 1):
             weights[m] += (Fraction(comb(l, m), comb(k + l - m, k))
                            * stirling2(k + l - m, k) * s1)
-    return _sum_powers(Polynomial((-k, 1)), weights)
+    return Polynomial(weights)
 
 
-def _cases_t12(grid: Grid, printed_sign: bool = True) -> Iterator[Case]:
+def _operator_weights(n: int, k: int) -> Polynomial:
+    # EQ59-61: sum over l,m of k!/(k+m)! (l)_m S2(k+m,k) S1(n,l) y^(l-m)
+    weights = [Fraction(0)] * (n + 1)
+    for l in range(n + 1):
+        s1 = stirling1_signed(n, l)
+        if s1 == 0:
+            continue
+        for m in range(l + 1):
+            weights[l - m] += (Fraction(factorial(k), factorial(k + m))
+                               * perm(l, m) * stirling2(k + m, k) * s1)
+    return Polynomial(weights)
+
+
+def _cases_umbral(grid: Grid, weights_of: Callable[[int, int], Polynomial],
+                  printed_sign: bool = True) -> Iterator[Case]:
+    # T12 and EQ59_61; the printed first-kind sign carries a stray (-1)^k
     for n in grid.ns():
         for k in grid.ks():
+            weights = weights_of(n, k)
+            sign = (-1) ** k if printed_sign else 1
             yield ({"n": n, "k": k, "form": "first_kind"},
-                   _t12_first_display(n, k, printed_sign), cauchy_hi_poly1(n, k))
+                   weights.reflect() * sign, cauchy_hi_poly1(n, k))
             yield ({"n": n, "k": k, "form": "second_kind"},
-                   _t12_second_display(n, k), cauchy_hi_poly2(n, k))
+                   weights.shift(-k), cauchy_hi_poly2(n, k))
 
 
-def _cases_t12_corrected(grid: Grid) -> Iterator[Case]:
-    return _cases_t12(grid, printed_sign=False)
+def _sheffer_pair(kind: CauchyKind, order: int, k: int) -> tuple[PowerSeries, PowerSeries]:
+    """The printed Sheffer pair (g, f) of the kind's polynomials, f at `order`.
+
+    ((t/(1-e^-t))^k, e^-t - 1) for the first kind (EQ52; EQ58 applies its
+    g as an operator) and ((te^t/(e^t-1))^k, e^t - 1) for the second (EQ53;
+    T13 connects it to the Bernoulli polynomials).
+    """
+    if kind is CauchyKind.FIRST:
+        unit = t_series(order + 1) / one_minus_exp_neg_series(order + 1)
+        return unit ** k, -one_minus_exp_neg_series(order)
+    unit = (t_series(order) * (expm1_series(order) + 1)) / expm1_series(order + 1)
+    return unit ** k, expm1_series(order)
 
 
 def _t13_coefficients(n_max: int, k: int, alpha: int) -> list[list[Fraction]]:
@@ -404,9 +403,7 @@ def _t13_tables(n_max: int, k_max: int, alpha_max: int
         h = (expm1_series(order + 1) / t_series(order + 1)) ** alpha
         l = t_series(order)
         for k in range(1, k_max + 1):
-            exp_t = expm1_series(order) + 1
-            g = ((t_series(order) * exp_t) / expm1_series(order + 1)) ** k
-            f = expm1_series(order)
+            g, f = _sheffer_pair(CauchyKind.SECOND, order, k)
             tables[alpha, k] = (connection_coeffs(g, f, h, l, n_max),
                                 _t13_coefficients(n_max, k, alpha))
     return tables
@@ -433,10 +430,6 @@ def _cases_t13(grid: Grid, printed_index: bool = True) -> Iterator[Case]:
                            coefficients[n][m], matrix[n][m])
 
 
-def _cases_t13_corrected(grid: Grid) -> Iterator[Case]:
-    return _cases_t13(grid, printed_index=False)
-
-
 def _cases_eq6(grid: Grid) -> Iterator[Case]:
     order = grid.n_max + 3
     for n in grid.ns():
@@ -457,51 +450,27 @@ def _cases_eq7(grid: Grid) -> Iterator[Case]:
                    Fraction(factorial(n) * stirling2(l, n), factorial(l)))
 
 
-def _cases_eq19(grid: Grid) -> Iterator[Case]:
-    if grid.n_max < 0:
-        return
-    order = grid.n_max + 1
-    x_minus_1 = Polynomial((-1, 1))
-    for e in grid.ks():
-        gf = (cauchy1_gf(order) ** e) * one_plus_t_pow(x_minus_1, order)
-        for j in grid.ns():
-            yield ({"e": e, "j": j}, egf_coeff(gf, j), bernoulli_hi_poly(j, j - e + 1))
-
-
-def _cases_eq28(grid: Grid) -> Iterator[Case]:
+def _cases_eq19_28(grid: Grid, shift: int) -> Iterator[Case]:
+    # EQ19 (shift 0, (1+t)^(x-1)) and EQ28 (shift 1, (1+t)^x)
     if grid.n_max < 0:
         return
     order = grid.n_max + 1
     for e in grid.ks():
-        gf = (cauchy1_gf(order) ** e) * one_plus_t_pow(Polynomial.x(), order)
+        gf = (cauchy1_gf(order) ** e) * one_plus_t_pow(Polynomial((shift - 1, 1)), order)
         for j in grid.ns():
             yield ({"e": e, "j": j}, egf_coeff(gf, j),
-                   bernoulli_hi_poly(j, j - e + 1).shift(1))
+                   bernoulli_hi_poly(j, j - e + 1).shift(shift))
 
 
-def _cases_eq52(grid: Grid) -> Iterator[Case]:
+def _cases_sheffer(grid: Grid, kind: CauchyKind) -> Iterator[Case]:
+    # EQ52 (first kind) and EQ53 (second kind)
     if grid.n_max < 0:
         return
-    order = grid.n_max + 2
+    poly = cauchy_hi_poly1 if kind is CauchyKind.FIRST else cauchy_hi_poly2
     for k in grid.ks():
-        g = (t_series(order + 1) / one_minus_exp_neg_series(order + 1)) ** k
-        f = -one_minus_exp_neg_series(order)
-        polys = sheffer_polys(g, f, grid.n_max)
+        polys = sheffer_polys(*_sheffer_pair(kind, grid.n_max + 2, k), grid.n_max)
         for n in grid.ns():
-            yield ({"k": k, "n": n}, polys[n], cauchy_hi_poly1(n, k))
-
-
-def _cases_eq53(grid: Grid) -> Iterator[Case]:
-    if grid.n_max < 0:
-        return
-    order = grid.n_max + 2
-    for k in grid.ks():
-        exp_t = expm1_series(order) + 1
-        g = ((t_series(order) * exp_t) / expm1_series(order + 1)) ** k
-        f = expm1_series(order)
-        polys = sheffer_polys(g, f, grid.n_max)
-        for n in grid.ns():
-            yield ({"k": k, "n": n}, polys[n], cauchy_hi_poly2(n, k))
+            yield ({"k": k, "n": n}, polys[n], poly(n, k))
 
 
 def _apply_series_operator(op: PowerSeries, p: Polynomial) -> Polynomial:
@@ -521,9 +490,8 @@ def _apply_series_operator(op: PowerSeries, p: Polynomial) -> Polynomial:
 def _cases_eq58(grid: Grid) -> Iterator[Case]:
     if grid.n_max < 0:
         return
-    order = grid.n_max + 1
     for k in grid.ks():
-        op = (t_series(order + 1) / one_minus_exp_neg_series(order + 1)) ** k
+        op, _ = _sheffer_pair(CauchyKind.FIRST, grid.n_max + 1, k)
         for n in grid.ns():
             signed_rising = rising_factorial(n) * (-1) ** n
             yield ({"k": k, "n": n, "form": "operator"},
@@ -531,47 +499,6 @@ def _cases_eq58(grid: Grid) -> Iterator[Case]:
             yield ({"k": k, "n": n, "form": "stirling_expansion"},
                    signed_rising,
                    Polynomial([(-1) ** l * stirling1_signed(n, l) for l in range(n + 1)]))
-
-
-def _eq59_expansion(n: int, k: int, printed_sign: bool) -> Polynomial:
-    # sum over l,m of k!/(k+m)! (l)_m S2(k+m,k) S1(n,l) sign x^(l-m)
-    coeffs = [Fraction(0)] * (n + 1)
-    for l in range(n + 1):
-        s1 = stirling1_signed(n, l)
-        if s1 == 0:
-            continue
-        for m in range(l + 1):
-            sign = (-1) ** (k + l + m) if printed_sign else (-1) ** (l + m)
-            coeffs[l - m] += (Fraction(factorial(k), factorial(k + m))
-                              * perm(l, m) * stirling2(k + m, k) * s1 * sign)
-    return Polynomial(coeffs)
-
-
-def _eq61_expansion(n: int, k: int) -> Polynomial:
-    # sum over l,m of C(l,m)/C(m+k,m) S2(k+m,k) S1(n,l) (x-k)^(l-m); the
-    # scalar weights are summed per power first
-    weights = [Fraction(0)] * (n + 1)
-    for l in range(n + 1):
-        s1 = stirling1_signed(n, l)
-        if s1 == 0:
-            continue
-        for m in range(l + 1):
-            weights[l - m] += (Fraction(comb(l, m), comb(m + k, m))
-                               * stirling2(k + m, k) * s1)
-    return _sum_powers(Polynomial((-k, 1)), weights)
-
-
-def _cases_eq59_61(grid: Grid, printed_sign: bool = True) -> Iterator[Case]:
-    for n in grid.ns():
-        for k in grid.ks():
-            yield ({"n": n, "k": k, "form": "first_kind"},
-                   _eq59_expansion(n, k, printed_sign), cauchy_hi_poly1(n, k))
-            yield ({"n": n, "k": k, "form": "second_kind"},
-                   _eq61_expansion(n, k), cauchy_hi_poly2(n, k))
-
-
-def _cases_eq59_61_corrected(grid: Grid) -> Iterator[Case]:
-    return _cases_eq59_61(grid, printed_sign=False)
 
 
 def _cases_polyc(grid: Grid, prose_stirling2: bool = False) -> Iterator[Case]:
@@ -601,10 +528,6 @@ def _cases_polyc(grid: Grid, prose_stirling2: bool = False) -> Iterator[Case]:
                        product_integrate(ff.reflect().shift(-z), k))
 
 
-def _cases_polyc_prose(grid: Grid) -> Iterator[Case]:
-    return _cases_polyc(grid, prose_stirling2=True)
-
-
 _PRINTED: dict[CheckId, Callable[[Grid], Iterator[Case]]] = {
     CheckId.T1: _cases_t1,
     CheckId.T2: _cases_t2,
@@ -617,26 +540,28 @@ _PRINTED: dict[CheckId, Callable[[Grid], Iterator[Case]]] = {
     CheckId.T9: partial(_cases_reciprocity, kind=CauchyKind.FIRST),
     CheckId.T10: partial(_cases_reciprocity, kind=CauchyKind.SECOND),
     CheckId.L11: _cases_l11,
-    CheckId.T12: _cases_t12,
+    CheckId.T12: partial(_cases_umbral, weights_of=_umbral_weights),
     CheckId.T13: _cases_t13,
     CheckId.EQ6: _cases_eq6,
     CheckId.EQ7: _cases_eq7,
-    CheckId.EQ19: _cases_eq19,
-    CheckId.EQ28: _cases_eq28,
-    CheckId.EQ52: _cases_eq52,
-    CheckId.EQ53: _cases_eq53,
+    CheckId.EQ19: partial(_cases_eq19_28, shift=0),
+    CheckId.EQ28: partial(_cases_eq19_28, shift=1),
+    CheckId.EQ52: partial(_cases_sheffer, kind=CauchyKind.FIRST),
+    CheckId.EQ53: partial(_cases_sheffer, kind=CauchyKind.SECOND),
     CheckId.EQ58: _cases_eq58,
-    CheckId.EQ59_61: _cases_eq59_61,
+    CheckId.EQ59_61: partial(_cases_umbral, weights_of=_operator_weights),
     CheckId.POLYC_ORACLE: _cases_polyc,
 }
 
 # Corrected readings, registered up front and tried only after the printed
 # form fails; each is an evident-typo fix, never a silent repair.
 _CORRECTED: dict[CheckId, list[tuple[str, Callable[[Grid], Iterator[Case]]]]] = {
-    CheckId.T12: [(TAG_SIGN_FIRST_KIND, _cases_t12_corrected)],
-    CheckId.T13: [(TAG_T13_INDEX, _cases_t13_corrected)],
-    CheckId.EQ59_61: [(TAG_SIGN_FIRST_KIND, _cases_eq59_61_corrected)],
-    CheckId.POLYC_ORACLE: [(TAG_POLYC_PROSE, _cases_polyc_prose)],
+    CheckId.T12: [(TAG_SIGN_FIRST_KIND, partial(
+        _cases_umbral, weights_of=_umbral_weights, printed_sign=False))],
+    CheckId.T13: [(TAG_T13_INDEX, partial(_cases_t13, printed_index=False))],
+    CheckId.EQ59_61: [(TAG_SIGN_FIRST_KIND, partial(
+        _cases_umbral, weights_of=_operator_weights, printed_sign=False))],
+    CheckId.POLYC_ORACLE: [(TAG_POLYC_PROSE, partial(_cases_polyc, prose_stirling2=True))],
 }
 
 # Readings applied before anything can run because the printed form is not

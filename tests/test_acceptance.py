@@ -7,6 +7,7 @@ are the stated ones, pinned here.
 
 import hashlib
 import json
+import os
 import random
 import subprocess
 import sys
@@ -187,10 +188,15 @@ def test_criterion_6_sheffer_consistency():
                 assert second[n].coeffs == cauchy_hi_poly2(n, k).coeffs
 
 
+_CHECKOUT_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
 def _run_cli(*argv):
+    # the child imports this checkout, not whatever cauchykit is installed
+    pythonpath = os.pathsep.join(filter(None, [_CHECKOUT_SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "cauchykit.cli", *argv],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=pythonpath))
 
 
 def test_criterion_7_cli_contract():

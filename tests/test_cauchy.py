@@ -26,7 +26,8 @@ from cauchykit.cauchy import (
 )
 from cauchykit.bernoulli import bernoulli_hi_poly
 from cauchykit.polynomial import Polynomial, falling_factorial, interpolate
-from cauchykit.stirling import compositions, multinomial, stirling1_unsigned
+from cauchykit.stirling import stirling1_unsigned
+from combinatorial_reference import compositions, multinomial
 
 F = Fraction
 
@@ -135,6 +136,24 @@ def test_poly_cauchy_polynomials_reject_float_argument():
         poly_cauchy_poly1(3, 2, 0.1)
     with pytest.raises(TypeError):
         poly_cauchy_poly2(3, 2, 0.1)
+
+
+@pytest.mark.parametrize("entry, ints, inexact", [
+    (cauchy1, (3,), (3.0,)),
+    (cauchy1, (3,), (F(3),)),
+    (cauchy_hi_poly1, (3, 2), (3.0, 2)),
+    (cauchy_hi_poly2, (3, 2), (3, 2.0)),
+    (cauchy_hi1, (5, 2), (5, 2.0)),
+    (cauchy_hi1, (5, 2, CauchyMethod.CONVOLUTION), (5.0, 2, CauchyMethod.CONVOLUTION)),
+    (bernoulli_hi_poly, (4, 2), (4, 2.0)),
+], ids=["cauchy1-float", "cauchy1-fraction", "hi_poly1", "hi_poly2", "hi_gf",
+        "convolution", "bernoulli_gf"])
+def test_memo_hit_does_not_admit_an_inexact_index(entry, ints, inexact):
+    # 3.0 and Fraction(3) hash like 3, so an untyped memo would answer them
+    # from the int entry once that is cached, and reject them only when cold
+    entry(*ints)
+    with pytest.raises(TypeError):
+        entry(*inexact)
 
 
 def test_poly_cauchy_polynomials_at_zero_reduce_to_numbers():

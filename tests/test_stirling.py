@@ -1,4 +1,4 @@
-"""Stirling triangles, compositions, multinomials."""
+"""Stirling triangles, and the composition/multinomial test references."""
 
 import sys
 import threading
@@ -10,8 +10,6 @@ from cauchykit.polynomial import falling_factorial, rising_factorial
 from cauchykit.stirling import (
     StirlingKind,
     StirlingTable,
-    compositions,
-    multinomial,
     next_row,
     stirling1_signed,
     stirling1_unsigned,
@@ -19,6 +17,7 @@ from cauchykit.stirling import (
     stirling_rows,
     stirling_table,
 )
+from combinatorial_reference import compositions, multinomial
 
 
 def bell_numbers(n_max):

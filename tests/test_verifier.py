@@ -219,3 +219,33 @@ def test_t13_builds_each_connection_matrix_once(monkeypatch):
     assert len(calls) == DEFAULT_GRID.k_max * DEFAULT_GRID.alpha_max == 12
     verify(CheckId.T13, SMALL)
     assert verifier._t13_tables.cache_info().currsize == 1
+
+
+def _plus_one(fn):
+    return lambda n, k: fn(n, k) + 1
+
+
+def _off_by_one_at_3_2(fn):
+    return lambda n, l: fn(n, l) + ((n, l) == (3, 2))
+
+
+@pytest.mark.parametrize("name, corrupt, failing", [
+    ("cauchy_hi_poly1", _plus_one,
+     {"T5", "T9", "T10", "L11", "T12", "EQ52", "EQ58", "EQ59_61"}),
+    ("cauchy_hi_poly2", _plus_one,
+     {"T8", "T9", "T10", "L11", "T12", "T13", "EQ53", "EQ59_61"}),
+    ("stirling2", _off_by_one_at_3_2,
+     {"T3", "T5", "T6", "T8", "T12", "EQ7", "EQ59_61"}),
+    ("stirling1_signed", _off_by_one_at_3_2,
+     {"T12", "T13", "EQ6", "EQ58", "EQ59_61"}),
+], ids=["cauchy_hi_poly1", "cauchy_hi_poly2", "stirling2", "stirling1_signed"])
+def test_each_check_reads_both_of_its_sides(monkeypatch, name, corrupt, failing):
+    # a corrupted input must fail every check that reads it on either side;
+    # a check whose two sides both came from one path would stay green
+    monkeypatch.setattr(verifier, name, corrupt(getattr(verifier, name)))
+    verifier._t13_tables.cache_clear()
+    try:
+        reports = run_suite(SMALL)
+    finally:
+        verifier._t13_tables.cache_clear()
+    assert {r.id.value for r in reports if r.status == FAIL} == failing
