@@ -27,7 +27,8 @@ classical values, an EGF coefficient, a Bernoulli-polynomial bridge of
 order n-k+1, and an iterated-antiderivative integration oracle.  The oracle
 (``cube_integrate``/``product_integrate``, and ``cauchy_hi_poly_oracle`` for
 the polynomials) never touches Stirling numbers or series, so agreement
-between paths is a genuine cross-check, not a tautology.
+between paths is a genuine cross-check, not a tautology.  The memoised
+``cauchy_hi_poly1/2`` hold the triple sum; T4/T7 check it against the bridge.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .bernoulli import bernoulli_hi_poly
 from .polynomial import Polynomial, falling_factorial
@@ -120,24 +121,27 @@ def _check_poly_args(n: int, k: int) -> None:
 
 
 def poly_cauchy(kind: CauchyKind, n: int, k: int) -> Fraction:
-    """sum_m row(n,m)/(m+1)^k, the k-fold product-integral of the integrand."""
+    """sum_m row(n,m)/(m+1)^k, the k-fold product integral, on ints over lcm(1..n+1)^k."""
     _check_poly_args(n, k)
-    return sum((c * Fraction(1, (m + 1) ** k) for m, c in enumerate(_stirling_row(kind, n))),
-               Fraction(0))
+    den = lcm(*range(1, n + 2)) ** k
+    return Fraction(sum(c * (den // (m + 1) ** k) for m, c in enumerate(_stirling_row(kind, n))),
+                    den)
 
 
 def poly_cauchy_poly(kind: CauchyKind, n: int, k: int, z: Fraction) -> Fraction:
-    """Poly-Cauchy polynomial value, sum_m row(n,m) sum_i C(m,i)(-z)^i/(m-i+1)^k."""
+    """Poly-Cauchy polynomial value, sum_m row(n,m) sum_i C(m,i)(-z)^i/(m-i+1)^k.
+
+    The z^i coefficients are summed on ints over lcm(1..n+1)^k, then read at z by Horner.
+    """
     _check_poly_args(n, k)
     z = _as_fraction(z)
-    total = Fraction(0)
+    den = lcm(*range(1, n + 2)) ** k
+    coeffs = [0] * (n + 1)
     for m, c in enumerate(_stirling_row(kind, n)):
-        if c == 0:
-            continue
-        inner = sum((comb(m, i) * (-z) ** i * Fraction(1, (m - i + 1) ** k)
-                     for i in range(m + 1)), Fraction(0))
-        total += c * inner
-    return total
+        if c:
+            for i in range(m + 1):
+                coeffs[i] += c * comb(m, i) * (den // (m - i + 1) ** k)
+    return Polynomial([Fraction((-1) ** i * v, den) for i, v in enumerate(coeffs)]).evaluate(z)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -310,21 +314,13 @@ def cauchy_hi_poly_oracle(kind: CauchyKind, n: int, k: int) -> Polynomial:
     return _cube_mean(_integrand(kind, n), k).reflect()
 
 
-def _checked_hi_poly(kind: CauchyKind, n: int, k: int) -> Polynomial:
-    """The triple sum; a mismatch with the Bernoulli bridge is an internal error."""
-    by_sum = cauchy_hi_poly_sum(kind, n, k)
-    if by_sum != cauchy_hi_poly_bridge(kind, n, k):
-        raise ArithmeticError(f"{kind.value}-kind polynomial paths disagree at n={n}, k={k}")
-    return by_sum
-
-
 @lru_cache(maxsize=None, typed=True)
 def cauchy_hi_poly1(n: int, k: int) -> Polynomial:
     """Higher-order Cauchy polynomial of the first kind, degree n in x."""
-    return _checked_hi_poly(CauchyKind.FIRST, n, k)
+    return cauchy_hi_poly_sum(CauchyKind.FIRST, n, k)
 
 
 @lru_cache(maxsize=None, typed=True)
 def cauchy_hi_poly2(n: int, k: int) -> Polynomial:
     """Higher-order Cauchy polynomial of the second kind, degree n in x."""
-    return _checked_hi_poly(CauchyKind.SECOND, n, k)
+    return cauchy_hi_poly_sum(CauchyKind.SECOND, n, k)

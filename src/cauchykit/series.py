@@ -25,8 +25,9 @@ compositional inversion, and exponentials, plus the Sheffer-sequence and
 connection-coefficient extractors built on top of them.
 
 Costs at order n, in coefficient operations: multiplication and division
-are O(n^2); ``compose`` (Horner, n-1 products) and ``revert`` (Lagrange
-inversion, n-2 products) are O(n^3).  A product of two ``Fraction`` series
+are O(n^2); ``compose`` (Horner from the outer series' highest nonzero
+coefficient, at most n-1 products) and ``revert`` (Lagrange inversion, n-2
+products) are O(n^3).  A product of two ``Fraction`` series
 runs on Python ints over each operand's common denominator, with one
 ``Fraction`` built per output coefficient, so it costs O(n^2) integer
 multiply-adds and only n rational normalisations.  Series with
@@ -257,8 +258,9 @@ class PowerSeries:
             raise ValueError("composition needs zero constant term")
         n = min(len(self.coeffs), len(inner.coeffs))
         g = inner.truncate(n)
-        acc = PowerSeries([self.coeffs[n - 1]], order=n)
-        for j in range(n - 2, -1, -1):
+        top = max((j for j in range(n) if self.coeffs[j] != 0), default=0)
+        acc = PowerSeries([self.coeffs[top]], order=n)
+        for j in range(top - 1, -1, -1):
             acc = acc * g + self.coeffs[j]
         return acc
 
@@ -411,5 +413,5 @@ def connection_coeffs(g: PowerSeries, f: PowerSeries,
         if m > 0:
             power = power * l_of_fbar
         for i in range(m, n_max + 1):
-            rows[i][m] = power.coeffs[i] * Fraction(factorial(i), factorial(m))
+            rows[i][m] = power.coeffs[i] * (factorial(i) // factorial(m))
     return rows

@@ -414,14 +414,14 @@ def _cases_t13(grid: Grid, printed_index: bool = True) -> Iterator[Case]:
         return
     tables = _t13_tables(grid.n_max, grid.k_max, grid.alpha_max)
     for alpha in grid.alphas():
+        bases = [bernoulli_hi_poly(m, alpha) for m in grid.ns()]
         for k in grid.ks():
             matrix, coefficients = tables[alpha, k]
             for n in grid.ns():
                 target = cauchy_hi_poly2(n, k)
-                resummed = Polynomial.zero()
-                for m in range(n + 1):
-                    basis = bernoulli_hi_poly(n if printed_index else m, alpha)
-                    resummed = resummed + basis * coefficients[n][m]
+                row = coefficients[n]
+                resummed = (bases[n] * sum(row, Fraction(0)) if printed_index else
+                            sum((b * c for b, c in zip(bases, row)), Polynomial.zero()))
                 yield ({"alpha": alpha, "k": k, "n": n, "form": "resummation"},
                        resummed, target)
                 for m in range(n + 1):

@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cauchykit import cauchy
 from cauchykit.cauchy import (
@@ -26,7 +28,7 @@ from cauchykit.cauchy import (
 )
 from cauchykit.bernoulli import bernoulli_hi_poly
 from cauchykit.polynomial import Polynomial, falling_factorial, interpolate
-from cauchykit.stirling import stirling1_unsigned
+from cauchykit.stirling import stirling1_signed, stirling1_unsigned
 from combinatorial_reference import compositions, multinomial
 
 F = Fraction
@@ -196,6 +198,53 @@ def test_second_kind_matches_the_unsigned_stirling_formula():
             assert poly_cauchy2(n, k) == unsigned_poly_cauchy_poly2(n, k, F(0)), (n, k)
             for z in GRID_ZS:
                 assert poly_cauchy_poly2(n, k, z) == unsigned_poly_cauchy_poly2(n, k, z), (n, k, z)
+
+
+def signed_row(kind, n):
+    sign = 1 if kind is CauchyKind.FIRST else -1
+    return [sign ** m * stirling1_signed(n, m) for m in range(n + 1)]
+
+
+def fraction_loop_poly_cauchy(kind, n, k):
+    """Reference: sum_m row(n,m)/(m+1)^k added one Fraction at a time."""
+    return sum((c * F(1, (m + 1) ** k) for m, c in enumerate(signed_row(kind, n))), F(0))
+
+
+def fraction_loop_poly_cauchy_poly(kind, n, k, z):
+    """Reference: sum_m row(n,m) sum_i C(m,i)(-z)^i/(m-i+1)^k, one Fraction at a time."""
+    total = F(0)
+    for m, c in enumerate(signed_row(kind, n)):
+        if c == 0:
+            continue
+        inner = sum((comb(m, i) * (-z) ** i * F(1, (m - i + 1) ** k) for i in range(m + 1)),
+                    F(0))
+        total += c * inner
+    return total
+
+
+wide_zs = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.sampled_from(list(CauchyKind)), st.integers(0, 14), st.integers(1, 5), wide_zs)
+@example(CauchyKind.FIRST, 0, 1, F(0))
+@example(CauchyKind.SECOND, 0, 4, F(-3, 7))
+@example(CauchyKind.FIRST, 14, 5, F(0))
+@example(CauchyKind.SECOND, 14, 5, F(-999_999, 1_000_000))
+def test_int_kernels_match_the_fraction_loops(kind, n, k, z):
+    assert cauchy.poly_cauchy(kind, n, k) == fraction_loop_poly_cauchy(kind, n, k)
+    assert (cauchy.poly_cauchy_poly(kind, n, k, z)
+            == fraction_loop_poly_cauchy_poly(kind, n, k, z))
+
+
+@pytest.mark.parametrize("kind", list(CauchyKind))
+def test_int_kernels_match_the_fraction_loops_at_large_k(kind):
+    # the common denominator lcm(1..11)^200 has 889 digits
+    n, k = 10, 200
+    assert cauchy.poly_cauchy(kind, n, k) == fraction_loop_poly_cauchy(kind, n, k)
+    for z in GRID_ZS:
+        assert (cauchy.poly_cauchy_poly(kind, n, k, z)
+                == fraction_loop_poly_cauchy_poly(kind, n, k, z))
 
 
 # -- higher-order numbers -----------------------------------------------------------

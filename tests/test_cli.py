@@ -337,6 +337,22 @@ def test_large_triangle_output_is_pinned(monkeypatch, family, fmt, sha256):
     assert sink.digest.hexdigest() == sha256
 
 
+@pytest.mark.parametrize("family, fmt, sha256", [
+    ("poly_cauchy1", "text", "5989a1acfd335fcd88b627d1bbc6fdf7e30c3aa79c0272a3d53b234ecc7923dc"),
+    ("poly_cauchy1", "csv", "c78989c6dc4364413f2094a32c46f817aacd2f4cb5ca5031aaa113a1bf39a5b2"),
+    ("poly_cauchy2", "text", "ef52a5c35c1bc38213198dba99c2dfecbc985e688a0a3b07e68f5698bb1c09f5"),
+    ("poly_cauchy2", "csv", "c8903f61fb03d5a8034ed83eb6354b786bdb1a922dc5b0af789cf511c1f63c8c"),
+])
+def test_poly_cauchy_table_output_is_pinned(monkeypatch, family, fmt, sha256):
+    # digests of the output of the one-Fraction-per-term sums at order 2, n-max 200
+    sink = HashingStdout()
+    monkeypatch.setattr(sys, "stdout", sink)
+    code = cli.main(["table", "--family", family, "--order", "2", "--n-max", "200",
+                     "--format", fmt])
+    assert code == 0
+    assert sink.digest.hexdigest() == sha256
+
+
 def test_streamed_triangle_leaves_the_memo_tables_alone(capsys, monkeypatch):
     fresh = {kind: StirlingTable(kind) for kind in StirlingKind}
     monkeypatch.setattr(stirling, "_TABLES", fresh)

@@ -283,6 +283,40 @@ unit_series_10 = st.lists(small_fractions, min_size=9, max_size=9).map(
     lambda rest: PowerSeries([F(1)] + rest))
 
 
+def full_horner_compose(f, g):
+    """Reference composition: Horner over every coefficient of f, trailing zeros included."""
+    n = min(f.order, g.order)
+    g = g.truncate(n)
+    acc = PowerSeries([f.coeffs[n - 1]], order=n)
+    for j in range(n - 2, -1, -1):
+        acc = acc * g + f.coeffs[j]
+    return acc
+
+
+def with_trailing_zeros(cs, zeros):
+    return PowerSeries(list(cs) + [cs[0] * 0] * zeros)
+
+
+outer_series = st.one_of(
+    st.tuples(st.lists(small_fractions, min_size=1, max_size=9), st.integers(0, 6)),
+    st.tuples(st.lists(small_polys, min_size=1, max_size=5), st.integers(0, 4)),
+).map(lambda parts: with_trailing_zeros(*parts))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(outer_series, st.one_of(delta_series_9, poly_delta_series_7))
+@example(series(0, order=9), t_series(9))
+@example(one_series(12), expm1_series(12))
+@example(t_series(12), log1p_series(10))
+@example(series(F(2, 3), 0, 5, 0, 0, 0, 0), PowerSeries([Polynomial.zero(), Polynomial.x()]
+                                                       + [Polynomial((1, 2))] * 5))
+def test_compose_matches_full_horner(f, g):
+    result = f.compose(g)
+    reference = full_horner_compose(f, g)
+    assert result.order == reference.order
+    assert result.coeffs == reference.coeffs
+
+
 @settings(max_examples=50, derandomize=True, deadline=None)
 @given(unit_series_10)
 def test_div_inverse_round_trip(g):

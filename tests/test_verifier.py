@@ -221,8 +221,23 @@ def test_t13_builds_each_connection_matrix_once(monkeypatch):
     assert verifier._t13_tables.cache_info().currsize == 1
 
 
+def test_t13_builds_each_bernoulli_basis_once(monkeypatch):
+    # one basis list per alpha and reading, not one polynomial per (n, m)
+    calls = []
+    original = verifier.bernoulli_hi_poly
+
+    def counting(n, alpha):
+        calls.append((n, alpha))
+        return original(n, alpha)
+
+    monkeypatch.setattr(verifier, "bernoulli_hi_poly", counting)
+    report = verify(CheckId.T13)
+    assert report.status == PASS_WITH_CORRECTION
+    assert len(calls) == 2 * len(DEFAULT_GRID.ns()) * len(DEFAULT_GRID.alphas()) == 96
+
+
 def _plus_one(fn):
-    return lambda n, k: fn(n, k) + 1
+    return lambda *args: fn(*args) + 1
 
 
 def _off_by_one_at_3_2(fn):
@@ -238,7 +253,9 @@ def _off_by_one_at_3_2(fn):
      {"T3", "T5", "T6", "T8", "T12", "EQ7", "EQ59_61"}),
     ("stirling1_signed", _off_by_one_at_3_2,
      {"T12", "T13", "EQ6", "EQ58", "EQ59_61"}),
-], ids=["cauchy_hi_poly1", "cauchy_hi_poly2", "stirling2", "stirling1_signed"])
+    ("cauchy_hi_poly_bridge", _plus_one, {"T4", "T7"}),
+], ids=["cauchy_hi_poly1", "cauchy_hi_poly2", "stirling2", "stirling1_signed",
+        "cauchy_hi_poly_bridge"])
 def test_each_check_reads_both_of_its_sides(monkeypatch, name, corrupt, failing):
     # a corrupted input must fail every check that reads it on either side;
     # a check whose two sides both came from one path would stay green
