@@ -235,6 +235,8 @@ def cauchy_hi_numbers(kind: CauchyKind, n_max: int, k: int) -> list[Fraction]:
 
 
 def _check_hi_args(n: int, k: int, method: CauchyMethod) -> None:
+    if not isinstance(method, CauchyMethod):
+        raise ValueError(f"unknown method: {method!r}")
     if n < 0:
         raise ValueError("n must be nonnegative")
     if k < 0:
@@ -263,7 +265,8 @@ def cauchy_hi(kind: CauchyKind, n: int, k: int,
         return egf_coeff(_hi_gf(kind, k, n + 1), n)
     if method is CauchyMethod.BERNOULLI_BRIDGE:
         return cauchy_hi_poly_bridge(kind, n, k).constant
-    return cube_integrate(_integrand(kind, n), k)
+    if method is CauchyMethod.INTEGRAL_ORACLE:
+        return cube_integrate(_integrand(kind, n), k)
 
 
 def cauchy_hi1(n: int, k: int, method: CauchyMethod = CauchyMethod.GF_COEFF) -> Fraction:

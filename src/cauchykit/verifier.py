@@ -2,12 +2,15 @@
 
 Every named check re-derives both sides of one identity through independent
 code paths and compares them exactly, polynomial identities by coefficient
-vectors, never by sampling.  A check first runs the identity *as printed*;
-if that fails and a corrected reading is registered (an evident typo fix),
-the corrected form is run and, when it passes, the report carries status
-``pass_with_correction`` together with the printed-form counterexamples.
-The point is to distinguish "true as printed" from "true under the obvious
-fix" and to hide neither outcome.
+vectors, never by sampling.  A check whose registry entry names a corrected
+reading (an evident typo fix) yields, on each case where the two readings
+differ, both left sides: ``(params, printed_lhs, rhs, corrected_lhs)``.
+Every other case is ``(params, lhs, rhs)`` and reads the same either way.
+One pass settles both readings: ``pass`` when the printed form holds,
+``pass_with_correction`` when it fails but the registered corrected form
+holds on every case (the report keeps the printed-form counterexamples),
+``fail`` otherwise.  The point is to distinguish "true as printed" from
+"true under the obvious fix" and to hide neither outcome.
 
 Reports are plain data: deterministic, JSON-serialisable, byte-stable
 across runs for a fixed grid.  Checks are independent of each other and of
@@ -20,7 +23,7 @@ import enum
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from math import comb, factorial, perm
 from typing import Callable, Iterable, Iterator
 
@@ -89,35 +92,9 @@ class CheckId(enum.Enum):
     POLYC_ORACLE = "POLYC_ORACLE"
 
 
-CHECK_SUMMARIES: dict[CheckId, str] = {
-    CheckId.T1: "order-k first-kind numbers equal Bernoulli values B_n^(n-k+1)(1)",
-    CheckId.T2: "multinomial convolution and Stirling sum both give the defining integral",
-    CheckId.T3: "S2(m+k,k) from binomially weighted first-kind numbers (both displays)",
-    CheckId.T4: "first-kind polynomials: triple sum and B_n^(n-k+1)(1-x) and the integral",
-    CheckId.T5: "first-kind polynomial / S2 resummation identity",
-    CheckId.T6: "second-kind numbers / S2 resummation identity with (-k) powers",
-    CheckId.T7: "second-kind polynomials: triple sum and B_n^(n-k+1)(x-k+1) and the integral",
-    CheckId.T8: "second-kind polynomial / S2 resummation identity with (x-k) powers",
-    CheckId.T9: "reciprocity: (-1)^n C_n^(k)(x)/n! as a binomial sum of second-kind terms",
-    CheckId.T10: "reciprocity: (-1)^n Chat_n^(k)(x)/n! as a binomial sum of first-kind terms",
-    CheckId.L11: "difference equations n*C_(n-1)^(k)(x) = C_n^(k)(x-1) - C_n^(k)(x), both kinds",
-    CheckId.T12: "umbral closed forms of both polynomial kinds in the monomial/(x-k) bases",
-    CheckId.T13: "second-kind polynomials expanded in Bernoulli polynomials of order alpha",
-    CheckId.EQ6: "powers of log(1+t) generate signed first-kind Stirling numbers",
-    CheckId.EQ7: "powers of e^t-1 generate second-kind Stirling numbers",
-    CheckId.EQ19: "(t/log(1+t))^e (1+t)^(x-1) generates B_j^(j-e+1)(x)",
-    CheckId.EQ28: "(t/log(1+t))^e (1+t)^x generates B_j^(j-e+1)(x+1)",
-    CheckId.EQ52: "first-kind polynomials are the Sheffer sequence for ((t/(1-e^-t))^k, e^-t-1)",
-    CheckId.EQ53: "second-kind polynomials are the Sheffer sequence for ((te^t/(e^t-1))^k, e^t-1)",
-    CheckId.EQ58: "(t/(1-e^-t))^k maps C_n^(k)(x) to the signed rising factorial",
-    CheckId.EQ59_61: "operator expansions behind the umbral closed forms, as printed",
-    CheckId.POLYC_ORACLE: "poly-Cauchy explicit formulas against the product-integral oracle",
-}
-
 TAG_T13_INDEX = "expansion term B_n^(alpha)(x) read as B_m^(alpha)(x) under the summation index m"
 TAG_SIGN_FIRST_KIND = "first-kind umbral expansion sign (-1)^(k-m) read as (-1)^m (stray (-1)^k dropped)"
 TAG_POLYC_INDEX = "defining-integral index m read as n"
-TAG_POLYC_PROSE = "second-kind explicit formula with second-kind Stirling numbers per the prose"
 
 
 @dataclass(frozen=True)
@@ -187,7 +164,9 @@ class TheoremReport:
         return obj
 
 
-Case = tuple[dict, object, object]
+# (params, lhs, rhs), or (params, printed_lhs, rhs, corrected_lhs) where the
+# registered corrected reading changes the left side
+Case = tuple[dict, object, object] | tuple[dict, object, object, object]
 _MAX_COUNTEREXAMPLES = 5
 
 
@@ -197,21 +176,10 @@ def _fmt(value) -> str:
     return format_rational(value)
 
 
-def _execute(cases: Iterable[Case]) -> tuple[int, list[Counterexample]]:
-    checked = 0
-    failures: list[Counterexample] = []
-    for params, lhs, rhs in cases:
-        checked += 1
-        if lhs != rhs:
-            if len(failures) < _MAX_COUNTEREXAMPLES:
-                failures.append(Counterexample(dict(params), _fmt(lhs), _fmt(rhs)))
-    return checked, failures
-
-
 # -- individual checks ------------------------------------------------------------
 #
-# Each generator yields (params, lhs, rhs) in a fixed nested order, so the
-# first failure is the lexicographically minimal one for that ordering.
+# Each generator yields its cases in a fixed nested order, so the first
+# failure is the lexicographically minimal one for that ordering.
 
 def _cases_t1(grid: Grid) -> Iterator[Case]:
     for n in grid.ns():
@@ -351,15 +319,15 @@ def _operator_weights(n: int, k: int) -> Polynomial:
     return Polynomial(weights)
 
 
-def _cases_umbral(grid: Grid, weights_of: Callable[[int, int], Polynomial],
-                  printed_sign: bool = True) -> Iterator[Case]:
-    # T12 and EQ59_61; the printed first-kind sign carries a stray (-1)^k
+def _cases_umbral(grid: Grid, weights_of: Callable[[int, int], Polynomial]) -> Iterator[Case]:
+    # T12 and EQ59_61; the printed first-kind sign carries a stray (-1)^k,
+    # the corrected reading drops it
     for n in grid.ns():
         for k in grid.ks():
             weights = weights_of(n, k)
-            sign = (-1) ** k if printed_sign else 1
+            corrected = weights.reflect()
             yield ({"n": n, "k": k, "form": "first_kind"},
-                   weights.reflect() * sign, cauchy_hi_poly1(n, k))
+                   corrected * (-1) ** k, cauchy_hi_poly1(n, k), corrected)
             yield ({"n": n, "k": k, "form": "second_kind"},
                    weights.shift(-k), cauchy_hi_poly2(n, k))
 
@@ -387,47 +355,30 @@ def _t13_coefficients(n_max: int, k: int, alpha: int) -> list[list[Fraction]]:
             for n in range(n_max + 1)]
 
 
-@lru_cache(maxsize=1)
-def _t13_tables(n_max: int, k_max: int, alpha_max: int
-                ) -> dict[tuple[int, int], tuple[list[list[Fraction]], list[list[Fraction]]]]:
-    """Per (alpha, k): the Sheffer connection matrix and the coefficient table.
-
-    The printed and the corrected reading of T13 read the same two tables,
-    so they are built once per grid; the single cache slot holds only the
-    grid last verified, and callers only read it.  The two tables share no
-    code path with each other.
-    """
-    tables = {}
-    order = n_max + 2
-    for alpha in range(1, alpha_max + 1):
-        h = (expm1_series(order + 1) / t_series(order + 1)) ** alpha
-        l = t_series(order)
-        for k in range(1, k_max + 1):
-            g, f = _sheffer_pair(CauchyKind.SECOND, order, k)
-            tables[alpha, k] = (connection_coeffs(g, f, h, l, n_max),
-                                _t13_coefficients(n_max, k, alpha))
-    return tables
-
-
-def _cases_t13(grid: Grid, printed_index: bool = True) -> Iterator[Case]:
+def _cases_t13(grid: Grid) -> Iterator[Case]:
+    # Per (alpha, k): the Sheffer connection matrix and the coefficient
+    # table, which share no code path with each other.  The printed reading
+    # resums with B_n^(alpha), the corrected one with B_m^(alpha).
     if grid.n_max < 0:
         return
-    tables = _t13_tables(grid.n_max, grid.k_max, grid.alpha_max)
+    order = grid.n_max + 2
+    l = t_series(order)
     for alpha in grid.alphas():
         bases = [bernoulli_hi_poly(m, alpha) for m in grid.ns()]
+        h = (expm1_series(order + 1) / t_series(order + 1)) ** alpha
         for k in grid.ks():
-            matrix, coefficients = tables[alpha, k]
+            matrix = connection_coeffs(*_sheffer_pair(CauchyKind.SECOND, order, k), h, l,
+                                       grid.n_max)
+            coefficients = _t13_coefficients(grid.n_max, k, alpha)
             for n in grid.ns():
-                target = cauchy_hi_poly2(n, k)
                 row = coefficients[n]
-                resummed = (bases[n] * sum(row, Fraction(0)) if printed_index else
-                            sum((b * c for b, c in zip(bases, row)), Polynomial.zero()))
                 yield ({"alpha": alpha, "k": k, "n": n, "form": "resummation"},
-                       resummed, target)
+                       bases[n] * sum(row, Fraction(0)), cauchy_hi_poly2(n, k),
+                       sum((b * c for b, c in zip(bases, row)), Polynomial.zero()))
                 for m in range(n + 1):
                     yield ({"alpha": alpha, "k": k, "n": n, "m": m,
                             "form": "connection_matrix"},
-                           coefficients[n][m], matrix[n][m])
+                           row[m], matrix[n][m])
 
 
 def _cases_eq6(grid: Grid) -> Iterator[Case]:
@@ -501,18 +452,9 @@ def _cases_eq58(grid: Grid) -> Iterator[Case]:
                    Polynomial([(-1) ** l * stirling1_signed(n, l) for l in range(n + 1)]))
 
 
-def _cases_polyc(grid: Grid, prose_stirling2: bool = False) -> Iterator[Case]:
+def _cases_polyc(grid: Grid) -> Iterator[Case]:
     # The defining-integral index is read as n throughout (the printed index
     # m is unbound); the oracle never touches Stirling numbers.
-    def second_formula(n, k, z):
-        if not prose_stirling2:
-            return poly_cauchy_poly2(n, k, z)
-        # fallback reading: the prose names second-kind Stirling numbers
-        return sum(((-1) ** n * stirling2(n, m)
-                    * sum((comb(m, i) * (-z) ** i * Fraction(1, (m - i + 1) ** k)
-                           for i in range(m + 1)), Fraction(0))
-                    for m in range(n + 1)), Fraction(0))
-
     for n in grid.ns():
         ff = falling_factorial(n)
         for k in grid.ks():
@@ -524,72 +466,107 @@ def _cases_polyc(grid: Grid, prose_stirling2: bool = False) -> Iterator[Case]:
                 yield ({"n": n, "k": k, "z": format_rational(z), "form": "poly_first"},
                        poly_cauchy_poly1(n, k, z), product_integrate(ff.shift(-z), k))
                 yield ({"n": n, "k": k, "z": format_rational(z), "form": "poly_second"},
-                       second_formula(n, k, z),
+                       poly_cauchy_poly2(n, k, z),
                        product_integrate(ff.reflect().shift(-z), k))
 
 
-_PRINTED: dict[CheckId, Callable[[Grid], Iterator[Case]]] = {
-    CheckId.T1: _cases_t1,
-    CheckId.T2: _cases_t2,
-    CheckId.T3: _cases_t3,
-    CheckId.T4: partial(_cases_poly_paths, kind=CauchyKind.FIRST),
-    CheckId.T5: _cases_t5,
-    CheckId.T6: _cases_t6,
-    CheckId.T7: partial(_cases_poly_paths, kind=CauchyKind.SECOND),
-    CheckId.T8: _cases_t8,
-    CheckId.T9: partial(_cases_reciprocity, kind=CauchyKind.FIRST),
-    CheckId.T10: partial(_cases_reciprocity, kind=CauchyKind.SECOND),
-    CheckId.L11: _cases_l11,
-    CheckId.T12: partial(_cases_umbral, weights_of=_umbral_weights),
-    CheckId.T13: _cases_t13,
-    CheckId.EQ6: _cases_eq6,
-    CheckId.EQ7: _cases_eq7,
-    CheckId.EQ19: partial(_cases_eq19_28, shift=0),
-    CheckId.EQ28: partial(_cases_eq19_28, shift=1),
-    CheckId.EQ52: partial(_cases_sheffer, kind=CauchyKind.FIRST),
-    CheckId.EQ53: partial(_cases_sheffer, kind=CauchyKind.SECOND),
-    CheckId.EQ58: _cases_eq58,
-    CheckId.EQ59_61: partial(_cases_umbral, weights_of=_operator_weights),
-    CheckId.POLYC_ORACLE: _cases_polyc,
-}
+@dataclass(frozen=True)
+class _Check:
+    """One registry entry: what the check states and how its cases are built.
 
-# Corrected readings, registered up front and tried only after the printed
-# form fails; each is an evident-typo fix, never a silent repair.
-_CORRECTED: dict[CheckId, list[tuple[str, Callable[[Grid], Iterator[Case]]]]] = {
-    CheckId.T12: [(TAG_SIGN_FIRST_KIND, partial(
-        _cases_umbral, weights_of=_umbral_weights, printed_sign=False))],
-    CheckId.T13: [(TAG_T13_INDEX, partial(_cases_t13, printed_index=False))],
-    CheckId.EQ59_61: [(TAG_SIGN_FIRST_KIND, partial(
-        _cases_umbral, weights_of=_operator_weights, printed_sign=False))],
-    CheckId.POLYC_ORACLE: [(TAG_POLYC_PROSE, partial(_cases_polyc, prose_stirling2=True))],
-}
+    ``correction`` tags the corrected reading that the 4-tuple cases carry;
+    it is reported only when the printed form fails.  ``structural`` tags a
+    reading applied before anything can run, because the printed form is
+    not executable (an unbound index); such a check never reports a plain
+    pass.  Each reading is an evident-typo fix, never a silent repair.
+    """
 
-# Readings applied before anything can run because the printed form is not
-# executable (an unbound index); such checks never report a plain pass.
-_STRUCTURAL: dict[CheckId, str] = {
-    CheckId.POLYC_ORACLE: TAG_POLYC_INDEX,
+    summary: str
+    cases: Callable[[Grid], Iterator[Case]]
+    correction: str | None = None
+    structural: str | None = None
+
+
+_CHECKS: dict[CheckId, _Check] = {
+    CheckId.T1: _Check(
+        "order-k first-kind numbers equal Bernoulli values B_n^(n-k+1)(1)", _cases_t1),
+    CheckId.T2: _Check(
+        "multinomial convolution and Stirling sum both give the defining integral", _cases_t2),
+    CheckId.T3: _Check(
+        "S2(m+k,k) from binomially weighted first-kind numbers (both displays)", _cases_t3),
+    CheckId.T4: _Check(
+        "first-kind polynomials: triple sum and B_n^(n-k+1)(1-x) and the integral",
+        partial(_cases_poly_paths, kind=CauchyKind.FIRST)),
+    CheckId.T5: _Check("first-kind polynomial / S2 resummation identity", _cases_t5),
+    CheckId.T6: _Check(
+        "second-kind numbers / S2 resummation identity with (-k) powers", _cases_t6),
+    CheckId.T7: _Check(
+        "second-kind polynomials: triple sum and B_n^(n-k+1)(x-k+1) and the integral",
+        partial(_cases_poly_paths, kind=CauchyKind.SECOND)),
+    CheckId.T8: _Check(
+        "second-kind polynomial / S2 resummation identity with (x-k) powers", _cases_t8),
+    CheckId.T9: _Check(
+        "reciprocity: (-1)^n C_n^(k)(x)/n! as a binomial sum of second-kind terms",
+        partial(_cases_reciprocity, kind=CauchyKind.FIRST)),
+    CheckId.T10: _Check(
+        "reciprocity: (-1)^n Chat_n^(k)(x)/n! as a binomial sum of first-kind terms",
+        partial(_cases_reciprocity, kind=CauchyKind.SECOND)),
+    CheckId.L11: _Check(
+        "difference equations n*C_(n-1)^(k)(x) = C_n^(k)(x-1) - C_n^(k)(x), both kinds",
+        _cases_l11),
+    CheckId.T12: _Check(
+        "umbral closed forms of both polynomial kinds in the monomial/(x-k) bases",
+        partial(_cases_umbral, weights_of=_umbral_weights), correction=TAG_SIGN_FIRST_KIND),
+    CheckId.T13: _Check(
+        "second-kind polynomials expanded in Bernoulli polynomials of order alpha",
+        _cases_t13, correction=TAG_T13_INDEX),
+    CheckId.EQ6: _Check(
+        "powers of log(1+t) generate signed first-kind Stirling numbers", _cases_eq6),
+    CheckId.EQ7: _Check("powers of e^t-1 generate second-kind Stirling numbers", _cases_eq7),
+    CheckId.EQ19: _Check(
+        "(t/log(1+t))^e (1+t)^(x-1) generates B_j^(j-e+1)(x)", partial(_cases_eq19_28, shift=0)),
+    CheckId.EQ28: _Check(
+        "(t/log(1+t))^e (1+t)^x generates B_j^(j-e+1)(x+1)", partial(_cases_eq19_28, shift=1)),
+    CheckId.EQ52: _Check(
+        "first-kind polynomials are the Sheffer sequence for ((t/(1-e^-t))^k, e^-t-1)",
+        partial(_cases_sheffer, kind=CauchyKind.FIRST)),
+    CheckId.EQ53: _Check(
+        "second-kind polynomials are the Sheffer sequence for ((te^t/(e^t-1))^k, e^t-1)",
+        partial(_cases_sheffer, kind=CauchyKind.SECOND)),
+    CheckId.EQ58: _Check(
+        "(t/(1-e^-t))^k maps C_n^(k)(x) to the signed rising factorial", _cases_eq58),
+    CheckId.EQ59_61: _Check(
+        "operator expansions behind the umbral closed forms, as printed",
+        partial(_cases_umbral, weights_of=_operator_weights), correction=TAG_SIGN_FIRST_KIND),
+    CheckId.POLYC_ORACLE: _Check(
+        "poly-Cauchy explicit formulas against the product-integral oracle",
+        _cases_polyc, structural=TAG_POLYC_INDEX),
 }
 
 
 def verify(check_id: CheckId, grid: Grid | None = None) -> TheoremReport:
-    """Run one check over the grid and report the outcome."""
+    """Run one check over the grid, settling both of its readings in one pass."""
     if not isinstance(check_id, CheckId):
         raise ValueError(f"unknown check id: {check_id!r}")
     grid = DEFAULT_GRID if grid is None else grid
-    checked, failures = _execute(_PRINTED[check_id](grid))
-    structural = _STRUCTURAL.get(check_id)
-    if not failures:
-        if structural is not None:
-            return TheoremReport(check_id, grid, PASS_WITH_CORRECTION, checked,
-                                 corrected_reading=structural)
-        return TheoremReport(check_id, grid, PASS, checked)
-    for tag, corrected in _CORRECTED.get(check_id, []):
-        checked2, failures2 = _execute(corrected(grid))
-        if not failures2:
-            reading = tag if structural is None else f"{structural}; {tag}"
-            return TheoremReport(check_id, grid, PASS_WITH_CORRECTION, checked2,
-                                 tuple(failures), corrected_reading=reading)
-    return TheoremReport(check_id, grid, FAIL, checked, tuple(failures))
+    check = _CHECKS[check_id]
+    checked = 0
+    failures: list[Counterexample] = []
+    corrected_holds = True
+    for params, lhs, rhs, *corrected in check.cases(grid):
+        checked += 1
+        printed_holds = lhs == rhs
+        if not printed_holds and len(failures) < _MAX_COUNTEREXAMPLES:
+            failures.append(Counterexample(dict(params), _fmt(lhs), _fmt(rhs)))
+        if corrected_holds:
+            corrected_holds = corrected[0] == rhs if corrected else printed_holds
+    reading = check.structural
+    if failures:
+        if check.correction is None or not corrected_holds:
+            return TheoremReport(check_id, grid, FAIL, checked, tuple(failures))
+        reading = check.correction if reading is None else f"{reading}; {check.correction}"
+    return TheoremReport(check_id, grid, PASS if reading is None else PASS_WITH_CORRECTION,
+                         checked, tuple(failures), reading)
 
 
 def run_suite(grid: Grid | None = None,

@@ -5,6 +5,7 @@ criterion with timings.  All tolerances are exact rational equality; grids
 are the stated ones, pinned here.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -15,6 +16,8 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 from math import comb
+
+import pytest
 
 from cauchykit.bernoulli import bernoulli_hi_numbers
 from cauchykit.cauchy import (
@@ -63,6 +66,15 @@ REGISTERED_READINGS = {TAG_SIGN_FIRST_KIND, TAG_T13_INDEX, TAG_POLYC_INDEX}
 
 # SHA-256 of `cauchykit verify --format json` on the default grid
 VERIFY_JSON_SHA256 = "cb786c278c3e9eb9968f9026ef25458935b8fb280cf729d8ee52e41ac054fa8a"
+
+# ... and with `--grid` on edge grids; at n=0 T13's printed form passes
+EDGE_GRID_VERIFY_JSON_SHA256 = {
+    "n=2,k=2,alpha=1": "9da41d94fb382a3ef4990831bb6dc6ffd6dd8cd949abe3c4773fc9fee279eddf",
+    "n=0,k=1,alpha=1": "89227da86fcf4a9cb5224fac0a1f98fa2bce85b54471ee0c553846155cf6c90b",
+    "n=-1": "f2706b277d1d65ae5330e76d9a6fbc06302adff792bdc8f7f4b094217150f3e7",
+    "n=6,k=0": "64d5d030005652936b59db382ad36f13cf2690ea1ede2e944d51ab8a95a863bb",
+    "n=9,k=3,alpha=2": "2d08cbfc3f93fa6b00c3f6835d1ce2f39619d94181ba2281e98d08d4bbf808f9",
+}
 
 _SUITE_CACHE: dict = {}
 
@@ -242,19 +254,16 @@ def test_criterion_7_cli_contract():
         import contextlib
         import io
 
-        original = verifier_module._PRINTED[CheckId.T1]
+        original = verifier_module._CHECKS[CheckId.T1]
         try:
-            verifier_module._PRINTED[CheckId.T1] = broken
-            saved = verifier_module._CORRECTED.pop(CheckId.T1, None)
+            verifier_module._CHECKS[CheckId.T1] = dataclasses.replace(original, cases=broken)
             sink = io.StringIO()
             with contextlib.redirect_stdout(sink):
                 code = cli_module.main(["verify", "--checks", "T1"])
             assert code == 1
             assert "FAIL" in sink.getvalue()
         finally:
-            verifier_module._PRINTED[CheckId.T1] = original
-            if saved is not None:
-                verifier_module._CORRECTED[CheckId.T1] = saved
+            verifier_module._CHECKS[CheckId.T1] = original
 
 
 def test_criterion_8_determinism():
@@ -267,3 +276,10 @@ def test_criterion_8_determinism():
         assert hashlib.sha256(first.stdout.encode()).hexdigest() == VERIFY_JSON_SHA256
         reports = _SUITE_CACHE.get("reports") or run_suite()
         assert reports_to_json(reports) + "\n" == first.stdout
+
+
+@pytest.mark.parametrize("grid", sorted(EDGE_GRID_VERIFY_JSON_SHA256))
+def test_verify_json_pinned_on_edge_grids(grid):
+    result = _run_cli("verify", "--format", "json", "--grid", grid)
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == EDGE_GRID_VERIFY_JSON_SHA256[grid]

@@ -362,6 +362,16 @@ def test_argument_validation():
         cauchy_hi2(2, -1)
 
 
+def test_unknown_method_rejected():
+    # a method that is not a CauchyMethod must not fall through to a path
+    with pytest.raises(ValueError, match="unknown method"):
+        cauchy_hi2(5, 2, "convolution")
+    with pytest.raises(ValueError, match="unknown method"):
+        cauchy_hi1(5, 2, None)
+    with pytest.raises(ValueError, match="unknown method"):
+        cauchy_hi1(4, 0, "gf_coeff")
+
+
 def test_k_one_degenerates_to_classical():
     for n in range(21):
         assert cauchy_hi1(n, 1) == cauchy1(n)

@@ -1,5 +1,6 @@
 """CLI contract: exact output strings, formats, exit codes."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -167,8 +168,8 @@ def test_verify_exit_one_on_failure(capsys, monkeypatch):
     def broken(grid):
         yield {"n": 0}, 0, 1
 
-    monkeypatch.setitem(verifier._PRINTED, CheckId.T1, broken)
-    monkeypatch.delitem(verifier._CORRECTED, CheckId.T1, raising=False)
+    monkeypatch.setitem(verifier._CHECKS, CheckId.T1,
+                        dataclasses.replace(verifier._CHECKS[CheckId.T1], cases=broken))
     code, out = run_cli(capsys, "verify", "--checks", "T1")
     assert code == 1
     assert "FAIL" in out

@@ -213,16 +213,13 @@ def test_t13_builds_each_connection_matrix_once(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(verifier, "connection_coeffs", counting)
-    verifier._t13_tables.cache_clear()
     report = verify(CheckId.T13)
     assert report.status == PASS_WITH_CORRECTION
     assert len(calls) == DEFAULT_GRID.k_max * DEFAULT_GRID.alpha_max == 12
-    verify(CheckId.T13, SMALL)
-    assert verifier._t13_tables.cache_info().currsize == 1
 
 
 def test_t13_builds_each_bernoulli_basis_once(monkeypatch):
-    # one basis list per alpha and reading, not one polynomial per (n, m)
+    # one basis list per alpha for both readings, not one polynomial per (n, m)
     calls = []
     original = verifier.bernoulli_hi_poly
 
@@ -233,7 +230,33 @@ def test_t13_builds_each_bernoulli_basis_once(monkeypatch):
     monkeypatch.setattr(verifier, "bernoulli_hi_poly", counting)
     report = verify(CheckId.T13)
     assert report.status == PASS_WITH_CORRECTION
-    assert len(calls) == 2 * len(DEFAULT_GRID.ns()) * len(DEFAULT_GRID.alphas()) == 96
+    assert len(calls) == len(DEFAULT_GRID.ns()) * len(DEFAULT_GRID.alphas()) == 48
+
+
+def test_each_check_makes_one_pass(monkeypatch):
+    # both readings of T12 are settled from one run of its cases
+    calls = []
+    original = verifier.cauchy_hi_poly1
+
+    def counting(n, k):
+        calls.append((n, k))
+        return original(n, k)
+
+    monkeypatch.setattr(verifier, "cauchy_hi_poly1", counting)
+    report = verify(CheckId.T12)
+    assert report.status == PASS_WITH_CORRECTION
+    assert len(calls) == len(DEFAULT_GRID.ns()) * len(DEFAULT_GRID.ks()) == 64
+
+
+def test_no_reading_hides_a_bug(monkeypatch):
+    # at n <= 2 a second-kind formula with S2 in place of the signed S1
+    # agrees with the true one, so a fallback reading of that kind would
+    # turn this corruption into a pass_with_correction
+    monkeypatch.setattr(verifier, "poly_cauchy_poly2",
+                        _plus_one(verifier.poly_cauchy_poly2))
+    report = verify(CheckId.POLYC_ORACLE, Grid(n_max=2, k_max=2, alpha_max=1))
+    assert report.status == FAIL
+    assert report.corrected_reading is None
 
 
 def _plus_one(fn):
@@ -254,15 +277,15 @@ def _off_by_one_at_3_2(fn):
     ("stirling1_signed", _off_by_one_at_3_2,
      {"T12", "T13", "EQ6", "EQ58", "EQ59_61"}),
     ("cauchy_hi_poly_bridge", _plus_one, {"T4", "T7"}),
+    ("poly_cauchy_poly1", _plus_one, {"POLYC_ORACLE"}),
+    ("poly_cauchy_poly2", _plus_one, {"POLYC_ORACLE"}),
+    ("product_integrate", _plus_one, {"POLYC_ORACLE"}),
 ], ids=["cauchy_hi_poly1", "cauchy_hi_poly2", "stirling2", "stirling1_signed",
-        "cauchy_hi_poly_bridge"])
+        "cauchy_hi_poly_bridge", "poly_cauchy_poly1", "poly_cauchy_poly2",
+        "product_integrate"])
 def test_each_check_reads_both_of_its_sides(monkeypatch, name, corrupt, failing):
     # a corrupted input must fail every check that reads it on either side;
     # a check whose two sides both came from one path would stay green
     monkeypatch.setattr(verifier, name, corrupt(getattr(verifier, name)))
-    verifier._t13_tables.cache_clear()
-    try:
-        reports = run_suite(SMALL)
-    finally:
-        verifier._t13_tables.cache_clear()
+    reports = run_suite(SMALL)
     assert {r.id.value for r in reports if r.status == FAIL} == failing
