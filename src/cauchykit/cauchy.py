@@ -39,7 +39,7 @@ from functools import lru_cache
 from math import comb, factorial, lcm
 
 from .bernoulli import bernoulli_hi_poly
-from .polynomial import Polynomial, falling_factorial
+from .polynomial import Polynomial, _over_common_denominator, falling_factorial
 from .rational import _as_fraction
 from .series import PowerSeries, cauchy1_gf, cauchy2_gf, egf_coeff
 from .stirling import stirling1_signed
@@ -100,15 +100,16 @@ def product_integrate(p: Polynomial, k: int) -> Fraction:
     """Exact integral of p(x_1*x_2*...*x_k) over the unit k-cube.
 
     Integrating one coordinate of p(v*x) in closed form maps the coefficient
-    of v^m to itself divided by m+1, i.e. the antiderivative with its zero
-    constant term dropped; after k rounds evaluate at v = 1.
+    of v^m to itself divided by m+1, so k rounds read at v = 1 give the
+    closed form sum_m c_m/(m+1)^k.  It is summed on ints over
+    lcm(1..deg+1)^k, with one ``Fraction`` at the end, from p's own
+    coefficients: no Stirling numbers are read.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    q = p
-    for _ in range(k):
-        q = Polynomial(q.antiderivative().coeffs[1:])
-    return q.evaluate(1)
+    nums, den = _over_common_denominator(p.coeffs)
+    scale = lcm(*range(1, len(nums) + 1)) ** k
+    return Fraction(sum(v * (scale // (m + 1) ** k) for m, v in enumerate(nums)), den * scale)
 
 
 # -- poly-Cauchy family and the classical numbers ------------------------------------
@@ -213,14 +214,15 @@ def _convolution_first(n: int, k: int) -> Fraction:
 
     The k-fold binomial convolution of classical values, filled bottom-up
     in k: F(m,k) = sum_j C(m,j) F(j,k-1) cauchy1(m-j), F(m,0) = [m = 0].
+    With the classical values over one denominator D, D^k F(m,k) is an
+    integer, so the fold runs on ints and builds one ``Fraction``.
     """
-    classical = [cauchy1(j) for j in range(n + 1)]
-    row = [Fraction(1)] + [Fraction(0)] * n
+    classical, den = _over_common_denominator([cauchy1(j) for j in range(n + 1)])
+    row = [1] + [0] * n
     for _ in range(k):
-        row = [sum((comb(m, j) * row[j] * classical[m - j] for j in range(m + 1)),
-                   Fraction(0))
+        row = [sum(comb(m, j) * row[j] * classical[m - j] for j in range(m + 1))
                for m in range(n + 1)]
-    return row[n]
+    return Fraction(row[n], den ** k)
 
 
 def cauchy_hi_numbers(kind: CauchyKind, n_max: int, k: int) -> list[Fraction]:
@@ -287,16 +289,19 @@ def cauchy_hi_poly_sum(kind: CauchyKind, n: int, k: int) -> Polynomial:
     sum_l sum_j sum_{j_1+..+j_k=j} multinomial(j;parts) C(l,j) row(n,l)
         (-x)^(l-j) / ((j_1+1)...(j_k+1)),
 
-    with the composition sum folded into the cube volume of degree j.
+    with the composition sum folded into the cube volume of degree j.  The
+    volumes go over one denominator, so the sum runs on ints and builds one
+    ``Fraction`` per coefficient.
     """
     _check_poly_args(n, k)
-    coeffs = [Fraction(0)] * (n + 1)
+    volumes, den = _over_common_denominator([_sum_power_volume(j, k) for j in range(n + 1)])
+    coeffs = [0] * (n + 1)
     for l, c in enumerate(_stirling_row(kind, n)):
         if c == 0:
             continue
         for j in range(l + 1):
-            coeffs[l - j] += c * comb(l, j) * _sum_power_volume(j, k) * (-1) ** (l - j)
-    return Polynomial(coeffs)
+            coeffs[l - j] += c * comb(l, j) * volumes[j] * (-1) ** (l - j)
+    return Polynomial([Fraction(v, den) for v in coeffs])
 
 
 def cauchy_hi_poly_bridge(kind: CauchyKind, n: int, k: int) -> Polynomial:

@@ -230,10 +230,13 @@ def _cmd_series(args, parser) -> int:
 # -- verify -------------------------------------------------------------------
 
 _GRID_KEYS = {"n": "n_max", "k": "k_max", "alpha": "alpha_max"}
+_GRID_VALUE_RE = re.compile(r"-?[0-9]+")
 
 
 def _parse_grid(text: str | None, defaults: dict, parser) -> Grid:
+    """Apply "n=..,k=..,alpha=.." over the defaults; values are ASCII integers, keys unique."""
     values = dict(defaults)
+    seen = set()
     if text:
         for piece in text.split(","):
             piece = piece.strip()
@@ -242,10 +245,12 @@ def _parse_grid(text: str | None, defaults: dict, parser) -> Grid:
             key, _, raw = piece.partition("=")
             if key not in _GRID_KEYS or not raw:
                 parser.error(f"bad --grid entry {piece!r}; use n=..,k=..,alpha=..")
-            try:
-                values[_GRID_KEYS[key]] = int(raw)
-            except ValueError:
+            if key in seen:
+                parser.error(f"repeated --grid key {key!r}")
+            seen.add(key)
+            if not _GRID_VALUE_RE.fullmatch(raw.strip()):
                 parser.error(f"bad --grid value {raw!r}")
+            values[_GRID_KEYS[key]] = int(raw)
     return Grid(**values)
 
 

@@ -12,10 +12,11 @@ Besides ring arithmetic the module provides the factorial polynomials
 whose monomial coefficients are the signed and unsigned Stirling numbers of
 the first kind, and exact interpolation (Newton form).
 
-Products and Taylor shifts run on Python ints: each operand is put over the
-lcm of its coefficient denominators, the inner loops multiply and add
-numerators only, and one ``Fraction`` is built per output coefficient (the
-design of FLINT's ``fmpq_poly``).  Coefficients are still stored, and
+Products, Taylor shifts and evaluation run on Python ints: each operand is
+put over the lcm of its coefficient denominators, the inner loops multiply
+and add numerators only, and one ``Fraction`` is built per output value
+(the design of FLINT's ``fmpq_poly``); ``evaluate`` at a/b runs Horner's
+scheme on the numerator b^d D p(a/b).  Coefficients are still stored, and
 returned, as ``Fraction`` values.
 """
 
@@ -211,12 +212,23 @@ class Polynomial:
     # -- calculus and substitution -----------------------------------------
 
     def evaluate(self, point: Scalar) -> Fraction:
-        """Exact Horner evaluation; a float point raises ``TypeError``."""
+        """Exact Horner evaluation on ints; a float point raises ``TypeError``.
+
+        With p = sum_i N_i x^i / D and the point a/b, Horner's scheme runs
+        on the numerator b^d D p(a/b) = sum_i N_i a^i b^(d-i), and one
+        ``Fraction`` is built at the end.
+        """
         point = _as_fraction(point)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+        if not self.coeffs:
+            return Fraction(0)
+        a, b = point.numerator, point.denominator
+        nums, den = _over_common_denominator(self.coeffs)
+        acc = nums[-1]
+        scale = 1
+        for c in reversed(nums[:-1]):
+            scale *= b
+            acc = acc * a + c * scale
+        return Fraction(acc, den * scale)
 
     def shift(self, offset: Scalar) -> "Polynomial":
         """p(x + offset), computed on Python ints over one common denominator.

@@ -30,9 +30,12 @@ coefficient, at most n-1 products) and ``revert`` (Lagrange inversion, n-2
 products) are O(n^3).  A product of two ``Fraction`` series
 runs on Python ints over each operand's common denominator, with one
 ``Fraction`` built per output coefficient, so it costs O(n^2) integer
-multiply-adds and only n rational normalisations.  Series with
-``Polynomial`` coefficients keep the generic loop over ring elements: their
-coefficients do not share one integer denominator.
+multiply-adds and only n rational normalisations.  A quotient of two
+``Fraction`` series does the same: the quotient so far is kept as integer
+numerators over the running lcm of its denominators, each step is one
+integer dot product, and one ``Fraction`` is built per output coefficient.
+Series with ``Polynomial`` coefficients keep the generic loop over ring
+elements: their coefficients do not share one integer denominator.
 
 Exponential-generating-function coefficients are read off with
 ``egf_coeff(f, n)`` = n! * [t^n] f, the normalisation linking series to the
@@ -42,7 +45,8 @@ number sequences throughout the package.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
+from operator import mul
 from typing import Iterable, Union
 
 from .polynomial import Polynomial, _over_common_denominator
@@ -60,6 +64,32 @@ def _one_like(sample: Coefficient):
     if isinstance(sample, Polynomial):
         return Polynomial.one()
     return Fraction(1)
+
+
+def _divide_ints(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
+    """The q with q*g = f to len(f) terms, g[0] != 0, on integer numerators.
+
+    With f = F/Df and g = G/Dg over their common denominators, the quotient
+    so far is kept as numerators Q over the running lcm D of its
+    denominators.  Step i sums S = sum_j Q_j G_(i-j) on ints and builds one
+    ``Fraction``, q_i = (f_i - S/(D Dg)) / g_0 = (F_i D Dg - S Df) / (Df D G_0).
+    """
+    nf, df = _over_common_denominator(f)
+    ng, dg = _over_common_denominator(g)
+    g0 = ng[0]
+    out: list[Fraction] = []
+    nums: list[int] = []
+    den = 1
+    for i, fi in enumerate(nf):
+        s = sum(map(mul, nums, reversed(ng[1:i + 1])))
+        q = Fraction(fi * den * dg - s * df, df * den * g0)
+        out.append(q)
+        if den % q.denominator:
+            scale = lcm(den, q.denominator) // den
+            nums = [v * scale for v in nums]
+            den *= scale
+        nums.append(q.numerator * (den // q.denominator))
+    return out
 
 
 class PowerSeries:
@@ -196,7 +226,9 @@ class PowerSeries:
 
         A power of t shared by both operands is cancelled first, which is
         what makes t/log(1+t) well defined; if the divisor still has a zero
-        constant term afterwards the division fails loudly.
+        constant term afterwards the division fails loudly.  Two
+        ``Fraction`` series divide on integer numerators (``_divide_ints``);
+        a ``Polynomial`` coefficient on either side selects the generic loop.
         """
         if isinstance(other, (int, Fraction)):
             if other == 0:
@@ -216,6 +248,8 @@ class PowerSeries:
         g = other.coeffs[shared:shared + n]
         if g[0] == 0:
             raise ValueError("non-unit divisor")
+        if isinstance(f[0], Fraction) and isinstance(g[0], Fraction):
+            return PowerSeries._trusted(_divide_ints(f, g))
         out = []
         for i in range(n):
             acc = f[i]
@@ -405,8 +439,17 @@ def connection_coeffs(g: PowerSeries, f: PowerSeries,
     if l.coeffs[0] != 0 or l.order < 2 or l.coeffs[1] == 0:
         raise ValueError("not a delta series")
     fbar = f.revert()
-    base = h.compose(fbar) / g.compose(fbar)
-    l_of_fbar = l.compose(fbar)
+    return _connection_rows(h.compose(fbar) / g.compose(fbar), l.compose(fbar), n_max)
+
+
+def _connection_rows(base: PowerSeries, l_of_fbar: PowerSeries,
+                     n_max: int) -> list[list[Fraction]]:
+    """Rows 0..n_max of ``connection_coeffs`` from its composed series.
+
+    base = h(fbar)/g(fbar) and l_of_fbar = l(fbar), both known past t^n_max;
+    C[n][m] = (n!/m!) * [t^n] base * l_of_fbar^m.  A caller that connects
+    several pairs sharing f reverts f once and composes each series once.
+    """
     rows: list[list[Fraction]] = [[Fraction(0)] * (i + 1) for i in range(n_max + 1)]
     power = base
     for m in range(n_max + 1):

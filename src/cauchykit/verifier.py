@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import comb, factorial, perm
+from math import comb, factorial, lcm, perm
 from typing import Callable, Iterable, Iterator
 
 from .bernoulli import bernoulli_hi_poly
@@ -48,14 +48,14 @@ from .polynomial import Polynomial, falling_factorial, rising_factorial
 from .rational import format_rational
 from .series import (
     PowerSeries,
+    _connection_rows,
     cauchy1_gf,
+    egf_coeff,
     expm1_series,
     log1p_series,
     one_minus_exp_neg_series,
     one_plus_t_pow,
     sheffer_polys,
-    connection_coeffs,
-    egf_coeff,
     t_series,
 )
 from .stirling import stirling1_signed, stirling2
@@ -347,10 +347,16 @@ def _sheffer_pair(kind: CauchyKind, order: int, k: int) -> tuple[PowerSeries, Po
 
 
 def _t13_coefficients(n_max: int, k: int, alpha: int) -> list[list[Fraction]]:
-    """Rows n = 0..n_max of sum_l C(n,l) S1(n-l,m) Chat_l^(k+alpha)(alpha), m = 0..n."""
+    """Rows n = 0..n_max of sum_l C(n,l) S1(n-l,m) Chat_l^(k+alpha)(alpha), m = 0..n.
+
+    The values Chat_l^(k+alpha)(alpha) go over their lcm denominator, so
+    each entry is an integer sum and one ``Fraction``.
+    """
     values = [cauchy_hi_poly2(l, k + alpha).evaluate(alpha) for l in range(n_max + 1)]
-    return [[sum((comb(n, l) * stirling1_signed(n - l, m) * values[l]
-                  for l in range(n - m + 1)), Fraction(0))
+    den = lcm(*(v.denominator for v in values))
+    nums = [v.numerator * (den // v.denominator) for v in values]
+    return [[Fraction(sum(comb(n, l) * stirling1_signed(n - l, m) * nums[l]
+                          for l in range(n - m + 1)), den)
              for m in range(n + 1)]
             for n in range(n_max + 1)]
 
@@ -362,13 +368,17 @@ def _cases_t13(grid: Grid) -> Iterator[Case]:
     if grid.n_max < 0:
         return
     order = grid.n_max + 2
-    l = t_series(order)
+    # Every second-kind pair has f = e^t - 1, so f is reverted once per grid,
+    # each g and each Bernoulli h is composed with fbar once, and the
+    # Bernoulli delta series l = t composes to fbar itself.
+    fbar = expm1_series(order).revert()
+    g_of_fbar = {k: _sheffer_pair(CauchyKind.SECOND, order, k)[0].compose(fbar)
+                 for k in grid.ks()}
     for alpha in grid.alphas():
         bases = [bernoulli_hi_poly(m, alpha) for m in grid.ns()]
-        h = (expm1_series(order + 1) / t_series(order + 1)) ** alpha
+        h_of_fbar = ((expm1_series(order + 1) / t_series(order + 1)) ** alpha).compose(fbar)
         for k in grid.ks():
-            matrix = connection_coeffs(*_sheffer_pair(CauchyKind.SECOND, order, k), h, l,
-                                       grid.n_max)
+            matrix = _connection_rows(h_of_fbar / g_of_fbar[k], fbar, grid.n_max)
             coefficients = _t13_coefficients(grid.n_max, k, alpha)
             for n in grid.ns():
                 row = coefficients[n]
@@ -406,8 +416,9 @@ def _cases_eq19_28(grid: Grid, shift: int) -> Iterator[Case]:
     if grid.n_max < 0:
         return
     order = grid.n_max + 1
+    x_power = one_plus_t_pow(Polynomial((shift - 1, 1)), order)
     for e in grid.ks():
-        gf = (cauchy1_gf(order) ** e) * one_plus_t_pow(Polynomial((shift - 1, 1)), order)
+        gf = (cauchy1_gf(order) ** e) * x_power
         for j in grid.ns():
             yield ({"e": e, "j": j}, egf_coeff(gf, j),
                    bernoulli_hi_poly(j, j - e + 1).shift(shift))

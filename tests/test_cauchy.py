@@ -18,6 +18,7 @@ from cauchykit.cauchy import (
     cauchy_hi_poly1,
     cauchy_hi_poly2,
     cauchy_hi_poly_oracle,
+    cauchy_hi_poly_sum,
     classical_cauchy,
     cube_integrate,
     poly_cauchy1,
@@ -245,6 +246,78 @@ def test_int_kernels_match_the_fraction_loops_at_large_k(kind):
     for z in GRID_ZS:
         assert (cauchy.poly_cauchy_poly(kind, n, k, z)
                 == fraction_loop_poly_cauchy_poly(kind, n, k, z))
+
+
+def antiderivative_rounds(p, k):
+    """Reference product integral: k rounds of the antiderivative, constant dropped, at 1."""
+    q = p
+    for _ in range(k):
+        q = Polynomial(q.antiderivative().coeffs[1:])
+    return sum(q.coeffs, F(0))
+
+
+product_integrands = st.one_of(
+    st.integers(0, 14).map(falling_factorial),
+    st.lists(wide_zs, max_size=15).map(Polynomial))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(product_integrands, st.integers(1, 6))
+@example(Polynomial(), 3)
+@example(Polynomial((F(-2, 3),)), 1)
+@example(falling_factorial(10), 200)
+@example(Polynomial((F(1, 999_983), 0, F(-7, 10**6), F(5, 3))), 200)
+def test_product_integrate_matches_antiderivative_rounds(p, k):
+    value = product_integrate(p, k)
+    assert type(value) is F
+    assert value == antiderivative_rounds(p, k)
+
+
+def test_product_integrate_needs_no_stirling_numbers(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the product integral reached a path it is meant to check")
+
+    monkeypatch.setattr(cauchy, "stirling1_signed", forbidden)
+    monkeypatch.setattr(cauchy, "_stirling_row", forbidden)
+    monkeypatch.setattr(cauchy, "poly_cauchy_poly", forbidden)
+    ff = falling_factorial(4)
+    assert product_integrate(ff, 1) == F(-19, 30)
+    assert product_integrate(ff.shift(F(-1, 2)), 3) == antiderivative_rounds(ff.shift(F(-1, 2)), 3)
+
+
+def fraction_loop_convolution(n, k):
+    """Reference convolution: the binomial fold in k, one Fraction per term."""
+    classical = [cauchy1(j) for j in range(n + 1)]
+    row = [F(1)] + [F(0)] * n
+    for _ in range(k):
+        row = [sum((comb(m, j) * row[j] * classical[m - j] for j in range(m + 1)), F(0))
+               for m in range(n + 1)]
+    return row[n]
+
+
+def fraction_loop_hi_poly_sum(kind, n, k):
+    """Reference triple sum, one Fraction per term."""
+    coeffs = [F(0)] * (n + 1)
+    for l, c in enumerate(signed_row(kind, n)):
+        if c == 0:
+            continue
+        for j in range(l + 1):
+            coeffs[l - j] += c * comb(l, j) * cauchy._sum_power_volume(j, k) * (-1) ** (l - j)
+    return Polynomial(coeffs)
+
+
+@pytest.mark.parametrize("kind", list(CauchyKind))
+def test_int_sums_match_the_fraction_loops_exhaustively(kind):
+    # every n <= 14, k <= 5: the fold on the uncached kernel, the triple sum at k >= 1
+    for n in range(15):
+        for k in range(6):
+            if kind is CauchyKind.FIRST:
+                assert (cauchy._convolution_first.__wrapped__(n, k)
+                        == fraction_loop_convolution(n, k)), (n, k)
+            if k >= 1:
+                poly = cauchy_hi_poly_sum(kind, n, k)
+                assert poly.coeffs == fraction_loop_hi_poly_sum(kind, n, k).coeffs, (n, k)
+                assert all(type(c) is F for c in poly.coeffs)
 
 
 # -- higher-order numbers -----------------------------------------------------------

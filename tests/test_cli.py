@@ -224,6 +224,28 @@ def test_bad_grid_entry_is_usage_error(capsys):
         capsys, "verify", "--grid", "q=3") == 2
 
 
+@pytest.mark.parametrize("grid, message", [
+    ("n=١٥", "bad --grid value '١٥'"),
+    ("n=1_5", "bad --grid value '1_5'"),
+    ("n=3,n=4", "repeated --grid key 'n'"),
+], ids=["arabic-indic digits", "underscore", "repeated key"])
+def test_grid_values_are_ascii_integers_and_keys_unique(capsys, grid, message):
+    # int() accepts all three, which ran n_max = 15 twice and kept n = 4 silently
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["verify", "--checks", "T1", "--grid", grid])
+    err = capsys.readouterr().err
+    assert excinfo.value.code == 2
+    assert err.splitlines()[-1].endswith(message)
+
+
+def test_grid_accepts_negative_and_padded_values(capsys):
+    code, out = run_cli(capsys, "verify", "--checks", "T1", "--grid", "n=-1, k= 2",
+                        "--format", "json")
+    assert code == 0
+    assert json.loads(out)[0]["grid"]["n_max"] == -1
+    assert json.loads(out)[0]["grid"]["k_max"] == 2
+
+
 def test_negative_terms_is_usage_error(capsys):
     assert run_cli_expect_usage_error(
         capsys, "series", "log1p", "--terms", "0") == 2
@@ -350,6 +372,33 @@ def test_poly_cauchy_table_output_is_pinned(monkeypatch, family, fmt, sha256):
     monkeypatch.setattr(sys, "stdout", sink)
     code = cli.main(["table", "--family", family, "--order", "2", "--n-max", "200",
                      "--format", fmt])
+    assert code == 0
+    assert sink.digest.hexdigest() == sha256
+
+
+@pytest.mark.parametrize("argv, fmt, sha256", [
+    ("series cauchy1_gf --terms 120", "text",
+     "3c1ed2b1a367c4fee344d92e704824a58beab974dfbe3a11741d037c86c7cd76"),
+    ("series cauchy1_gf --terms 120", "json",
+     "f99b17b13d201fdef20da5e6462c48c3d32f3cbb05e54b8bb0e664949e4dcbde"),
+    ("table --family bernoulli_hi --alpha -2 --n-max 60", "text",
+     "dc9824a23421c208e0f933a944e8ca9f93b8cdc87924c73179b9c327f995b7fb"),
+    ("table --family bernoulli_hi --alpha -2 --n-max 60", "json",
+     "064be0aae274cedc3c5c8493fecbbb35e2c598304c78c7840057681f6a62595a"),
+    ("table --family cauchy_hi1 --order 3 --n-max 60", "text",
+     "cb93db5ef5d12fdff837020bdce088f8299e19e8e3466f19b4ac6b6b4598a54b"),
+    ("table --family cauchy_hi1 --order 3 --n-max 60", "json",
+     "0737040cc27a7cfb0379cbb5acccd6121da881ade89c1e1dbe4dce9d97f6ca88"),
+    ("table --family cauchy_hi2 --order 2 --n-max 60", "text",
+     "83c3a6b6473f3ac7b2b23ffffba88c4b9d26f717f7847db1c2e67059767bad5c"),
+    ("table --family cauchy_hi2 --order 2 --n-max 60", "json",
+     "e770ee1d5943815261931ae53a6784e1ca394200fae694e03f2bce9b18021ea6"),
+])
+def test_series_division_outputs_are_pinned(monkeypatch, argv, fmt, sha256):
+    # digests of the output of the one-Fraction-per-step series division
+    sink = HashingStdout()
+    monkeypatch.setattr(sys, "stdout", sink)
+    code = cli.main(argv.split() + ["--format", fmt])
     assert code == 0
     assert sink.digest.hexdigest() == sha256
 

@@ -1,5 +1,6 @@
 """Dense exact polynomials and the factorial-polynomial constructors."""
 
+from decimal import Decimal
 from fractions import Fraction
 from math import comb, factorial
 
@@ -156,6 +157,10 @@ def test_float_arguments_rejected():
         Polynomial([1, 2]).evaluate(0.5)
     with pytest.raises(TypeError):
         Polynomial([1, 2]).shift(0.5)
+    # the zero polynomial too, although its value needs no arithmetic
+    for point in (0.5, Decimal("0.5")):
+        with pytest.raises(TypeError):
+            Polynomial().evaluate(point)
 
 
 @settings(max_examples=60, derandomize=True)
@@ -234,3 +239,30 @@ def test_interpolate_keeps_edge_cases():
     assert interpolate([(5, Fraction(-2, 3))]) == Polynomial((Fraction(-2, 3),))
     with pytest.raises(ValueError):
         interpolate([(Fraction(1, 2), 1), (3, 0), (Fraction(2, 4), 2)])
+
+
+def fraction_loop_evaluate(p, point):
+    """Reference evaluation: Horner with one Fraction multiply-add per coefficient."""
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * point + c
+    return acc
+
+
+wide_points = st.one_of(st.integers(-10**6, 10**6), wide_fractions,
+                        st.fractions(min_value=-1, max_value=0, max_denominator=10**12))
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(any_polys, wide_points)
+@example(Polynomial(), Fraction(-3, 7))
+@example(Polynomial(), 0)
+@example(Polynomial((Fraction(5, 3),)), Fraction(-2, 3))
+@example(Polynomial((Fraction(1, 6), -1, 1)), 7)
+@example(Polynomial((0, Fraction(1, 2), 0, -1)), Fraction(-999_999_999_989, 10**12))
+@example(Polynomial(Fraction(v, p) for v, p in zip(range(1, 17), PRIMES)),
+         Fraction(-53, 999_999_999_989))
+def test_evaluate_matches_fraction_horner(p, point):
+    value = p.evaluate(point)
+    assert type(value) is Fraction
+    assert value == fraction_loop_evaluate(p, Fraction(point))

@@ -247,9 +247,8 @@ PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 # each coefficient over its own prime: the common denominator is their product
 coprime_series = st.lists(st.integers(-60, 60), min_size=1, max_size=len(PRIMES)).map(
     lambda nums: PowerSeries([F(v, p) for v, p in zip(nums, PRIMES)]))
-wide_series = st.lists(
-    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6),
-    min_size=1, max_size=12).map(PowerSeries)
+wide_fractions = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
+wide_series = st.lists(wide_fractions, min_size=1, max_size=12).map(PowerSeries)
 scalar_series = st.one_of(
     st.lists(small_fractions, min_size=1, max_size=12).map(PowerSeries),
     coprime_series, wide_series)
@@ -315,6 +314,82 @@ def test_compose_matches_full_horner(f, g):
     reference = full_horner_compose(f, g)
     assert result.order == reference.order
     assert result.coeffs == reference.coeffs
+
+
+def fraction_loop_div(f, g):
+    """Reference quotient: cancel the shared power of t, then one ring step per term."""
+    vg = g.valuation()
+    if vg is None:
+        raise ZeroDivisionError("division by zero series")
+    vf = f.valuation()
+    shared = vg if vf is None else min(vf, vg)
+    n = min(f.order, g.order) - shared
+    if n < 1:
+        raise ValueError("insufficient truncation")
+    fs = f.coeffs[shared:shared + n]
+    gs = g.coeffs[shared:shared + n]
+    if gs[0] == 0:
+        raise ValueError("non-unit divisor")
+    out = []
+    for i in range(n):
+        acc = fs[i]
+        for j, q in enumerate(out):
+            acc = acc - q * gs[i - j]
+        out.append(acc / gs[0])
+    return PowerSeries(out)
+
+
+def outcome(divide, f, g):
+    """The quotient's coefficients, or the type and text of the error raised."""
+    try:
+        return divide(f, g).coeffs
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+def times_power_of_t(parts):
+    shift, f = parts
+    return PowerSeries([f.coeffs[0] * 0] * shift + list(f.coeffs))
+
+
+shifted_series = st.tuples(st.integers(0, 3), scalar_series).map(times_power_of_t)
+# a nonzero coefficient at the valuation, over a wide denominator or not
+shifted_divisors = st.tuples(
+    st.integers(0, 3),
+    st.tuples(st.one_of(nonzero_fractions, wide_fractions.filter(lambda c: c != 0)),
+              scalar_series).map(lambda parts: PowerSeries((parts[0],) + parts[1].coeffs)),
+).map(times_power_of_t)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(shifted_series, shifted_divisors)
+@example(t_series(9), log1p_series(9))
+@example(series(0, 0, F(1, 2), 3, 1), series(0, 0, 5, F(-1, 3), 7))
+@example(series(0, order=6), series(2, 1, 3))
+@example(series(0, order=2), series(0, 0, 1))
+@example(series(1, 2), series(0, order=4))
+@example(series(1, 2, 3), series(0, 1, 1))
+@example(one_series(12), expm1_series(13) / t_series(13))
+def test_div_matches_fraction_loop(f, g):
+    quotient = outcome(PowerSeries.__truediv__, f, g)
+    assert quotient == outcome(fraction_loop_div, f, g)
+    if not isinstance(quotient[0], type):
+        assert all(type(c) is F for c in quotient)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.one_of(
+    st.tuples(poly_series, st.one_of(poly_series, scalar_series)),
+    st.tuples(scalar_series, poly_series)))
+@example((series(F(1, 2), 3, 0, 1), PowerSeries([Polynomial((1,)), Polynomial((0, 1))])))
+@example((PowerSeries([Polynomial.zero(), Polynomial.x(), Polynomial((1, 2))]),
+          PowerSeries([Polynomial.zero(), Polynomial((3,)), Polynomial.x()])))
+def test_div_with_polynomial_coefficients_matches_ring_loop(operands):
+    f, g = operands
+    quotient = outcome(PowerSeries.__truediv__, f, g)
+    assert quotient == outcome(fraction_loop_div, f, g)
+    if not isinstance(quotient[0], type):
+        assert all(isinstance(c, Polynomial) for c in quotient)
 
 
 @settings(max_examples=50, derandomize=True, deadline=None)

@@ -8,6 +8,7 @@ import pytest
 from cauchykit import verifier
 from cauchykit.cauchy import cauchy_hi_poly1, cauchy_hi_poly2
 from cauchykit.polynomial import Polynomial
+from cauchykit.series import PowerSeries
 from cauchykit.verifier import (
     FAIL,
     PASS,
@@ -204,18 +205,28 @@ def test_text_rendering_mentions_failures():
 
 
 def test_t13_builds_each_connection_matrix_once(monkeypatch):
-    # the printed and the corrected reading share one matrix per (alpha, k)
+    # the printed and the corrected reading share one matrix per (alpha, k),
+    # and every matrix reads the one reversion of f = e^t - 1
     calls = []
-    original = verifier.connection_coeffs
+    original = verifier._connection_rows
 
     def counting(*args):
         calls.append(args[-1])
         return original(*args)
 
-    monkeypatch.setattr(verifier, "connection_coeffs", counting)
+    reverts = []
+    original_revert = PowerSeries.revert
+
+    def counting_revert(self):
+        reverts.append(self.order)
+        return original_revert(self)
+
+    monkeypatch.setattr(verifier, "_connection_rows", counting)
+    monkeypatch.setattr(PowerSeries, "revert", counting_revert)
     report = verify(CheckId.T13)
     assert report.status == PASS_WITH_CORRECTION
     assert len(calls) == DEFAULT_GRID.k_max * DEFAULT_GRID.alpha_max == 12
+    assert len(reverts) == 1
 
 
 def test_t13_builds_each_bernoulli_basis_once(monkeypatch):
