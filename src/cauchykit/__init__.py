@@ -26,7 +26,7 @@ from .cauchy import (
     poly_cauchy_poly2,
     product_integrate,
 )
-from .polynomial import Polynomial, falling_factorial, interpolate, rising_factorial
+from .polynomial import Polynomial, falling_factorial, rising_factorial
 from .rational import format_rational, parse_rational, rational
 from .series import (
     PowerSeries,

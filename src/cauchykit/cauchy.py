@@ -101,13 +101,13 @@ def product_integrate(p: Polynomial, k: int) -> Fraction:
 
     Integrating one coordinate of p(v*x) in closed form maps the coefficient
     of v^m to itself divided by m+1, so k rounds read at v = 1 give the
-    closed form sum_m c_m/(m+1)^k.  It is summed on ints over
-    lcm(1..deg+1)^k, with one ``Fraction`` at the end, from p's own
-    coefficients: no Stirling numbers are read.
+    closed form sum_m c_m/(m+1)^k.  It is summed over lcm(1..deg+1)^k on
+    p's own int numerators, with one ``Fraction`` at the end: no Stirling
+    numbers are read.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    nums, den = _over_common_denominator(p.coeffs)
+    nums, den = p.numerators, p.denominator
     scale = lcm(*range(1, len(nums) + 1)) ** k
     return Fraction(sum(v * (scale // (m + 1) ** k) for m, v in enumerate(nums)), den * scale)
 
@@ -132,7 +132,7 @@ def poly_cauchy(kind: CauchyKind, n: int, k: int) -> Fraction:
 def poly_cauchy_poly(kind: CauchyKind, n: int, k: int, z: Fraction) -> Fraction:
     """Poly-Cauchy polynomial value, sum_m row(n,m) sum_i C(m,i)(-z)^i/(m-i+1)^k.
 
-    The z^i coefficients are summed on ints over lcm(1..n+1)^k, then read at z by Horner.
+    The (-z)^i coefficients are summed on ints over lcm(1..n+1)^k, then read at -z by Horner.
     """
     _check_poly_args(n, k)
     z = _as_fraction(z)
@@ -142,7 +142,7 @@ def poly_cauchy_poly(kind: CauchyKind, n: int, k: int, z: Fraction) -> Fraction:
         if c:
             for i in range(m + 1):
                 coeffs[i] += c * comb(m, i) * (den // (m - i + 1) ** k)
-    return Polynomial([Fraction((-1) ** i * v, den) for i, v in enumerate(coeffs)]).evaluate(z)
+    return Polynomial.from_numerators(coeffs, den).evaluate(-z)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -290,8 +290,8 @@ def cauchy_hi_poly_sum(kind: CauchyKind, n: int, k: int) -> Polynomial:
         (-x)^(l-j) / ((j_1+1)...(j_k+1)),
 
     with the composition sum folded into the cube volume of degree j.  The
-    volumes go over one denominator, so the sum runs on ints and builds one
-    ``Fraction`` per coefficient.
+    volumes go over one denominator, so the sum runs on ints and gives the
+    polynomial's numerators over that denominator.
     """
     _check_poly_args(n, k)
     volumes, den = _over_common_denominator([_sum_power_volume(j, k) for j in range(n + 1)])
@@ -301,7 +301,7 @@ def cauchy_hi_poly_sum(kind: CauchyKind, n: int, k: int) -> Polynomial:
             continue
         for j in range(l + 1):
             coeffs[l - j] += c * comb(l, j) * volumes[j] * (-1) ** (l - j)
-    return Polynomial([Fraction(v, den) for v in coeffs])
+    return Polynomial.from_numerators(coeffs, den)
 
 
 def cauchy_hi_poly_bridge(kind: CauchyKind, n: int, k: int) -> Polynomial:

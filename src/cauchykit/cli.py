@@ -62,7 +62,8 @@ TRIANGLE_FAMILIES = ("stirling1", "stirling2")
 POLY_FAMILIES = ("cauchy_hi_poly1", "cauchy_hi_poly2", "bernoulli_hi_poly")
 
 _SERIES_REGISTRY_HELP = ("log1p", "exp_m1", "cauchy1_gf", "cauchy2_gf", "bernoulli_gf(alpha)")
-_BERNOULLI_GF_RE = re.compile(r"^bernoulli_gf\((-?\d+)\)$")
+_BERNOULLI_GF_RE = re.compile(r"^bernoulli_gf\((-?[0-9]+)\)$")
+_ASCII_INT_RE = re.compile(r"-?[0-9]+")
 
 # Exact integer arithmetic for the triangles: any result that would have to
 # be rounded raises instead of printing a wrong digit.
@@ -85,6 +86,17 @@ def _unlimited_int_text():
         yield
     finally:
         setter(previous)
+
+
+def _ascii_int(text: str) -> int:
+    """-?[0-9]+ within surrounding spaces, the digits ``parse_rational`` reads.
+
+    ``int()`` would also take other scripts' digits, underscores and "+";
+    the error reads as argparse's own for ``type=int``.
+    """
+    if not _ASCII_INT_RE.fullmatch(text.strip()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def _emit(text: str) -> None:
@@ -230,7 +242,6 @@ def _cmd_series(args, parser) -> int:
 # -- verify -------------------------------------------------------------------
 
 _GRID_KEYS = {"n": "n_max", "k": "k_max", "alpha": "alpha_max"}
-_GRID_VALUE_RE = re.compile(r"-?[0-9]+")
 
 
 def _parse_grid(text: str | None, defaults: dict, parser) -> Grid:
@@ -248,9 +259,10 @@ def _parse_grid(text: str | None, defaults: dict, parser) -> Grid:
             if key in seen:
                 parser.error(f"repeated --grid key {key!r}")
             seen.add(key)
-            if not _GRID_VALUE_RE.fullmatch(raw.strip()):
+            try:
+                values[_GRID_KEYS[key]] = _ascii_int(raw)
+            except argparse.ArgumentTypeError:
                 parser.error(f"bad --grid value {raw!r}")
-            values[_GRID_KEYS[key]] = int(raw)
     return Grid(**values)
 
 
@@ -310,23 +322,23 @@ def build_parser() -> argparse.ArgumentParser:
     table = sub.add_parser("table", help="tabulate a number family or Stirling triangle")
     table.add_argument("--family", required=True,
                        choices=NUMBER_FAMILIES + TRIANGLE_FAMILIES)
-    table.add_argument("--order", type=int, default=None,
+    table.add_argument("--order", type=_ascii_int, default=None,
                        help="k parameter for the higher-order/poly families")
-    table.add_argument("--alpha", type=int, default=None,
+    table.add_argument("--alpha", type=_ascii_int, default=None,
                        help="order for the bernoulli_hi family")
-    table.add_argument("--n-max", type=int, required=True)
+    table.add_argument("--n-max", type=_ascii_int, required=True)
     table.add_argument("--format", choices=("csv", "json", "text"), default="text")
 
     poly = sub.add_parser("poly", help="print one polynomial, constant term first")
     poly.add_argument("--family", required=True, choices=POLY_FAMILIES)
-    poly.add_argument("--n", type=int, required=True)
-    poly.add_argument("--order", type=int, default=None)
-    poly.add_argument("--alpha", type=int, default=None)
+    poly.add_argument("--n", type=_ascii_int, required=True)
+    poly.add_argument("--order", type=_ascii_int, default=None)
+    poly.add_argument("--alpha", type=_ascii_int, default=None)
     poly.add_argument("--format", choices=("csv", "json", "text"), default="text")
 
     series = sub.add_parser("series", help="print ordinary series coefficients")
     series.add_argument("name", help="registry key: " + ", ".join(_SERIES_REGISTRY_HELP))
-    series.add_argument("--terms", type=int, required=True)
+    series.add_argument("--terms", type=_ascii_int, required=True)
     series.add_argument("--format", choices=("csv", "json", "text"), default="text")
 
     verify = sub.add_parser("verify", help="run identity checks")

@@ -1,8 +1,19 @@
 """Dense univariate polynomials over exact rationals.
 
-Coefficients are stored lowest degree first with no trailing zeros; the zero
-polynomial stores an empty tuple.  All operations are pure and exact, and
-instances are immutable, so values can be shared freely between threads.
+A polynomial sum_i N_i x^i / D is stored as one tuple of int numerators
+N_0..N_d and one positive int denominator D, in lowest terms:
+gcd(D, N_0, ..., N_d) = 1 and N_d != 0, with the zero polynomial stored as
+((), 1).  This is the layout of FLINT's ``fmpq_poly`` (Hart, ICMS 2010).
+Every operation runs on the ints, and each that returns a polynomial ends
+in the one normalising constructor, ``from_numerators``, which strips
+trailing zeros and divides out one gcd; equality and hashing are plain
+tuple comparisons.  ``coeffs``
+builds the coefficients as ``Fraction`` values on each read.  Instances
+are immutable, so values can be shared freely between threads.
+
+Products are schoolbook convolutions of the numerators; ``shift`` is a
+Taylor shift of the numerators (Ruffini's repeated synthetic division);
+``evaluate`` at a/b runs Horner's scheme on the numerator b^d D p(a/b).
 
 Besides ring arithmetic the module provides the factorial polynomials
 
@@ -10,20 +21,14 @@ Besides ring arithmetic the module provides the factorial polynomials
     rising_factorial(n)  = x(x+1)...(x+n-1)
 
 whose monomial coefficients are the signed and unsigned Stirling numbers of
-the first kind, and exact interpolation (Newton form).
-
-Products, Taylor shifts and evaluation run on Python ints: each operand is
-put over the lcm of its coefficient denominators, the inner loops multiply
-and add numerators only, and one ``Fraction`` is built per output value
-(the design of FLINT's ``fmpq_poly``); ``evaluate`` at a/b runs Horner's
-scheme on the numerator b^d D p(a/b).  Coefficients are still stored, and
-returned, as ``Fraction`` values.
+the first kind.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import zip_longest
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from .rational import _as_fraction
@@ -46,37 +51,48 @@ def _over_common_denominator(cs: Sequence[Fraction]) -> tuple[list[int], int]:
 
 
 class Polynomial:
-    """Immutable dense polynomial with ``Fraction`` coefficients."""
+    """Immutable dense polynomial: int ``numerators`` over one int ``denominator``."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("numerators", "denominator")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        self._store(*_over_common_denominator([_as_fraction(c) for c in coeffs]))
 
     @classmethod
-    def _trusted(cls, cs: Sequence[Fraction]) -> "Polynomial":
-        """Wrap ``Fraction`` coefficients already free of trailing zeros."""
+    def from_numerators(cls, nums: Iterable[int], den: int = 1) -> "Polynomial":
+        """sum_i nums[i] x^i / den, brought to lowest terms; den must be positive."""
         p = object.__new__(cls)
-        object.__setattr__(p, "coeffs", tuple(cs))
+        p._store(nums, den)
         return p
+
+    def _store(self, nums: Iterable[int], den: int) -> None:
+        """Set the slots to nums/den in lowest terms."""
+        nums = list(nums)
+        while nums and not nums[-1]:
+            nums.pop()
+        if den < 1:
+            raise ValueError("the denominator must be a positive int")
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = [v // g for v in nums]
+            den //= g
+        object.__setattr__(self, "numerators", tuple(nums))
+        object.__setattr__(self, "denominator", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
     @classmethod
     def zero(cls) -> "Polynomial":
-        return cls()
+        return cls.from_numerators(())
 
     @classmethod
     def one(cls) -> "Polynomial":
-        return cls((1,))
+        return cls.from_numerators((1,))
 
     @classmethod
     def x(cls) -> "Polynomial":
-        return cls((0, 1))
+        return cls.from_numerators((0, 1))
 
     @classmethod
     def monomial(cls, exponent: int, coefficient: Scalar = 1) -> "Polynomial":
@@ -85,17 +101,23 @@ class Polynomial:
         return cls((0,) * exponent + (coefficient,))
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients, lowest degree first, as ``Fraction`` values built on each read."""
+        den = self.denominator
+        return tuple(Fraction(v, den) for v in self.numerators)
+
+    @property
     def degree(self) -> int:
         """Degree, with -1 standing in for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.numerators) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.numerators
 
     def coefficient(self, exponent: int) -> Fraction:
         """Coefficient of x**exponent (zero beyond the stored degree)."""
-        if 0 <= exponent < len(self.coeffs):
-            return self.coeffs[exponent]
+        if 0 <= exponent < len(self.numerators):
+            return Fraction(self.numerators[exponent], self.denominator)
         return Fraction(0)
 
     @property
@@ -104,9 +126,9 @@ class Polynomial:
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.numerators:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.coefficient(self.degree)
 
     # -- ring arithmetic ---------------------------------------------------
 
@@ -114,18 +136,17 @@ class Polynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+        da, db = self.denominator, other.denominator
+        den = lcm(da, db)
+        sa, sb = den // da, den // db
+        return Polynomial.from_numerators(
+            [a * sa + b * sb
+             for a, b in zip_longest(self.numerators, other.numerators, fillvalue=0)], den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(tuple(-c for c in self.coeffs))
+        return Polynomial.from_numerators([-v for v in self.numerators], self.denominator)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -142,29 +163,22 @@ class Polynomial:
     def __mul__(self, other):
         """Product with a scalar or a polynomial.
 
-        Two polynomials are multiplied as integer numerator vectors over
-        their common denominators Da and Db (schoolbook convolution on
-        Python ints), then each output coefficient becomes one
-        ``Fraction(v, Da*Db)``.
+        Two polynomials are multiplied as their numerator vectors
+        (schoolbook convolution on Python ints) over the product of the
+        denominators.
         """
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return Polynomial()
-            return Polynomial._trusted([c * other for c in self.coeffs])
+            return Polynomial.from_numerators([v * other.numerator for v in self.numerators],
+                                              self.denominator * other.denominator)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return Polynomial()
-        na, da = _over_common_denominator(self.coeffs)
-        nb, db = _over_common_denominator(other.coeffs)
+        na, nb = self.numerators, other.numerators
         out = [0] * (len(na) + len(nb) - 1)
         for i, a in enumerate(na):
             if a:
                 for j, b in enumerate(nb, i):
                     out[j] += a * b
-        den = da * db
-        # Leading coefficients are nonzero, so their product is too.
-        return Polynomial._trusted([Fraction(v, den) for v in out])
+        return Polynomial.from_numerators(out, self.denominator * other.denominator)
 
     __rmul__ = __mul__
 
@@ -200,14 +214,13 @@ class Polynomial:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self.coeffs == Polynomial((other,)).coeffs
-        return NotImplemented
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.denominator == other.denominator and self.numerators == other.numerators
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.numerators, self.denominator))
 
     # -- calculus and substitution -----------------------------------------
 
@@ -219,38 +232,36 @@ class Polynomial:
         ``Fraction`` is built at the end.
         """
         point = _as_fraction(point)
-        if not self.coeffs:
+        nums = self.numerators
+        if not nums:
             return Fraction(0)
         a, b = point.numerator, point.denominator
-        nums, den = _over_common_denominator(self.coeffs)
         acc = nums[-1]
         scale = 1
         for c in reversed(nums[:-1]):
             scale *= b
             acc = acc * a + c * scale
-        return Fraction(acc, den * scale)
+        return Fraction(acc, self.denominator * scale)
 
     def shift(self, offset: Scalar) -> "Polynomial":
-        """p(x + offset), computed on Python ints over one common denominator.
+        """p(x + offset), computed on the numerators.
 
-        With p = sum_i N_i x^i / D (D the lcm of the coefficient
-        denominators), degree d and offset a/b, the x^j coefficient is
+        With p = sum_i N_i x^i / D, degree d and offset a/b, the x^j
+        coefficient is
 
             sum_i N_i C(i,j) a^(i-j) b^(d-i+j) / (D b^d).
 
         The numerators come from a Taylor shift by the integer a of
         r(y) = sum_i N_i b^(d-i) y^i (Ruffini's repeated synthetic division,
         d(d+1)/2 integer multiply-adds): r(y + a) = b^d D p((y + a)/b), so
-        its y^j coefficient times b^j is the numerator above.  One
-        ``Fraction`` is built per output coefficient.
+        its y^j coefficient times b^j is the numerator above.
         """
         offset = _as_fraction(offset)
-        cs = self.coeffs
-        if offset == 0 or not cs:
+        r = list(self.numerators)
+        if offset == 0 or not r:
             return self
         a, b = offset.numerator, offset.denominator
-        d = len(cs) - 1
-        r, den = _over_common_denominator(cs)
+        d = len(r) - 1
         scale = 1
         for i in range(d, -1, -1):
             r[i] *= scale
@@ -258,24 +269,28 @@ class Polynomial:
         for i in range(d):
             for j in range(d - 1, i - 1, -1):
                 r[j] += a * r[j + 1]
-        total = den * b ** d
-        out = []
         scale = 1
-        for rj in r:
-            out.append(Fraction(rj * scale, total))
+        for j in range(d + 1):
+            r[j] *= scale
             scale *= b
-        return Polynomial._trusted(out)
+        return Polynomial.from_numerators(r, self.denominator * b ** d)
 
     def reflect(self) -> "Polynomial":
         """p(-x): sign flip on odd powers."""
-        return Polynomial(tuple(c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)))
+        return Polynomial.from_numerators(
+            [-v if i % 2 else v for i, v in enumerate(self.numerators)], self.denominator)
 
     def derivative(self) -> "Polynomial":
-        return Polynomial(tuple(c * i for i, c in enumerate(self.coeffs) if i >= 1))
+        nums = self.numerators
+        return Polynomial.from_numerators([i * nums[i] for i in range(1, len(nums))],
+                                          self.denominator)
 
     def antiderivative(self) -> "Polynomial":
-        """The antiderivative P with P' = p and P(0) = 0."""
-        return Polynomial((Fraction(0),) + tuple(c / (i + 1) for i, c in enumerate(self.coeffs)))
+        """The antiderivative P with P' = p and P(0) = 0, over D lcm(1..d+1)."""
+        nums = self.numerators
+        scale = lcm(*range(1, len(nums) + 1))
+        return Polynomial.from_numerators(
+            [0] + [v * (scale // (i + 1)) for i, v in enumerate(nums)], self.denominator * scale)
 
     # -- presentation --------------------------------------------------------
 
@@ -283,7 +298,7 @@ class Polynomial:
         return f"Polynomial({list(self.coeffs)!r})"
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.numerators:
             return "0"
         parts = []
         for i, c in enumerate(self.coeffs):
@@ -307,7 +322,7 @@ def _coerce(value):
     if isinstance(value, Polynomial):
         return value
     if isinstance(value, (int, Fraction)):
-        return Polynomial((value,))
+        return Polynomial.from_numerators((value.numerator,), value.denominator)
     return NotImplemented
 
 
@@ -317,7 +332,7 @@ def falling_factorial(n: int) -> Polynomial:
         raise ValueError("n must be nonnegative")
     result = Polynomial.one()
     for i in range(n):
-        result = result * Polynomial((-i, 1))
+        result = result * Polynomial.from_numerators((-i, 1))
     return result
 
 
@@ -327,40 +342,5 @@ def rising_factorial(n: int) -> Polynomial:
         raise ValueError("n must be nonnegative")
     result = Polynomial.one()
     for i in range(n):
-        result = result * Polynomial((i, 1))
+        result = result * Polynomial.from_numerators((i, 1))
     return result
-
-
-def interpolate(points: Sequence[tuple[Scalar, Scalar]]) -> Polynomial:
-    """Exact interpolation through distinct sample points, in Newton form.
-
-    The divided differences c_i = f[x_0, ..., x_i] take n(n-1)/2 scalar
-    subtractions and divisions; the polynomial
-
-        c_0 + (x - x_0)(c_1 + (x - x_1)(c_2 + ...))
-
-    is then expanded by Horner's scheme over the linear factors, O(n) per
-    factor.  Both stages are O(n^2) scalar operations.  No points give the
-    zero polynomial; repeated nodes raise ``ValueError``.
-    """
-    xs = [_as_fraction(p[0]) for p in points]
-    ys = [_as_fraction(p[1]) for p in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("interpolation nodes must be distinct")
-    n = len(xs)
-    if n == 0:
-        return Polynomial.zero()
-    c = list(ys)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - j])
-    acc = [c[n - 1]]
-    for i in range(n - 2, -1, -1):
-        xi = xs[i]
-        # acc * (x - xi) + c[i], coefficient by coefficient
-        nxt = [c[i] - xi * acc[0]]
-        for m in range(1, len(acc)):
-            nxt.append(acc[m - 1] - xi * acc[m])
-        nxt.append(acc[-1])
-        acc = nxt
-    return Polynomial(acc)

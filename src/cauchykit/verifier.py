@@ -182,6 +182,7 @@ def _fmt(value) -> str:
 # failure is the lexicographically minimal one for that ordering.
 
 def _cases_t1(grid: Grid) -> Iterator[Case]:
+    """T1: order-k first-kind numbers equal Bernoulli values B_n^(n-k+1)(1)."""
     for n in grid.ns():
         for k in grid.ks():
             yield ({"n": n, "k": k},
@@ -190,6 +191,7 @@ def _cases_t1(grid: Grid) -> Iterator[Case]:
 
 
 def _cases_t2(grid: Grid) -> Iterator[Case]:
+    """T2: multinomial convolution and Stirling sum both give the defining integral."""
     for n in grid.ns():
         for k in grid.ks():
             oracle = cauchy_hi1(n, k, CauchyMethod.INTEGRAL_ORACLE)
@@ -200,6 +202,7 @@ def _cases_t2(grid: Grid) -> Iterator[Case]:
 
 
 def _cases_t3(grid: Grid) -> Iterator[Case]:
+    """T3: S2(m+k,k) from binomially weighted first-kind numbers (both displays)."""
     for m in grid.ns():
         for k in grid.ks():
             lhs = Fraction(stirling2(m + k, k))
@@ -213,7 +216,10 @@ def _cases_t3(grid: Grid) -> Iterator[Case]:
 
 
 def _cases_poly_paths(grid: Grid, kind: CauchyKind) -> Iterator[Case]:
-    # T4 (first kind) and T7 (second kind)
+    """T4: first-kind polynomials: triple sum and B_n^(n-k+1)(1-x) and the integral.
+
+    T7: second-kind polynomials: triple sum and B_n^(n-k+1)(x-k+1) and the integral.
+    """
     for n in grid.ns():
         for k in grid.ks():
             by_sum = cauchy_hi_poly_sum(kind, n, k)
@@ -237,6 +243,7 @@ def _s2_weights(m: int, k: int) -> Polynomial:
 
 
 def _cases_t5(grid: Grid) -> Iterator[Case]:
+    """T5: first-kind polynomial / S2 resummation identity."""
     for m in grid.ns():
         for k in grid.ks():
             rhs = Polynomial.zero()
@@ -246,6 +253,7 @@ def _cases_t5(grid: Grid) -> Iterator[Case]:
 
 
 def _cases_t6(grid: Grid) -> Iterator[Case]:
+    """T6: second-kind numbers / S2 resummation identity with (-k) powers."""
     for n in grid.ns():
         for k in grid.ks():
             lhs = sum((Fraction(comb(n, m), comb(k + m, m)) * stirling2(k + m, k)
@@ -256,6 +264,7 @@ def _cases_t6(grid: Grid) -> Iterator[Case]:
 
 
 def _cases_t8(grid: Grid) -> Iterator[Case]:
+    """T8: second-kind polynomial / S2 resummation identity with (x-k) powers."""
     for m in grid.ns():
         for k in grid.ks():
             lhs = Polynomial.zero()
@@ -265,8 +274,10 @@ def _cases_t8(grid: Grid) -> Iterator[Case]:
 
 
 def _cases_reciprocity(grid: Grid, kind: CauchyKind) -> Iterator[Case]:
-    # T9 (first kind on the left) and T10 (second kind on the left); the
-    # right-hand side sums polynomials of the other kind
+    """T9: reciprocity: (-1)^n C_n^(k)(x)/n! as a binomial sum of second-kind terms.
+
+    T10: reciprocity: (-1)^n Chat_n^(k)(x)/n! as a binomial sum of first-kind terms.
+    """
     poly, other = ((cauchy_hi_poly1, cauchy_hi_poly2) if kind is CauchyKind.FIRST
                    else (cauchy_hi_poly2, cauchy_hi_poly1))
     for n in grid.ns():
@@ -281,6 +292,7 @@ def _cases_reciprocity(grid: Grid, kind: CauchyKind) -> Iterator[Case]:
 
 
 def _cases_l11(grid: Grid) -> Iterator[Case]:
+    """L11: difference equations n*C_(n-1)^(k)(x) = C_n^(k)(x-1) - C_n^(k)(x), both kinds."""
     for n in grid.ns():
         for k in grid.ks():
             first = cauchy_hi_poly1(n, k)
@@ -320,8 +332,13 @@ def _operator_weights(n: int, k: int) -> Polynomial:
 
 
 def _cases_umbral(grid: Grid, weights_of: Callable[[int, int], Polynomial]) -> Iterator[Case]:
-    # T12 and EQ59_61; the printed first-kind sign carries a stray (-1)^k,
-    # the corrected reading drops it
+    """T12: umbral closed forms of both polynomial kinds in the monomial/(x-k) bases.
+
+    EQ59_61: operator expansions behind the umbral closed forms, as printed.
+
+    The printed first-kind sign carries a stray (-1)^k; the corrected
+    reading drops it.
+    """
     for n in grid.ns():
         for k in grid.ks():
             weights = weights_of(n, k)
@@ -362,9 +379,12 @@ def _t13_coefficients(n_max: int, k: int, alpha: int) -> list[list[Fraction]]:
 
 
 def _cases_t13(grid: Grid) -> Iterator[Case]:
-    # Per (alpha, k): the Sheffer connection matrix and the coefficient
-    # table, which share no code path with each other.  The printed reading
-    # resums with B_n^(alpha), the corrected one with B_m^(alpha).
+    """T13: second-kind polynomials expanded in Bernoulli polynomials of order alpha.
+
+    Per (alpha, k): the Sheffer connection matrix and the coefficient
+    table, which share no code path with each other.  The printed reading
+    resums with B_n^(alpha), the corrected one with B_m^(alpha).
+    """
     if grid.n_max < 0:
         return
     order = grid.n_max + 2
@@ -392,6 +412,7 @@ def _cases_t13(grid: Grid) -> Iterator[Case]:
 
 
 def _cases_eq6(grid: Grid) -> Iterator[Case]:
+    """EQ6: powers of log(1+t) generate signed first-kind Stirling numbers."""
     order = grid.n_max + 3
     for n in grid.ns():
         power = log1p_series(order) ** n
@@ -402,6 +423,7 @@ def _cases_eq6(grid: Grid) -> Iterator[Case]:
 
 
 def _cases_eq7(grid: Grid) -> Iterator[Case]:
+    """EQ7: powers of e^t-1 generate second-kind Stirling numbers."""
     order = grid.n_max + 3
     for n in grid.ns():
         power = expm1_series(order) ** n
@@ -412,7 +434,10 @@ def _cases_eq7(grid: Grid) -> Iterator[Case]:
 
 
 def _cases_eq19_28(grid: Grid, shift: int) -> Iterator[Case]:
-    # EQ19 (shift 0, (1+t)^(x-1)) and EQ28 (shift 1, (1+t)^x)
+    """EQ19 (shift 0): (t/log(1+t))^e (1+t)^(x-1) generates B_j^(j-e+1)(x).
+
+    EQ28 (shift 1): (t/log(1+t))^e (1+t)^x generates B_j^(j-e+1)(x+1).
+    """
     if grid.n_max < 0:
         return
     order = grid.n_max + 1
@@ -425,7 +450,10 @@ def _cases_eq19_28(grid: Grid, shift: int) -> Iterator[Case]:
 
 
 def _cases_sheffer(grid: Grid, kind: CauchyKind) -> Iterator[Case]:
-    # EQ52 (first kind) and EQ53 (second kind)
+    """EQ52: first-kind polynomials are the Sheffer sequence for ((t/(1-e^-t))^k, e^-t-1).
+
+    EQ53: second-kind polynomials are the Sheffer sequence for ((te^t/(e^t-1))^k, e^t-1).
+    """
     if grid.n_max < 0:
         return
     poly = cauchy_hi_poly1 if kind is CauchyKind.FIRST else cauchy_hi_poly2
@@ -450,6 +478,7 @@ def _apply_series_operator(op: PowerSeries, p: Polynomial) -> Polynomial:
 
 
 def _cases_eq58(grid: Grid) -> Iterator[Case]:
+    """EQ58: (t/(1-e^-t))^k maps C_n^(k)(x) to the signed rising factorial."""
     if grid.n_max < 0:
         return
     for k in grid.ks():
@@ -464,8 +493,11 @@ def _cases_eq58(grid: Grid) -> Iterator[Case]:
 
 
 def _cases_polyc(grid: Grid) -> Iterator[Case]:
-    # The defining-integral index is read as n throughout (the printed index
-    # m is unbound); the oracle never touches Stirling numbers.
+    """POLYC_ORACLE: poly-Cauchy explicit formulas against the product-integral oracle.
+
+    The defining-integral index is read as n throughout (the printed index
+    m is unbound); the oracle never touches Stirling numbers.
+    """
     for n in grid.ns():
         ff = falling_factorial(n)
         for k in grid.ks():
@@ -483,75 +515,46 @@ def _cases_polyc(grid: Grid) -> Iterator[Case]:
 
 @dataclass(frozen=True)
 class _Check:
-    """One registry entry: what the check states and how its cases are built.
+    """One registry entry: how a check's cases are built, and its readings.
 
-    ``correction`` tags the corrected reading that the 4-tuple cases carry;
-    it is reported only when the printed form fails.  ``structural`` tags a
-    reading applied before anything can run, because the printed form is
-    not executable (an unbound index); such a check never reports a plain
+    The statement checked is the docstring of ``cases``.  ``correction``
+    tags the corrected reading that the 4-tuple cases carry; it is reported
+    only when the printed form fails.  ``structural`` tags a reading
+    applied before anything can run, because the printed form is not
+    executable (an unbound index); such a check never reports a plain
     pass.  Each reading is an evident-typo fix, never a silent repair.
     """
 
-    summary: str
     cases: Callable[[Grid], Iterator[Case]]
     correction: str | None = None
     structural: str | None = None
 
 
 _CHECKS: dict[CheckId, _Check] = {
-    CheckId.T1: _Check(
-        "order-k first-kind numbers equal Bernoulli values B_n^(n-k+1)(1)", _cases_t1),
-    CheckId.T2: _Check(
-        "multinomial convolution and Stirling sum both give the defining integral", _cases_t2),
-    CheckId.T3: _Check(
-        "S2(m+k,k) from binomially weighted first-kind numbers (both displays)", _cases_t3),
-    CheckId.T4: _Check(
-        "first-kind polynomials: triple sum and B_n^(n-k+1)(1-x) and the integral",
-        partial(_cases_poly_paths, kind=CauchyKind.FIRST)),
-    CheckId.T5: _Check("first-kind polynomial / S2 resummation identity", _cases_t5),
-    CheckId.T6: _Check(
-        "second-kind numbers / S2 resummation identity with (-k) powers", _cases_t6),
-    CheckId.T7: _Check(
-        "second-kind polynomials: triple sum and B_n^(n-k+1)(x-k+1) and the integral",
-        partial(_cases_poly_paths, kind=CauchyKind.SECOND)),
-    CheckId.T8: _Check(
-        "second-kind polynomial / S2 resummation identity with (x-k) powers", _cases_t8),
-    CheckId.T9: _Check(
-        "reciprocity: (-1)^n C_n^(k)(x)/n! as a binomial sum of second-kind terms",
-        partial(_cases_reciprocity, kind=CauchyKind.FIRST)),
-    CheckId.T10: _Check(
-        "reciprocity: (-1)^n Chat_n^(k)(x)/n! as a binomial sum of first-kind terms",
-        partial(_cases_reciprocity, kind=CauchyKind.SECOND)),
-    CheckId.L11: _Check(
-        "difference equations n*C_(n-1)^(k)(x) = C_n^(k)(x-1) - C_n^(k)(x), both kinds",
-        _cases_l11),
-    CheckId.T12: _Check(
-        "umbral closed forms of both polynomial kinds in the monomial/(x-k) bases",
-        partial(_cases_umbral, weights_of=_umbral_weights), correction=TAG_SIGN_FIRST_KIND),
-    CheckId.T13: _Check(
-        "second-kind polynomials expanded in Bernoulli polynomials of order alpha",
-        _cases_t13, correction=TAG_T13_INDEX),
-    CheckId.EQ6: _Check(
-        "powers of log(1+t) generate signed first-kind Stirling numbers", _cases_eq6),
-    CheckId.EQ7: _Check("powers of e^t-1 generate second-kind Stirling numbers", _cases_eq7),
-    CheckId.EQ19: _Check(
-        "(t/log(1+t))^e (1+t)^(x-1) generates B_j^(j-e+1)(x)", partial(_cases_eq19_28, shift=0)),
-    CheckId.EQ28: _Check(
-        "(t/log(1+t))^e (1+t)^x generates B_j^(j-e+1)(x+1)", partial(_cases_eq19_28, shift=1)),
-    CheckId.EQ52: _Check(
-        "first-kind polynomials are the Sheffer sequence for ((t/(1-e^-t))^k, e^-t-1)",
-        partial(_cases_sheffer, kind=CauchyKind.FIRST)),
-    CheckId.EQ53: _Check(
-        "second-kind polynomials are the Sheffer sequence for ((te^t/(e^t-1))^k, e^t-1)",
-        partial(_cases_sheffer, kind=CauchyKind.SECOND)),
-    CheckId.EQ58: _Check(
-        "(t/(1-e^-t))^k maps C_n^(k)(x) to the signed rising factorial", _cases_eq58),
-    CheckId.EQ59_61: _Check(
-        "operator expansions behind the umbral closed forms, as printed",
-        partial(_cases_umbral, weights_of=_operator_weights), correction=TAG_SIGN_FIRST_KIND),
-    CheckId.POLYC_ORACLE: _Check(
-        "poly-Cauchy explicit formulas against the product-integral oracle",
-        _cases_polyc, structural=TAG_POLYC_INDEX),
+    CheckId.T1: _Check(_cases_t1),
+    CheckId.T2: _Check(_cases_t2),
+    CheckId.T3: _Check(_cases_t3),
+    CheckId.T4: _Check(partial(_cases_poly_paths, kind=CauchyKind.FIRST)),
+    CheckId.T5: _Check(_cases_t5),
+    CheckId.T6: _Check(_cases_t6),
+    CheckId.T7: _Check(partial(_cases_poly_paths, kind=CauchyKind.SECOND)),
+    CheckId.T8: _Check(_cases_t8),
+    CheckId.T9: _Check(partial(_cases_reciprocity, kind=CauchyKind.FIRST)),
+    CheckId.T10: _Check(partial(_cases_reciprocity, kind=CauchyKind.SECOND)),
+    CheckId.L11: _Check(_cases_l11),
+    CheckId.T12: _Check(partial(_cases_umbral, weights_of=_umbral_weights),
+                        correction=TAG_SIGN_FIRST_KIND),
+    CheckId.T13: _Check(_cases_t13, correction=TAG_T13_INDEX),
+    CheckId.EQ6: _Check(_cases_eq6),
+    CheckId.EQ7: _Check(_cases_eq7),
+    CheckId.EQ19: _Check(partial(_cases_eq19_28, shift=0)),
+    CheckId.EQ28: _Check(partial(_cases_eq19_28, shift=1)),
+    CheckId.EQ52: _Check(partial(_cases_sheffer, kind=CauchyKind.FIRST)),
+    CheckId.EQ53: _Check(partial(_cases_sheffer, kind=CauchyKind.SECOND)),
+    CheckId.EQ58: _Check(_cases_eq58),
+    CheckId.EQ59_61: _Check(partial(_cases_umbral, weights_of=_operator_weights),
+                            correction=TAG_SIGN_FIRST_KIND),
+    CheckId.POLYC_ORACLE: _Check(_cases_polyc, structural=TAG_POLYC_INDEX),
 }
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cauchykit import cauchy
+from cauchykit import cauchy, polynomial
 from cauchykit.cauchy import (
     CauchyKind,
     CauchyMethod,
@@ -28,9 +28,10 @@ from cauchykit.cauchy import (
     product_integrate,
 )
 from cauchykit.bernoulli import bernoulli_hi_poly
-from cauchykit.polynomial import Polynomial, falling_factorial, interpolate
+from cauchykit.polynomial import Polynomial, falling_factorial
 from cauchykit.stirling import stirling1_signed, stirling1_unsigned
 from combinatorial_reference import compositions, multinomial
+from interpolation_reference import interpolate
 
 F = Fraction
 
@@ -283,6 +284,27 @@ def test_product_integrate_needs_no_stirling_numbers(monkeypatch):
     ff = falling_factorial(4)
     assert product_integrate(ff, 1) == F(-19, 30)
     assert product_integrate(ff.shift(F(-1, 2)), 3) == antiderivative_rounds(ff.shift(F(-1, 2)), 3)
+
+
+def test_kernels_run_on_the_stored_numerators(monkeypatch):
+    # The polynomials are built first: the constructor from scalars may convert.
+    p = Polynomial((F(1, 3), -2, 0, F(5, 7)))
+    q = falling_factorial(5).reflect()
+
+    def run():
+        return (p * q, p * F(-2, 3), p.shift(F(1, 2)), p.evaluate(F(-3, 5)), p + q,
+                p.reflect(), p.antiderivative(), product_integrate(p, 3),
+                cauchy.poly_cauchy_poly(CauchyKind.FIRST, 6, 2, F(1, 3)),
+                cauchy.poly_cauchy_poly(CauchyKind.SECOND, 6, 2, F(-2, 5)))
+
+    expected = run()
+
+    def forbidden(*args):
+        raise AssertionError("a kernel put Fraction coefficients over a common denominator")
+
+    monkeypatch.setattr(polynomial, "_over_common_denominator", forbidden)
+    monkeypatch.setattr(cauchy, "_over_common_denominator", forbidden)
+    assert run() == expected
 
 
 def fraction_loop_convolution(n, k):

@@ -238,6 +238,33 @@ def test_grid_values_are_ascii_integers_and_keys_unique(capsys, grid, message):
     assert err.splitlines()[-1].endswith(message)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["table", "--family", "cauchy1", "--n-max", "٣"], "invalid int value: '٣'"),
+    (["table", "--family", "cauchy1", "--n-max", "1_0"], "invalid int value: '1_0'"),
+    (["table", "--family", "cauchy1", "--n-max", "+3"], "invalid int value: '+3'"),
+    (["table", "--family", "cauchy_hi1", "--order", "٢", "--n-max", "3"],
+     "invalid int value: '٢'"),
+    (["table", "--family", "bernoulli_hi", "--alpha", "-١", "--n-max", "3"],
+     "invalid int value: '-١'"),
+    (["poly", "--family", "bernoulli_hi_poly", "--n", "٢", "--alpha", "1"],
+     "invalid int value: '٢'"),
+    (["poly", "--family", "cauchy_hi_poly1", "--n", "2", "--order", "２"],
+     "invalid int value: '２'"),
+    (["series", "log1p", "--terms", "３"], "invalid int value: '３'"),
+    (["series", "bernoulli_gf(٣)", "--terms", "3"], "unknown series 'bernoulli_gf(٣)'"),
+], ids=["n-max arabic-indic", "n-max underscore", "n-max plus sign", "order arabic-indic",
+        "alpha arabic-indic", "n arabic-indic", "order fullwidth", "terms fullwidth",
+        "bernoulli_gf arabic-indic"])
+def test_integer_options_take_only_ascii_digits(capsys, argv, message):
+    # int() accepts all of these, which printed a table for n_max = 3
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    err = capsys.readouterr().err
+    assert excinfo.value.code == 2
+    assert err.startswith("usage: cauchykit")
+    assert message in err.splitlines()[-1]
+
+
 def test_grid_accepts_negative_and_padded_values(capsys):
     code, out = run_cli(capsys, "verify", "--checks", "T1", "--grid", "n=-1, k= 2",
                         "--format", "json")

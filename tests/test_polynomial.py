@@ -2,18 +2,15 @@
 
 from decimal import Decimal
 from fractions import Fraction
-from math import comb, factorial
+from itertools import zip_longest
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cauchykit.polynomial import (
-    Polynomial,
-    falling_factorial,
-    interpolate,
-    rising_factorial,
-)
+from cauchykit.polynomial import Polynomial, falling_factorial, rising_factorial
+from interpolation_reference import interpolate
 
 X = Polynomial.x()
 
@@ -266,3 +263,121 @@ def test_evaluate_matches_fraction_horner(p, point):
     value = p.evaluate(point)
     assert type(value) is Fraction
     assert value == fraction_loop_evaluate(p, Fraction(point))
+
+
+# -- every operation on the (numerators, denominator) layout against Fraction lists --
+
+def stripped(cs):
+    """Reference coefficients: ``Fraction`` values, trailing zeros dropped."""
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def assert_lowest_terms(p):
+    nums, den = p.numerators, p.denominator
+    assert type(den) is int and den > 0
+    assert all(type(v) is int for v in nums)
+    assert not nums or nums[-1] != 0
+    assert gcd(den, *nums) == 1
+
+
+def reference_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def reference_shift(a, offset):
+    out = [Fraction(0)] * len(a)
+    for i, x in enumerate(a):
+        for j in range(i + 1):
+            out[j] += x * comb(i, j) * Fraction(offset) ** (i - j)
+    return out
+
+
+def reference_evaluate(a, point):
+    acc = Fraction(0)
+    for x in reversed(a):
+        acc = acc * point + x
+    return acc
+
+
+def padded(lists):
+    """Coefficient lists with up to three trailing zeros appended."""
+    return st.tuples(lists, st.integers(0, 3)).map(lambda t: list(t[0]) + [0] * t[1])
+
+
+coeff_lists = padded(st.one_of(
+    st.lists(small_fractions, max_size=7),
+    st.lists(st.integers(-60, 60), max_size=len(PRIMES)).map(
+        lambda nums: [Fraction(v, p) for v, p in zip(nums, PRIMES)]),
+    st.lists(wide_fractions, max_size=9)))
+scalars = st.one_of(st.just(0), st.integers(-50, 50), small_fractions, wide_fractions,
+                    st.fractions(max_value=0, max_denominator=10**6))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(coeff_lists, coeff_lists, scalars, wide_points)
+@example([], [], 0, 0)
+@example([0, 0], [Fraction(1, 2), 0], Fraction(-3, 4), Fraction(1, 3))
+@example([Fraction(5, 6)], [], Fraction(-7, 2), -1)
+@example([Fraction(v, p) for v, p in zip(range(1, 17), PRIMES)], [Fraction(1, 10**6), 0, 3],
+         Fraction(-999_983, 10**6), Fraction(-53, 999_999_999_989))
+def test_every_operation_matches_the_fraction_reference(a, b, c, point):
+    p, q = Polynomial(a), Polynomial(b)
+    ra, rb = stripped(a), stripped(b)
+    pairs = [
+        (p, ra),
+        (p + q, [x + y for x, y in zip_longest(ra, rb, fillvalue=0)]),
+        (p - q, [x - y for x, y in zip_longest(ra, rb, fillvalue=0)]),
+        (-p, [-x for x in ra]),
+        (p + c, [x + y for x, y in zip_longest(ra, (c,), fillvalue=0)]),
+        (c - p, [y - x for x, y in zip_longest(ra, (c,), fillvalue=0)]),
+        (p * c, [x * c for x in ra]),
+        (c * p, [x * c for x in ra]),
+        (p * q, reference_mul(ra, rb)),
+        (p.shift(point), reference_shift(ra, point)),
+        (p.reflect(), [-x if i % 2 else x for i, x in enumerate(ra)]),
+        (p.derivative(), [i * x for i, x in enumerate(ra)][1:]),
+        (p.antiderivative(), [0] + [x / (i + 1) for i, x in enumerate(ra)]),
+    ]
+    if c != 0:
+        pairs.append((p / c, [x / Fraction(c) for x in ra]))
+    for got, expected in pairs:
+        assert_lowest_terms(got)
+        assert got.coeffs == stripped(expected)
+        assert got.degree == len(got.coeffs) - 1
+    assert p.evaluate(point) == reference_evaluate(ra, Fraction(point))
+    assert (p == c) == (ra == stripped([c]))
+    # the same value reached by other routes is equal and hashes equally
+    for other in ((p + q) - q, Polynomial.from_numerators(
+            [v * 6 for v in p.numerators] + [0], p.denominator * 6), Polynomial(ra)):
+        assert other == p and hash(other) == hash(p)
+
+
+def test_layout_edge_cases():
+    zero = Polynomial()
+    assert (zero.numerators, zero.denominator) == ((), 1)
+    for route in (Polynomial([0, Fraction(0, 3)]), Polynomial.from_numerators([0, 0], 7),
+                  Polynomial([5]).derivative(), zero.antiderivative(), X * 0,
+                  X * Fraction(0, 5), X - X):
+        assert (route.numerators, route.denominator) == ((), 1)
+        assert route == 0 and hash(route) == hash(zero)
+    half = Polynomial([Fraction(1, 2), 1, 0])
+    assert (half.numerators, half.denominator) == ((1, 2), 2)
+    assert Polynomial.from_numerators([3, 6, 0, 0], 6) == half
+    assert Polynomial([3]) == 3 and Polynomial([3]) != Fraction(3, 2)
+    assert Polynomial([Fraction(1, 2)]) == Fraction(1, 2) and Polynomial([Fraction(1, 2)]) != 1
+    assert half != Fraction(1, 2) and Polynomial() == 0 and Polynomial() != 1
+    assert half * Fraction(-2, 3) == Polynomial([Fraction(-1, 3), Fraction(-2, 3)])
+    with pytest.raises(TypeError):
+        Polynomial([1, 0.5])
+    with pytest.raises(TypeError):
+        Polynomial.from_numerators([1, 0.5])
+    for den in (0, -2):
+        with pytest.raises(ValueError):
+            Polynomial.from_numerators([1], den)
