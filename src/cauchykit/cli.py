@@ -62,7 +62,7 @@ TRIANGLE_FAMILIES = ("stirling1", "stirling2")
 POLY_FAMILIES = ("cauchy_hi_poly1", "cauchy_hi_poly2", "bernoulli_hi_poly")
 
 _SERIES_REGISTRY_HELP = ("log1p", "exp_m1", "cauchy1_gf", "cauchy2_gf", "bernoulli_gf(alpha)")
-_BERNOULLI_GF_RE = re.compile(r"^bernoulli_gf\((-?[0-9]+)\)$")
+_BERNOULLI_GF_RE = re.compile(r"bernoulli_gf\((-?[0-9]+)\)")
 _ASCII_INT_RE = re.compile(r"-?[0-9]+")
 
 # Exact integer arithmetic for the triangles: any result that would have to
@@ -217,7 +217,7 @@ def _series_by_name(name: str, terms: int):
         return cauchy1_gf(terms)
     if name == "cauchy2_gf":
         return cauchy2_gf(terms)
-    match = _BERNOULLI_GF_RE.match(name)
+    match = _BERNOULLI_GF_RE.fullmatch(name)
     if match:
         return bernoulli_gf(int(match.group(1)), terms)
     return None

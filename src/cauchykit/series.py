@@ -14,6 +14,13 @@ contract only, so series in t with polynomial coefficients (two-variable
 generating functions such as (1+t)^x, realised as exp(x*log(1+t))) reuse
 the same code paths.
 
+A series is stored the way a ``Polynomial`` is: a tuple ``numerators`` of
+length ``order`` over one positive int ``denominator``, in lowest terms; a
+series with ``Polynomial`` coefficients holds them as its numerators, over
+1.  Every operation runs on the numerators and ends in the one normalising
+constructor, ``from_numerators``, which settles the coefficient ring.
+``coeffs`` builds the coefficients on each read.
+
 The module provides the arithmetic needed to realise the generating
 functions of the Cauchy/Bernoulli families,
 
@@ -27,15 +34,8 @@ connection-coefficient extractors built on top of them.
 Costs at order n, in coefficient operations: multiplication and division
 are O(n^2); ``compose`` (Horner from the outer series' highest nonzero
 coefficient, at most n-1 products) and ``revert`` (Lagrange inversion, n-2
-products) are O(n^3).  A product of two ``Fraction`` series
-runs on Python ints over each operand's common denominator, with one
-``Fraction`` built per output coefficient, so it costs O(n^2) integer
-multiply-adds and only n rational normalisations.  A quotient of two
-``Fraction`` series does the same: the quotient so far is kept as integer
-numerators over the running lcm of its denominators, each step is one
-integer dot product, and one ``Fraction`` is built per output coefficient.
-Series with ``Polynomial`` coefficients keep the generic loop over ring
-elements: their coefficients do not share one integer denominator.
+products) are O(n^3).  On int numerators a product is O(n^2) multiply-adds
+and one gcd pass; a quotient is one dot product and one gcd per step.
 
 Exponential-generating-function coefficients are read off with
 ``egf_coeff(f, n)`` = n! * [t^n] f, the normalisation linking series to the
@@ -45,143 +45,147 @@ number sequences throughout the package.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from operator import mul
-from typing import Iterable, Union
+from typing import Iterable, Sequence
 
-from .polynomial import Polynomial, _over_common_denominator
+from .polynomial import Polynomial, _coerce, _lowest_terms, _over_common_denominator
 from .rational import _as_fraction
 
-Coefficient = Union[Fraction, Polynomial]
 _SCALARS = (int, Fraction, Polynomial)
 
 
-def _zero_like(sample: Coefficient):
-    return sample * 0
+def _as_ratio(c) -> tuple:
+    """A scalar as its int numerator and denominator; a ``Polynomial`` over 1."""
+    return (c, 1) if isinstance(c, Polynomial) else (c.numerator, c.denominator)
 
 
-def _one_like(sample: Coefficient):
-    if isinstance(sample, Polynomial):
-        return Polynomial.one()
-    return Fraction(1)
+def _divide_ints(f, g, df: int, dg: int) -> tuple[list[int], int]:
+    """Numerators and denominator of the q with q*g = f to len(f) terms, g[0] != 0.
 
-
-def _divide_ints(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
-    """The q with q*g = f to len(f) terms, g[0] != 0, on integer numerators.
-
-    With f = F/Df and g = G/Dg over their common denominators, the quotient
-    so far is kept as numerators Q over the running lcm D of its
-    denominators.  Step i sums S = sum_j Q_j G_(i-j) on ints and builds one
-    ``Fraction``, q_i = (f_i - S/(D Dg)) / g_0 = (F_i D Dg - S Df) / (Df D G_0).
+    f and g are int numerators over df and dg.  The quotient so far is kept
+    as numerators Q over the running lcm D of its denominators.  Step i sums
+    S = sum_j Q_j g_(i-j) on ints and reduces q_i = (f_i D dg - S df) / (df D g_0)
+    by one gcd.
     """
-    nf, df = _over_common_denominator(f)
-    ng, dg = _over_common_denominator(g)
-    g0 = ng[0]
-    out: list[Fraction] = []
+    g0 = g[0]
     nums: list[int] = []
     den = 1
-    for i, fi in enumerate(nf):
-        s = sum(map(mul, nums, reversed(ng[1:i + 1])))
-        q = Fraction(fi * den * dg - s * df, df * den * g0)
-        out.append(q)
-        if den % q.denominator:
-            scale = lcm(den, q.denominator) // den
+    for i, fi in enumerate(f):
+        s = sum(map(mul, nums, reversed(g[1:i + 1])))
+        num, d = fi * den * dg - s * df, df * den * g0
+        c = gcd(num, d) if d > 0 else -gcd(num, d)
+        num, d = num // c, d // c
+        if den % d:
+            scale = d // gcd(den, d)
             nums = [v * scale for v in nums]
             den *= scale
-        nums.append(q.numerator * (den // q.denominator))
-    return out
+        nums.append(num * (den // d))
+    return nums, den
 
 
 class PowerSeries:
-    """A formal power series truncated at t^order."""
+    """A formal power series truncated at t^order: ``numerators`` over one ``denominator``."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("numerators", "denominator")
 
     def __init__(self, coeffs: Iterable = (), order: int | None = None):
-        cs = [c if isinstance(c, (Fraction, Polynomial)) else _as_fraction(c)
-              for c in coeffs]
-        if any(isinstance(c, Polynomial) for c in cs):
-            cs = [c if isinstance(c, Polynomial) else Polynomial((c,)) for c in cs]
+        cs = [c if isinstance(c, Polynomial) else _as_fraction(c) for c in coeffs]
         if order is not None:
             if order < 1:
                 raise ValueError("order must be positive")
-            zero = _zero_like(cs[0]) if cs else Fraction(0)
-            cs = cs[:order] + [zero] * (order - len(cs))
-        elif not cs:
-            raise ValueError("a series needs coefficients or an explicit order")
-        object.__setattr__(self, "coeffs", tuple(cs))
+            cs = cs[:order] + [Fraction(0)] * (order - len(cs))
+        if any(isinstance(c, Polynomial) for c in cs):
+            self._store(cs, 1)
+        else:
+            self._store(*_over_common_denominator(cs))
 
     @classmethod
-    def _trusted(cls, cs) -> "PowerSeries":
-        """Wrap a nonempty list of ``Fraction`` coefficients as they are."""
+    def from_numerators(cls, nums: Sequence, den: int = 1) -> "PowerSeries":
+        """sum_j nums[j] t^j / den, den > 0, in lowest terms; ``Polynomial`` nums go over 1."""
         f = object.__new__(cls)
-        object.__setattr__(f, "coeffs", tuple(cs))
+        f._store(nums, den)
         return f
+
+    def _store(self, nums: Sequence, den: int) -> None:
+        """Set the slots to nums/den in lowest terms."""
+        if not nums:
+            raise ValueError("a series needs coefficients or an explicit order")
+        if any(isinstance(v, Polynomial) for v in nums):
+            nums = tuple([_coerce(v) if den == 1 else _coerce(v) * Fraction(1, den) for v in nums])
+            den = 1
+        else:
+            nums, den = _lowest_terms(nums, den)
+        object.__setattr__(self, "numerators", nums)
+        object.__setattr__(self, "denominator", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("PowerSeries is immutable")
 
+    def __reduce__(self):
+        return PowerSeries.from_numerators, (self.numerators, self.denominator)
+
     @property
     def order(self) -> int:
-        return len(self.coeffs)
+        return len(self.numerators)
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients, built on each read: ``Fraction`` values or the polynomials."""
+        return tuple([self.coefficient(j) for j in range(len(self.numerators))])
 
     def coefficient(self, n: int):
         """[t^n]; raises if the series is not known that far."""
+        return self._scaled_coefficient(n, 1)
+
+    def _scaled_coefficient(self, n: int, scale: int):
+        """scale * [t^n], built as one value."""
         if n < 0:
             raise ValueError("coefficient index must be nonnegative")
-        if n >= len(self.coeffs):
+        if n >= len(self.numerators):
             raise ValueError("insufficient truncation")
-        return self.coeffs[n]
+        v = self.numerators[n] * scale
+        return v if isinstance(v, Polynomial) else Fraction(v, self.denominator)
 
     def truncate(self, order: int) -> "PowerSeries":
-        if not 1 <= order <= len(self.coeffs):
+        if not 1 <= order <= len(self.numerators):
             raise ValueError("can only truncate to a smaller positive order")
-        return PowerSeries(self.coeffs[:order])
+        return PowerSeries.from_numerators(self.numerators[:order], self.denominator)
 
     def valuation(self) -> int | None:
         """Index of the first nonzero coefficient, or None for the zero series."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        return None
-
-    def _zero(self):
-        return _zero_like(self.coeffs[0])
-
-    def _one(self):
-        return _one_like(self.coeffs[0])
+        return next((i for i, v in enumerate(self.numerators) if v), None)
 
     # -- ring structure -----------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, PowerSeries):
             return NotImplemented
-        n = min(len(self.coeffs), len(other.coeffs))
-        return all(self.coeffs[i] == other.coeffs[i] for i in range(n))
+        da, db = self.denominator, other.denominator
+        return all(a * db == b * da for a, b in zip(self.numerators, other.numerators))
 
     __hash__ = None
 
     def __add__(self, other):
+        """Sum over lcm(Da, Db); a scalar adds to the constant term."""
         if isinstance(other, _SCALARS):
-            out = list(self.coeffs)
-            out[0] = out[0] + other
-            return PowerSeries(out)
+            num, den = _as_ratio(other)
+            other = PowerSeries.from_numerators([num] + [0] * (len(self.numerators) - 1), den)
         if not isinstance(other, PowerSeries):
             return NotImplemented
-        n = min(len(self.coeffs), len(other.coeffs))
-        return PowerSeries([self.coeffs[i] + other.coeffs[i] for i in range(n)])
+        da, db = self.denominator, other.denominator
+        den = lcm(da, db)
+        sa, sb = den // da, den // db
+        return PowerSeries.from_numerators(
+            [a * sa + b * sb for a, b in zip(self.numerators, other.numerators)], den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PowerSeries([-c for c in self.coeffs])
+        return PowerSeries.from_numerators([-v for v in self.numerators], self.denominator)
 
     def __sub__(self, other):
-        if isinstance(other, _SCALARS):
-            return self + (-other)
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        return self + (-other)
+        return self + (-other) if isinstance(other, (PowerSeries,) + _SCALARS) else NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
@@ -189,35 +193,25 @@ class PowerSeries:
     def __mul__(self, other):
         """Product truncated to the smaller order.
 
-        Two ``Fraction`` series are multiplied as integer numerator vectors
-        over their common denominators Da and Db, and each output
-        coefficient becomes one ``Fraction(v, Da*Db)``.  A ``Polynomial``
-        coefficient on either side selects the generic ring loop.
+        A scalar scales the numerators; two series convolve them over Da*Db,
+        ints and ``Polynomial`` values alike.
         """
         if isinstance(other, _SCALARS):
-            return PowerSeries([c * other for c in self.coeffs])
+            num, den = _as_ratio(other)
+            return PowerSeries.from_numerators([v * num for v in self.numerators],
+                                               self.denominator * den)
         if not isinstance(other, PowerSeries):
             return NotImplemented
-        n = min(len(self.coeffs), len(other.coeffs))
-        if isinstance(self.coeffs[0], Fraction) and isinstance(other.coeffs[0], Fraction):
-            na, da = _over_common_denominator(self.coeffs[:n])
-            nb, db = _over_common_denominator(other.coeffs[:n])
-            acc = [0] * n
-            for i, a in enumerate(na):
-                if a:
-                    for j, b in enumerate(nb[:n - i], i):
-                        acc[j] += a * b
-            den = da * db
-            return PowerSeries._trusted([Fraction(v, den) for v in acc])
-        out = [self._zero() for _ in range(n)]
-        for i, a in enumerate(self.coeffs[:n]):
-            if a == 0:
-                continue
-            for j in range(n - i):
-                b = other.coeffs[j]
-                if b != 0:
-                    out[i + j] = out[i + j] + a * b
-        return PowerSeries(out)
+        n = min(len(self.numerators), len(other.numerators))
+        na, nb = self.numerators, other.numerators[:n]
+        # row 0 in full, so that every output lies in the ring of the operands
+        acc = [na[0] * b for b in nb]
+        for i in range(1, n):
+            a = na[i]
+            if a:
+                for j, b in enumerate(nb[:n - i], i):
+                    acc[j] += a * b
+        return PowerSeries.from_numerators(acc, self.denominator * other.denominator)
 
     __rmul__ = __mul__
 
@@ -226,9 +220,9 @@ class PowerSeries:
 
         A power of t shared by both operands is cancelled first, which is
         what makes t/log(1+t) well defined; if the divisor still has a zero
-        constant term afterwards the division fails loudly.  Two
-        ``Fraction`` series divide on integer numerators (``_divide_ints``);
-        a ``Polynomial`` coefficient on either side selects the generic loop.
+        constant term afterwards the division fails loudly.  Int numerators
+        divide in ``_divide_ints``; ``Polynomial`` ones solve Q*G = F in the
+        ring loop, scaled by dg/df.
         """
         if isinstance(other, (int, Fraction)):
             if other == 0:
@@ -241,38 +235,40 @@ class PowerSeries:
             raise ZeroDivisionError("division by zero series")
         vf = self.valuation()
         shared = vg if vf is None else min(vf, vg)
-        n = min(len(self.coeffs), len(other.coeffs)) - shared
+        n = min(len(self.numerators), len(other.numerators)) - shared
         if n < 1:
             raise ValueError("insufficient truncation")
-        f = self.coeffs[shared:shared + n]
-        g = other.coeffs[shared:shared + n]
-        if g[0] == 0:
+        f = self.numerators[shared:shared + n]
+        g = other.numerators[shared:shared + n]
+        if not g[0]:
             raise ValueError("non-unit divisor")
-        if isinstance(f[0], Fraction) and isinstance(g[0], Fraction):
-            return PowerSeries._trusted(_divide_ints(f, g))
+        df, dg = self.denominator, other.denominator
+        if not (isinstance(f[0], Polynomial) or isinstance(g[0], Polynomial)):
+            return PowerSeries.from_numerators(*_divide_ints(f, g, df, dg))
         out = []
         for i in range(n):
             acc = f[i]
             for j, q in enumerate(out):
                 acc = acc - q * g[i - j]
             out.append(acc / g[0])
-        return PowerSeries(out)
+        return PowerSeries.from_numerators([q * dg for q in out], df)
 
     def __rtruediv__(self, other):
         if isinstance(other, _SCALARS):
-            return PowerSeries([other], order=len(self.coeffs)) / self
+            return PowerSeries([other], order=len(self.numerators)) / self
         return NotImplemented
 
     def __pow__(self, exponent: int):
         """Integer power by repeated squaring; negative powers invert first."""
         if not isinstance(exponent, int):
             raise TypeError("series powers must be integers")
-        n = len(self.coeffs)
+        n = len(self.numerators)
+        # the one of the base's ring: v ** 0 is 1 or Polynomial.one()
+        result = PowerSeries.from_numerators([self.numerators[0] ** 0] + [0] * (n - 1))
         if exponent < 0:
-            if self.coeffs[0] == 0:
+            if not self.numerators[0]:
                 raise ValueError("non-unit base")
-            return (PowerSeries([self._one()], order=n) / self) ** (-exponent)
-        result = PowerSeries([self._one()], order=n)
+            return (result / self) ** (-exponent)
         base = self
         e = exponent
         while e:
@@ -285,18 +281,19 @@ class PowerSeries:
     # -- composition structure ------------------------------------------------
 
     def compose(self, inner: "PowerSeries") -> "PowerSeries":
-        """self(inner(t)) by Horner's scheme; inner must have zero constant term."""
+        """self(inner(t)) by Horner's scheme on the numerators; inner(0) must be zero."""
         if not isinstance(inner, PowerSeries):
             raise TypeError("can only compose with a PowerSeries")
-        if inner.coeffs[0] != 0:
+        if inner.numerators[0]:
             raise ValueError("composition needs zero constant term")
-        n = min(len(self.coeffs), len(inner.coeffs))
+        nums = self.numerators
+        n = min(len(nums), len(inner.numerators))
         g = inner.truncate(n)
-        top = max((j for j in range(n) if self.coeffs[j] != 0), default=0)
-        acc = PowerSeries([self.coeffs[top]], order=n)
+        top = max((j for j in range(n) if nums[j]), default=0)
+        acc = PowerSeries.from_numerators([nums[top]] + [0] * (n - 1))
         for j in range(top - 1, -1, -1):
-            acc = acc * g + self.coeffs[j]
-        return acc
+            acc = acc * g + nums[j]
+        return PowerSeries.from_numerators(acc.numerators, acc.denominator * self.denominator)
 
     def revert(self) -> "PowerSeries":
         """Compositional inverse of a delta series, by Lagrange inversion.
@@ -309,30 +306,30 @@ class PowerSeries:
         coefficient are used, so series with ``Polynomial`` coefficients
         invert too, provided that coefficient is a nonzero constant.
         """
-        n = len(self.coeffs)
-        if n < 2 or self.coeffs[0] != 0 or self.coeffs[1] == 0:
+        nums = self.numerators
+        n = len(nums)
+        if n < 2 or nums[0] or not nums[1]:
             raise ValueError("not a delta series")
-        h = PowerSeries([self._one()], order=n - 1) / PowerSeries(self.coeffs[1:])
-        g = [self._zero(), h.coeffs[0]]
+        h = one_series(n - 1) / PowerSeries.from_numerators(nums[1:], self.denominator)
+        g = [0, h.coefficient(0)]
         power = h
         for m in range(2, n):
             power = power * h
-            g.append(power.coeffs[m - 1] / m)
+            g.append(power.coefficient(m - 1) / m)
         return PowerSeries(g)
 
     def exp(self) -> "PowerSeries":
         """exp(self) for a series with zero constant term, via the ODE recurrence."""
-        if self.coeffs[0] != 0:
+        nums = self.numerators
+        if nums[0]:
             raise ValueError("exponential needs zero constant term")
-        n = len(self.coeffs)
-        out = [self._one()]
-        for m in range(1, n):
-            acc = self._zero()
+        out = [nums[0] ** 0]
+        for m in range(1, len(nums)):
+            acc = 0
             for j in range(1, m + 1):
-                fj = self.coeffs[j]
-                if fj != 0:
-                    acc = acc + fj * out[m - j] * j
-            out.append(acc * Fraction(1, m))
+                if nums[j]:
+                    acc = acc + nums[j] * out[m - j] * j
+            out.append(acc * Fraction(1, m * self.denominator))
         return PowerSeries(out)
 
     def __repr__(self):
@@ -341,13 +338,15 @@ class PowerSeries:
 
 def egf_coeff(f: PowerSeries, n: int):
     """n! * [t^n] f, the exponential-generating-function coefficient."""
-    return f.coefficient(n) * factorial(n)
+    return f._scaled_coefficient(n, factorial(n))
 
 
 # -- stock series ------------------------------------------------------------
 
 def one_series(order: int) -> PowerSeries:
-    return PowerSeries([Fraction(1)], order=order)
+    if order < 1:
+        raise ValueError("order must be positive")
+    return PowerSeries.from_numerators([1] + [0] * (order - 1))
 
 
 def t_series(order: int) -> PowerSeries:
@@ -434,9 +433,9 @@ def connection_coeffs(g: PowerSeries, f: PowerSeries,
     n = min(g.order, f.order, h.order, l.order)
     if n <= n_max:
         raise ValueError("insufficient truncation")
-    if h.coeffs[0] == 0:
+    if not h.numerators[0]:
         raise ValueError("invertible series required")
-    if l.coeffs[0] != 0 or l.order < 2 or l.coeffs[1] == 0:
+    if l.numerators[0] or l.order < 2 or not l.numerators[1]:
         raise ValueError("not a delta series")
     fbar = f.revert()
     return _connection_rows(h.compose(fbar) / g.compose(fbar), l.compose(fbar), n_max)
@@ -456,5 +455,5 @@ def _connection_rows(base: PowerSeries, l_of_fbar: PowerSeries,
         if m > 0:
             power = power * l_of_fbar
         for i in range(m, n_max + 1):
-            rows[i][m] = power.coeffs[i] * (factorial(i) // factorial(m))
+            rows[i][m] = power._scaled_coefficient(i, factorial(i) // factorial(m))
     return rows

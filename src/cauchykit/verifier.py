@@ -470,7 +470,7 @@ def _apply_series_operator(op: PowerSeries, p: Polynomial) -> Polynomial:
     for j in range(op.order):
         if current.is_zero():
             break
-        c = op.coeffs[j]
+        c = op.coefficient(j)
         if c != 0:
             result = result + current * c
         current = current.derivative()

@@ -252,9 +252,10 @@ def test_grid_values_are_ascii_integers_and_keys_unique(capsys, grid, message):
      "invalid int value: '２'"),
     (["series", "log1p", "--terms", "３"], "invalid int value: '３'"),
     (["series", "bernoulli_gf(٣)", "--terms", "3"], "unknown series 'bernoulli_gf(٣)'"),
+    (["series", "bernoulli_gf(3)\n", "--terms", "3"], "unknown series 'bernoulli_gf(3)\\n'"),
 ], ids=["n-max arabic-indic", "n-max underscore", "n-max plus sign", "order arabic-indic",
         "alpha arabic-indic", "n arabic-indic", "order fullwidth", "terms fullwidth",
-        "bernoulli_gf arabic-indic"])
+        "bernoulli_gf arabic-indic", "bernoulli_gf trailing newline"])
 def test_integer_options_take_only_ascii_digits(capsys, argv, message):
     # int() accepts all of these, which printed a table for n_max = 3
     with pytest.raises(SystemExit) as excinfo:
@@ -420,9 +421,34 @@ def test_poly_cauchy_table_output_is_pinned(monkeypatch, family, fmt, sha256):
      "83c3a6b6473f3ac7b2b23ffffba88c4b9d26f717f7847db1c2e67059767bad5c"),
     ("table --family cauchy_hi2 --order 2 --n-max 60", "json",
      "e770ee1d5943815261931ae53a6784e1ca394200fae694e03f2bce9b18021ea6"),
+    ("series log1p --terms 60", "text",
+     "a85253e2a3c97c4b11a70cb47c1678dfef94131dbcfa4cf9f6da861fdc40395a"),
+    ("series log1p --terms 60", "json",
+     "348f040bafacbb8f138b82b47ac355273d7cec4b444fa8992493a2c261168561"),
+    ("series exp_m1 --terms 60", "text",
+     "ec6a87540ec01c3c7075c168fdb50dcc8610843f19520bd69b4cbedfc6d4026b"),
+    ("series exp_m1 --terms 60", "json",
+     "b341bd176a7221f424d5b5a0a2fd71dc18a10921e309024abba6f4bfe5a50f71"),
+    ("series cauchy2_gf --terms 60", "text",
+     "14ee88a910ad36d076acbcbd6d12ec4dfc6120a0b415031ccf51474008feb263"),
+    ("series cauchy2_gf --terms 60", "json",
+     "786e32c52972dbbb16b6d00f6e1af4537f7e6925f340009ac97ee4cc521f33b3"),
+    ("series bernoulli_gf(3) --terms 60", "text",
+     "4b73f15b8dab3f3eee22635cc4371a87ff7745db049afd6a3f4817dd174acb45"),
+    ("series bernoulli_gf(3) --terms 60", "json",
+     "c4b4900f0dff0e78157369062f3977a9ee18332b09981fd320f246cf80f79371"),
+    ("series bernoulli_gf(-2) --terms 60", "text",
+     "e8786e8b51d2917583514a771f89b1584ce26e88bb000dd56070da19714dd6f3"),
+    ("series bernoulli_gf(-2) --terms 60", "json",
+     "312ae7400eb3d65a209b6fa211f71f5477bf8ea1c9498167d1254fa17f638f9b"),
+    ("poly --family bernoulli_hi_poly --n 30 --alpha -3", "text",
+     "6887325e57d8335c15723d74f2bfe1f2d4b95f786ad7e6007e224e61f772110e"),
+    ("poly --family bernoulli_hi_poly --n 30 --alpha -3", "json",
+     "1f4b7c9ad702bbad8405d6813be6b38115683e79a58ded0ee018798b11c11454"),
 ])
 def test_series_division_outputs_are_pinned(monkeypatch, argv, fmt, sha256):
-    # digests of the output of the one-Fraction-per-step series division
+    # digests of the output of the Fraction-based series kernels, recorded before
+    # each move onto int numerators
     sink = HashingStdout()
     monkeypatch.setattr(sys, "stdout", sink)
     code = cli.main(argv.split() + ["--format", fmt])

@@ -24,6 +24,15 @@ def test_mul_identity():
     assert p * Polynomial.one() == p
 
 
+def test_truthiness_is_that_of_the_value():
+    # as with Fraction(0): only the zero polynomial is falsy
+    assert not Polynomial.zero()
+    assert not Polynomial((0, Fraction(0)))
+    assert not X - X
+    assert Polynomial((Fraction(-1, 3),))
+    assert X
+
+
 def test_mul_square():
     assert Polynomial((1, 1)) * Polynomial((1, 1)) == Polynomial((1, 2, 1))
 

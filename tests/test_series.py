@@ -1,12 +1,15 @@
 """Power-series engine: arithmetic, composition, reversion, Sheffer machinery."""
 
+import copy
+import pickle
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cauchykit.series as series_module
 from cauchykit.bernoulli import bernoulli_hi_poly
 from cauchykit.cauchy import cauchy_hi_poly1, cube_integrate
 from cauchykit.polynomial import Polynomial, falling_factorial
@@ -415,6 +418,80 @@ def test_egf_coeff_of_squared_gf_matches_integral_oracle():
 def test_egf_coeff_insufficient_truncation():
     with pytest.raises(ValueError, match="insufficient truncation"):
         egf_coeff(cauchy1_gf(3), 3)
+
+
+# -- stored layout ------------------------------------------------------------------------
+
+def test_kernels_run_on_the_stored_numerators(monkeypatch):
+    # The series are built first: the constructor from scalars may convert.
+    f, g, e, t = cauchy1_gf(12), log1p_series(13), expm1_series(13), t_series(13)
+    p = one_plus_t_pow(Polynomial((-1, 1)), 13)
+
+    def run():
+        products = (f * e, p * f, f * F(-2, 3), p * Polynomial.x(), e + 1, p - F(1, 2))
+        quotients = (g / e, t / g, p / (e + 1), e / p, f / 3)
+        powers = (f ** 3, f ** -2, p ** 2, (e + 1) ** -1)
+        composed = (f.compose(e), p.compose(g), g.compose(-e))
+        return ([s.coeffs for s in products + quotients + powers + composed],
+                egf_coeff(f, 11), egf_coeff(p * f, 9))
+
+    expected = run()
+
+    def forbidden(*args):
+        raise AssertionError("a kernel put Fraction coefficients over a common denominator")
+
+    monkeypatch.setattr(series_module, "_over_common_denominator", forbidden)
+    assert run() == expected
+
+
+def assert_stored_in_lowest_terms(s, order):
+    assert len(s.numerators) == order
+    if any(isinstance(v, Polynomial) for v in s.numerators):
+        assert s.denominator == 1
+        assert all(isinstance(v, Polynomial) for v in s.numerators)
+    else:
+        assert all(type(v) is int for v in s.numerators)
+        assert s.denominator > 0 and gcd(s.denominator, *s.numerators) == 1
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.one_of(scalar_series, poly_series), st.one_of(scalar_series, poly_series),
+       small_fractions)
+def test_every_result_is_stored_in_lowest_terms(f, g, c):
+    n = min(f.order, g.order)
+    for result, order in ((f + g, n), (f - g, n), (f * g, n), (-f, f.order), (f * c, f.order),
+                          (f + c, f.order), (f.truncate(1), 1), (f ** 2, f.order)):
+        assert_stored_in_lowest_terms(result, order)
+    if g.numerators[0]:
+        assert_stored_in_lowest_terms(f / g, n)
+
+
+def test_zero_polynomial_coefficients_keep_their_ring():
+    # every coefficient zero, and still Polynomial values after each operation
+    zero = PowerSeries([Polynomial.zero()] * 3)
+    for result in (zero * series(1, 2, 3), zero * zero, zero ** 2, zero + zero,
+                   zero * F(2, 3), zero / series(1, 1, 1), zero.compose(t_series(3))):
+        assert result.coeffs == (Polynomial.zero(),) * 3
+        assert all(isinstance(c, Polynomial) for c in result.coeffs)
+    one = (zero ** 0).coeffs
+    assert one == (Polynomial.one(), Polynomial.zero(), Polynomial.zero())
+    assert all(isinstance(c, Polynomial) for c in one)
+
+
+@pytest.mark.parametrize("value", [
+    Polynomial((F(1, 3), -2, 0, F(5, 7))),
+    Polynomial.zero(),
+    series(F(1, 2), 0, F(-3, 4), order=6),
+    PowerSeries([Polynomial.x(), F(2, 3), Polynomial((F(1, 2), 1)), 0]),
+], ids=["polynomial", "zero polynomial", "fraction series", "polynomial series"])
+def test_copy_and_pickle_keep_the_stored_ints(value):
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value)
+        assert twin.numerators == value.numerators
+        assert twin.denominator == value.denominator
+        assert twin.coeffs == value.coeffs
+        with pytest.raises(AttributeError, match="immutable"):
+            twin.denominator = 1
 
 
 # -- truncation discipline --------------------------------------------------------------
