@@ -1,4 +1,4 @@
-"""Dense univariate polynomials over exact rationals.
+"""Dense univariate polynomials over exact rationals, and the layout they share with series.
 
 A polynomial sum_i N_i x^i / D is stored as one tuple of int numerators
 N_0..N_d and one positive int denominator D, in lowest terms:
@@ -6,10 +6,21 @@ gcd(D, N_0, ..., N_d) = 1 and N_d != 0, with the zero polynomial stored as
 ((), 1).  This is the layout of FLINT's ``fmpq_poly`` (Hart, ICMS 2010).
 Every operation runs on the ints, and each that returns a polynomial ends
 in the one normalising constructor, ``from_numerators``, which strips
-trailing zeros and divides out one gcd; equality and hashing are plain
-tuple comparisons.  ``coeffs``
+trailing zeros and divides out one gcd.  Equality is a plain tuple
+comparison, and a constant hashes as the scalar it equals.  ``coeffs``
 builds the coefficients as ``Fraction`` values on each read.  Instances
 are immutable, so values can be shared freely between threads.
+
+``series.PowerSeries`` keeps the same layout, so what the two types do alike
+is written once, in their private base class ``_Numerators``:
+``from_numerators`` (the one place that checks the denominator),
+immutability and pickling, negation and subtraction, the sum over
+lcm(Da, Db), scaling by and division by a scalar (a constant ``Polynomial``
+included), square-and-multiply powers and ``repr``.  ``_convolve`` is the
+one product loop and ``_as_ratio`` the one scalar reader.  Each type keeps
+its ``_store`` (a polynomial strips trailing zeros; a series keeps ``order``
+terms and settles its coefficient ring), equality, hashing, coefficient
+reads and the operations only it has.
 
 Products are schoolbook convolutions of the numerators; ``shift`` is a
 Taylor shift of the numerators (Ruffini's repeated synthetic division);
@@ -51,50 +62,131 @@ def _over_common_denominator(cs: Sequence[Fraction]) -> tuple[list[int], int]:
 
 
 def _lowest_terms(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
-    """nums and den divided by gcd(den, *nums); den must be positive.
+    """nums and den divided by gcd(den, *nums), for a positive den.
 
     The tuples are built from lists: a tuple built from a generator is
     resized on the way, so each call would leave one more block in CPython's
     per-size tuple free lists (0.7 MB of peak RSS on a default-grid verify
     under CPython 3.11).
     """
-    if den < 1:
-        raise ValueError("the denominator must be a positive int")
     g = gcd(den, *nums)
     if g != 1:
         return tuple([v // g for v in nums]), den // g
     return tuple(nums), den
 
 
-class Polynomial:
-    """Immutable dense polynomial: int ``numerators`` over one int ``denominator``."""
+def _as_ratio(value):
+    """(numerator, denominator) of an int or a ``Fraction``, (value, 1) of a ``Polynomial``.
+
+    None for anything else, which the operators answer with ``NotImplemented``.
+    """
+    if isinstance(value, (int, Fraction)):
+        return value.numerator, value.denominator
+    if isinstance(value, Polynomial):
+        return value, 1
+    return None
+
+
+def _convolve(na, nb, n: int) -> list:
+    """The first n terms of the product of the numerator sequences na and nb, zero-padded.
+
+    Row 0 is taken in full, so every term lies in the ring of the operands.
+    """
+    out = [na[0] * b for b in nb[:n]] if na else []
+    out += [0] * (n - len(out))
+    for i, a in enumerate(na[1:n], 1):
+        if a:
+            for j, b in enumerate(nb[:n - i], i):
+                out[j] += a * b
+    return out
+
+
+class _Numerators:
+    """``numerators`` over one positive int ``denominator``; a subclass sets both in ``_store``."""
 
     __slots__ = ("numerators", "denominator")
+
+    @classmethod
+    def from_numerators(cls, nums, den: int = 1):
+        """sum_j nums[j] X^j / den, brought to lowest terms; den must be a positive int."""
+        if not isinstance(den, int):
+            raise TypeError(f"the denominator must be an int: {den!r}")
+        if den < 1:
+            raise ValueError("the denominator must be a positive int")
+        obj = object.__new__(cls)
+        obj._store(nums, den)
+        return obj
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self).from_numerators, (self.numerators, self.denominator)
+
+    def _sum(self, nb, db: int):
+        """self + nb/db over lcm(Da, Db), the shorter numerator sequence padded with zeros."""
+        da = self.denominator
+        den = lcm(da, db)
+        sa, sb = den // da, den // db
+        return self.from_numerators(
+            [a * sa + b * sb for a, b in zip_longest(self.numerators, nb, fillvalue=0)], den)
+
+    def _scale(self, num, den: int):
+        """self * num/den: each numerator times num, over D*den."""
+        return self.from_numerators([v * num for v in self.numerators], self.denominator * den)
+
+    def _power(self, one, exponent: int):
+        """one * self**exponent for exponent >= 0, by square-and-multiply."""
+        result, base = one, self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
+        return result
+
+    def __neg__(self):
+        return self.from_numerators([-v for v in self.numerators], self.denominator)
+
+    def __sub__(self, other):
+        if isinstance(other, (_Numerators, int, Fraction)):
+            return self + (-other)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
+    def __truediv__(self, other):
+        """self * (1/other) for an exact scalar other, a constant ``Polynomial`` included."""
+        ratio = _as_ratio(other)
+        if ratio is None:
+            return NotImplemented
+        num, den = ratio
+        if not num:
+            raise ZeroDivisionError("division by zero")
+        return self * (1 / other if isinstance(other, Polynomial) else Fraction(den, num))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({list(self.coeffs)!r})"
+
+
+class Polynomial(_Numerators):
+    """Immutable dense polynomial: int ``numerators`` over one int ``denominator``."""
+
+    __slots__ = ()
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         self._store(*_over_common_denominator([_as_fraction(c) for c in coeffs]))
 
-    @classmethod
-    def from_numerators(cls, nums: Iterable[int], den: int = 1) -> "Polynomial":
-        """sum_i nums[i] x^i / den, brought to lowest terms; den must be positive."""
-        p = object.__new__(cls)
-        p._store(nums, den)
-        return p
-
     def _store(self, nums: Iterable[int], den: int) -> None:
-        """Set the slots to nums/den in lowest terms."""
+        """Set the slots to nums/den in lowest terms, trailing zeros stripped."""
         nums = list(nums)
         while nums and not nums[-1]:
             nums.pop()
         nums, den = _lowest_terms(nums, den)
         object.__setattr__(self, "numerators", nums)
         object.__setattr__(self, "denominator", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
-
-    def __reduce__(self):
-        return Polynomial.from_numerators, (self.numerators, self.denominator)
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -150,32 +242,12 @@ class Polynomial:
     # -- ring arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        da, db = self.denominator, other.denominator
-        den = lcm(da, db)
-        sa, sb = den // da, den // db
-        return Polynomial.from_numerators(
-            [a * sa + b * sb
-             for a, b in zip_longest(self.numerators, other.numerators, fillvalue=0)], den)
+        if isinstance(other, Polynomial):
+            return self._sum(other.numerators, other.denominator)
+        ratio = _as_ratio(other)
+        return NotImplemented if ratio is None else self._sum((ratio[0],), ratio[1])
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return Polynomial.from_numerators([-v for v in self.numerators], self.denominator)
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         """Product with a scalar or a polynomial.
@@ -184,60 +256,36 @@ class Polynomial:
         (schoolbook convolution on Python ints) over the product of the
         denominators.
         """
-        if isinstance(other, (int, Fraction)):
-            return Polynomial.from_numerators([v * other.numerator for v in self.numerators],
+        if isinstance(other, Polynomial):
+            na, nb = self.numerators, other.numerators
+            return Polynomial.from_numerators(_convolve(na, nb, len(na) + len(nb) - 1),
                                               self.denominator * other.denominator)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        na, nb = self.numerators, other.numerators
-        out = [0] * (len(na) + len(nb) - 1)
-        for i, a in enumerate(na):
-            if a:
-                for j, b in enumerate(nb, i):
-                    out[j] += a * b
-        return Polynomial.from_numerators(out, self.denominator * other.denominator)
+        ratio = _as_ratio(other)
+        return NotImplemented if ratio is None else self._scale(*ratio)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        """Division by a nonzero scalar or by a nonzero constant polynomial."""
-        if isinstance(other, Polynomial):
-            if other.degree > 0:
-                raise ValueError("polynomial division only by a nonzero constant")
-            other = other.constant
-        other = _as_fraction(other)
-        if other == 0:
-            raise ZeroDivisionError("division by zero")
-        return self * (Fraction(1) / other)
 
     def __rtruediv__(self, other):
         if self.degree > 0:
             raise ValueError("polynomial division only by a nonzero constant")
-        if self.is_zero():
-            raise ZeroDivisionError("division by zero")
         return Polynomial((_as_fraction(other) / self.constant,))
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        result = Polynomial.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return self._power(Polynomial.one(), exponent)
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.denominator == other.denominator and self.numerators == other.numerators
+        if isinstance(other, Polynomial):
+            return self.denominator == other.denominator and self.numerators == other.numerators
+        if isinstance(other, (int, Fraction)):
+            return self.degree < 1 and self.constant == other
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.numerators, self.denominator))
+        # a constant hashes as the scalar it equals
+        return hash(self.constant if self.degree < 1 else (self.numerators, self.denominator))
+
 
     # -- calculus and substitution -----------------------------------------
 
@@ -311,9 +359,6 @@ class Polynomial:
 
     # -- presentation --------------------------------------------------------
 
-    def __repr__(self):
-        return f"Polynomial({list(self.coeffs)!r})"
-
     def __str__(self):
         if not self.numerators:
             return "0"
@@ -333,14 +378,6 @@ class Polynomial:
         for term in parts[1:]:
             text += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
         return text
-
-
-def _coerce(value):
-    if isinstance(value, Polynomial):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Polynomial.from_numerators((value.numerator,), value.denominator)
-    return NotImplemented
 
 
 def falling_factorial(n: int) -> Polynomial:

@@ -17,9 +17,12 @@ the same code paths.
 A series is stored the way a ``Polynomial`` is: a tuple ``numerators`` of
 length ``order`` over one positive int ``denominator``, in lowest terms; a
 series with ``Polynomial`` coefficients holds them as its numerators, over
-1.  Every operation runs on the numerators and ends in the one normalising
-constructor, ``from_numerators``, which settles the coefficient ring.
-``coeffs`` builds the coefficients on each read.
+1.  The code the two types share (``from_numerators``, sums, scalar
+products and quotients, powers, ``_convolve``) is in their base class
+``polynomial._Numerators``.  This module keeps the series' own: ``_store``
+(``order`` terms, trailing zeros kept, the ring settled), equality at the
+common precision, coefficient reads, division by a series, ``compose``,
+``revert`` and ``exp``.  ``coeffs`` builds the coefficients on each read.
 
 The module provides the arithmetic needed to realise the generating
 functions of the Cauchy/Bernoulli families,
@@ -45,19 +48,13 @@ number sequences throughout the package.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 from operator import mul
 from typing import Iterable, Sequence
 
-from .polynomial import Polynomial, _coerce, _lowest_terms, _over_common_denominator
+from .polynomial import (Polynomial, _Numerators, _as_ratio, _convolve, _lowest_terms,
+                         _over_common_denominator)
 from .rational import _as_fraction
-
-_SCALARS = (int, Fraction, Polynomial)
-
-
-def _as_ratio(c) -> tuple:
-    """A scalar as its int numerator and denominator; a ``Polynomial`` over 1."""
-    return (c, 1) if isinstance(c, Polynomial) else (c.numerator, c.denominator)
 
 
 def _divide_ints(f, g, df: int, dg: int) -> tuple[list[int], int]:
@@ -84,10 +81,10 @@ def _divide_ints(f, g, df: int, dg: int) -> tuple[list[int], int]:
     return nums, den
 
 
-class PowerSeries:
+class PowerSeries(_Numerators):
     """A formal power series truncated at t^order: ``numerators`` over one ``denominator``."""
 
-    __slots__ = ("numerators", "denominator")
+    __slots__ = ()
 
     def __init__(self, coeffs: Iterable = (), order: int | None = None):
         cs = [c if isinstance(c, Polynomial) else _as_fraction(c) for c in coeffs]
@@ -100,30 +97,19 @@ class PowerSeries:
         else:
             self._store(*_over_common_denominator(cs))
 
-    @classmethod
-    def from_numerators(cls, nums: Sequence, den: int = 1) -> "PowerSeries":
-        """sum_j nums[j] t^j / den, den > 0, in lowest terms; ``Polynomial`` nums go over 1."""
-        f = object.__new__(cls)
-        f._store(nums, den)
-        return f
-
     def _store(self, nums: Sequence, den: int) -> None:
-        """Set the slots to nums/den in lowest terms."""
+        """Set the slots to nums/den in lowest terms; ``Polynomial`` nums make all one, over 1."""
         if not nums:
             raise ValueError("a series needs coefficients or an explicit order")
         if any(isinstance(v, Polynomial) for v in nums):
-            nums = tuple([_coerce(v) if den == 1 else _coerce(v) * Fraction(1, den) for v in nums])
+            nums = tuple([(v if den == 1 else v._scale(1, den)) if isinstance(v, Polynomial)
+                          else Polynomial.from_numerators((v.numerator,), v.denominator * den)
+                          for v in nums])
             den = 1
         else:
             nums, den = _lowest_terms(nums, den)
         object.__setattr__(self, "numerators", nums)
         object.__setattr__(self, "denominator", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PowerSeries is immutable")
-
-    def __reduce__(self):
-        return PowerSeries.from_numerators, (self.numerators, self.denominator)
 
     @property
     def order(self) -> int:
@@ -164,31 +150,18 @@ class PowerSeries:
         da, db = self.denominator, other.denominator
         return all(a * db == b * da for a, b in zip(self.numerators, other.numerators))
 
-    __hash__ = None
-
     def __add__(self, other):
-        """Sum over lcm(Da, Db); a scalar adds to the constant term."""
-        if isinstance(other, _SCALARS):
-            num, den = _as_ratio(other)
-            other = PowerSeries.from_numerators([num] + [0] * (len(self.numerators) - 1), den)
+        """Sum over lcm(Da, Db) at the common precision; a scalar adds to the constant term."""
+        ratio = _as_ratio(other)
+        if ratio is not None:
+            return self._sum((ratio[0],), ratio[1])
         if not isinstance(other, PowerSeries):
             return NotImplemented
-        da, db = self.denominator, other.denominator
-        den = lcm(da, db)
-        sa, sb = den // da, den // db
-        return PowerSeries.from_numerators(
-            [a * sa + b * sb for a, b in zip(self.numerators, other.numerators)], den)
+        if len(other.numerators) < len(self.numerators):  # the shorter sets the order
+            self, other = other, self
+        return self._sum(other.numerators[:len(self.numerators)], other.denominator)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return PowerSeries.from_numerators([-v for v in self.numerators], self.denominator)
-
-    def __sub__(self, other):
-        return self + (-other) if isinstance(other, (PowerSeries,) + _SCALARS) else NotImplemented
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         """Product truncated to the smaller order.
@@ -196,22 +169,14 @@ class PowerSeries:
         A scalar scales the numerators; two series convolve them over Da*Db,
         ints and ``Polynomial`` values alike.
         """
-        if isinstance(other, _SCALARS):
-            num, den = _as_ratio(other)
-            return PowerSeries.from_numerators([v * num for v in self.numerators],
-                                               self.denominator * den)
+        ratio = _as_ratio(other)
+        if ratio is not None:
+            return self._scale(*ratio)
         if not isinstance(other, PowerSeries):
             return NotImplemented
         n = min(len(self.numerators), len(other.numerators))
-        na, nb = self.numerators, other.numerators[:n]
-        # row 0 in full, so that every output lies in the ring of the operands
-        acc = [na[0] * b for b in nb]
-        for i in range(1, n):
-            a = na[i]
-            if a:
-                for j, b in enumerate(nb[:n - i], i):
-                    acc[j] += a * b
-        return PowerSeries.from_numerators(acc, self.denominator * other.denominator)
+        return PowerSeries.from_numerators(_convolve(self.numerators, other.numerators, n),
+                                           self.denominator * other.denominator)
 
     __rmul__ = __mul__
 
@@ -222,14 +187,11 @@ class PowerSeries:
         what makes t/log(1+t) well defined; if the divisor still has a zero
         constant term afterwards the division fails loudly.  Int numerators
         divide in ``_divide_ints``; ``Polynomial`` ones solve Q*G = F in the
-        ring loop, scaled by dg/df.
+        ring loop, scaled by dg/df.  A scalar, a constant ``Polynomial`` included,
+        divides in the base class.
         """
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division by zero")
-            return self * (Fraction(1) / Fraction(other))
         if not isinstance(other, PowerSeries):
-            return NotImplemented
+            return super().__truediv__(other)
         vg = other.valuation()
         if vg is None:
             raise ZeroDivisionError("division by zero series")
@@ -254,9 +216,11 @@ class PowerSeries:
         return PowerSeries.from_numerators([q * dg for q in out], df)
 
     def __rtruediv__(self, other):
-        if isinstance(other, _SCALARS):
-            return PowerSeries([other], order=len(self.numerators)) / self
-        return NotImplemented
+        ratio = _as_ratio(other)
+        if ratio is None:
+            return NotImplemented
+        num, den = ratio
+        return PowerSeries.from_numerators([num] + [0] * (len(self.numerators) - 1), den) / self
 
     def __pow__(self, exponent: int):
         """Integer power by repeated squaring; negative powers invert first."""
@@ -269,14 +233,7 @@ class PowerSeries:
             if not self.numerators[0]:
                 raise ValueError("non-unit base")
             return (result / self) ** (-exponent)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return self._power(result, exponent)
 
     # -- composition structure ------------------------------------------------
 
@@ -331,9 +288,6 @@ class PowerSeries:
                     acc = acc + nums[j] * out[m - j] * j
             out.append(acc * Fraction(1, m * self.denominator))
         return PowerSeries(out)
-
-    def __repr__(self):
-        return f"PowerSeries({list(self.coeffs)!r})"
 
 
 def egf_coeff(f: PowerSeries, n: int):

@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import comb, factorial, lcm, perm
+from math import comb, factorial, perm
 from typing import Callable, Iterable, Iterator
 
 from .bernoulli import bernoulli_hi_poly
@@ -44,7 +44,7 @@ from .cauchy import (
     poly_cauchy_poly2,
     product_integrate,
 )
-from .polynomial import Polynomial, falling_factorial, rising_factorial
+from .polynomial import Polynomial, _over_common_denominator, falling_factorial, rising_factorial
 from .rational import format_rational
 from .series import (
     PowerSeries,
@@ -369,9 +369,8 @@ def _t13_coefficients(n_max: int, k: int, alpha: int) -> list[list[Fraction]]:
     The values Chat_l^(k+alpha)(alpha) go over their lcm denominator, so
     each entry is an integer sum and one ``Fraction``.
     """
-    values = [cauchy_hi_poly2(l, k + alpha).evaluate(alpha) for l in range(n_max + 1)]
-    den = lcm(*(v.denominator for v in values))
-    nums = [v.numerator * (den // v.denominator) for v in values]
+    nums, den = _over_common_denominator(
+        [cauchy_hi_poly2(l, k + alpha).evaluate(alpha) for l in range(n_max + 1)])
     return [[Fraction(sum(comb(n, l) * stirling1_signed(n - l, m) * nums[l]
                           for l in range(n - m + 1)), den)
              for m in range(n + 1)]

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cauchykit.polynomial import Polynomial, falling_factorial, rising_factorial
+from cauchykit.series import PowerSeries
 from interpolation_reference import interpolate
 
 X = Polynomial.x()
@@ -382,6 +383,10 @@ def test_layout_edge_cases():
     assert Polynomial([3]) == 3 and Polynomial([3]) != Fraction(3, 2)
     assert Polynomial([Fraction(1, 2)]) == Fraction(1, 2) and Polynomial([Fraction(1, 2)]) != 1
     assert half != Fraction(1, 2) and Polynomial() == 0 and Polynomial() != 1
+    # a constant equals its scalar, so it must hash as that scalar too
+    for value in (3, Fraction(1, 2), Fraction(-7, 3), 0):
+        assert hash(Polynomial([value])) == hash(value)
+        assert len({Polynomial([value]), value}) == 1
     assert half * Fraction(-2, 3) == Polynomial([Fraction(-1, 3), Fraction(-2, 3)])
     with pytest.raises(TypeError):
         Polynomial([1, 0.5])
@@ -390,3 +395,10 @@ def test_layout_edge_cases():
     for den in (0, -2):
         with pytest.raises(ValueError):
             Polynomial.from_numerators([1], den)
+        # a series with Polynomial numerators checks its denominator as well
+        for nums in ([X], [Polynomial.zero(), 1], [1, 2]):
+            with pytest.raises(ValueError):
+                PowerSeries.from_numerators(nums, den)
+    for make, nums in ((Polynomial.from_numerators, [1]), (PowerSeries.from_numerators, [X])):
+        with pytest.raises(TypeError):
+            make(nums, Fraction(2))

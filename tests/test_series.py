@@ -84,6 +84,54 @@ def test_div_non_unit_divisor_rejected():
         t_series(5) / t2
 
 
+@pytest.mark.parametrize("num, den", [
+    (one_series(3), Polynomial((2,))),
+    (series(1, F(1, 2), 0, F(-3, 4)), Polynomial((F(-3, 5),))),
+    (PowerSeries([Polynomial.x(), F(2, 3), 0]), Polynomial((F(7, 2),))),
+    (Polynomial((1, 2)), one_series(3)),
+    (Polynomial((F(1, 2),)), cauchy1_gf(4)),
+    (Polynomial.x(), PowerSeries([Polynomial((2,)), Polynomial((1, 1)), F(1, 2)])),
+], ids=["series/2", "series/fraction", "ring series/fraction", "poly/one", "constant/gf",
+        "poly/ring series"])
+def test_division_with_a_polynomial_operand(num, den):
+    # a constant polynomial divides like the scalar it equals: s / c is s * (1/c)
+    quotient, product = num / den, num * (1 / den)
+    assert isinstance(quotient, PowerSeries)
+    assert (quotient.numerators, quotient.denominator) == (product.numerators, product.denominator)
+    for other in (0.5, "x"):
+        assert num.__truediv__(other) is NotImplemented
+        with pytest.raises(TypeError):
+            num / other
+    if isinstance(num, PowerSeries):
+        with pytest.raises(ValueError):
+            num / Polynomial.x()
+        with pytest.raises(ZeroDivisionError):
+            num / Polynomial.zero()
+
+
+def test_mixed_type_subtraction():
+    f = series(1, F(1, 2), F(-1, 3), order=4)
+    p = Polynomial((F(1, 2), 1))
+    ring = PowerSeries([Polynomial.x(), F(2, 3), 0])
+    P = Polynomial
+    for got, expected in [
+        (p - f, (P((F(-1, 2), 1)), P((F(-1, 2),)), P((F(1, 3),)), P.zero())),
+        (f - p, (P((F(1, 2), -1)), P((F(1, 2),)), P((F(-1, 3),)), P.zero())),
+        (ring - p, (P((F(-1, 2),)), P((F(2, 3),)), P.zero())),
+        (p - ring, (P((F(1, 2),)), P((F(-2, 3),)), P.zero())),
+        (F(1, 3) - f, (F(-2, 3), F(-1, 2), F(1, 3), 0)),
+        (2 - ring, (P((2, -1)), P((F(-2, 3),)), P.zero())),
+    ]:
+        assert isinstance(got, PowerSeries)
+        assert got.coeffs == expected
+        # the ring of the result: Polynomial coefficients exactly when an operand has them
+        assert all(isinstance(c, P) for c in got.coeffs) == isinstance(expected[0], P)
+    for left, right in [(f, 0.5), (0.5, f), (p, 0.5), (0.5, p), (f, "x"), ("x", f),
+                        (p, "x"), ("x", p), (ring, 0.5), (0.5, ring)]:
+        with pytest.raises(TypeError):
+            left - right
+
+
 def test_mul_div_round_trip_property():
     g = series(1, 4, -2, F(1, 5), 3, order=8)
     assert (one_series(8) / g) * g == one_series(8)
