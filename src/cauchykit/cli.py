@@ -1,9 +1,18 @@
 """Batch command-line front end.
 
 Four subcommands: ``table`` renders number sequences and Stirling triangles,
-``poly`` renders single polynomials (coefficients constant-term first),
-``series`` renders raw (ordinary, not EGF) series coefficients from the
-named-series registry, and ``verify`` runs the identity suite.
+``poly`` renders single polynomials (coefficients constant term first),
+``series`` renders raw (ordinary, not EGF) series coefficients, and
+``verify`` runs the identity suite.
+
+The families and series are registries, not branches: ``NUMBER_FAMILIES``
+and ``POLY_FAMILIES`` map each name to the option it needs (with that
+option's least value) and the function that builds its values,
+``TRIANGLE_FAMILIES`` maps each name to its ``StirlingKind``, and ``SERIES``
+maps each stock series to its builder beside the one pattern entry
+``bernoulli_gf(alpha)``.  The argparse choices are read from them, ``table``
+and ``poly`` check their options in one place, and the three output
+commands share one renderer.
 
 All payload goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 verification failure, 2 usage error, 141 (128 + SIGPIPE) when the reader
@@ -24,13 +33,14 @@ print in full.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import decimal
 import json
 import os
 import re
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
+from functools import partial
 
 from .bernoulli import bernoulli_hi_numbers, bernoulli_hi_poly
 from .cauchy import (
@@ -43,27 +53,45 @@ from .cauchy import (
     poly_cauchy1,
     poly_cauchy2,
 )
-from .polynomial import Polynomial
 from .rational import format_rational
 from .series import bernoulli_gf, cauchy1_gf, cauchy2_gf, expm1_series, log1p_series
 from .stirling import StirlingKind, stirling_rows
 from .verifier import (
+    DEFAULT_GRID,
     CheckId,
-    Grid,
     reports_to_json,
     reports_to_text,
     run_suite,
     suite_exit_code,
 )
 
-NUMBER_FAMILIES = ("cauchy1", "cauchy2", "cauchy_hi1", "cauchy_hi2",
-                   "poly_cauchy1", "poly_cauchy2", "bernoulli_hi")
-TRIANGLE_FAMILIES = ("stirling1", "stirling2")
-POLY_FAMILIES = ("cauchy_hi_poly1", "cauchy_hi_poly2", "bernoulli_hi_poly")
+# family -> ((option it needs, that option's least value or None) or None,
+#            builder(size, option value)); the generating-function families
+#            read all values off one series
+NUMBER_FAMILIES = {
+    "cauchy1": (None, lambda n_max, _: [cauchy1(n) for n in range(n_max + 1)]),
+    "cauchy2": (None, lambda n_max, _: [cauchy2(n) for n in range(n_max + 1)]),
+    "cauchy_hi1": (("order", 0), partial(cauchy_hi_numbers, CauchyKind.FIRST)),
+    "cauchy_hi2": (("order", 0), partial(cauchy_hi_numbers, CauchyKind.SECOND)),
+    "poly_cauchy1": (("order", 1),
+                     lambda n_max, k: [poly_cauchy1(n, k) for n in range(n_max + 1)]),
+    "poly_cauchy2": (("order", 1),
+                     lambda n_max, k: [poly_cauchy2(n, k) for n in range(n_max + 1)]),
+    "bernoulli_hi": (("alpha", None), bernoulli_hi_numbers),
+}
+TRIANGLE_FAMILIES = {"stirling1": StirlingKind.SIGNED_FIRST, "stirling2": StirlingKind.SECOND}
+POLY_FAMILIES = {
+    "cauchy_hi_poly1": (("order", 1), cauchy_hi_poly1),
+    "cauchy_hi_poly2": (("order", 1), cauchy_hi_poly2),
+    "bernoulli_hi_poly": (("alpha", None), bernoulli_hi_poly),
+}
+SERIES = {"log1p": log1p_series, "exp_m1": expm1_series,
+          "cauchy1_gf": cauchy1_gf, "cauchy2_gf": cauchy2_gf}
 
-_SERIES_REGISTRY_HELP = ("log1p", "exp_m1", "cauchy1_gf", "cauchy2_gf", "bernoulli_gf(alpha)")
+_SERIES_REGISTRY_HELP = (*SERIES, "bernoulli_gf(alpha)")
 _BERNOULLI_GF_RE = re.compile(r"bernoulli_gf\((-?[0-9]+)\)")
 _ASCII_INT_RE = re.compile(r"-?[0-9]+")
+_FORMATS = ("csv", "json", "text")
 
 # Exact integer arithmetic for the triangles: any result that would have to
 # be rounded raises instead of printing a wrong digit.
@@ -105,32 +133,35 @@ def _emit(text: str) -> None:
         sys.stdout.write("\n")
 
 
-def _dump_json(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+def _render(values, fmt: str, indexed: bool = False) -> None:
+    """Write exact values as JSON, csv or text: one row, or with `indexed` one row per n."""
+    with _unlimited_int_text():
+        cells = [format_rational(v) for v in values]
+        if fmt == "json":
+            rows = [{"n": n, "value": c} for n, c in enumerate(cells)] if indexed else cells
+            _emit(json.dumps(rows, separators=(",", ":")))
+            return
+        sep = "," if fmt == "csv" else " "
+        _emit("\n".join(f"{n}{sep}{c}" for n, c in enumerate(cells)) if indexed
+              else sep.join(cells))
 
 
-def _render_cells(rows: list[list[str]], fmt: str) -> str:
-    if fmt == "csv":
-        return "\n".join(",".join(row) for row in rows)
-    return "\n".join(" ".join(row) for row in rows)
+def _family_option(args, parser, need, size: int, size_flag: str):
+    """The value of the option a `table` or `poly` family needs; bad input exits 2."""
+    if size < 0:
+        parser.error(f"{size_flag} must be nonnegative")
+    if need is None:
+        return None
+    option, least = need
+    value = getattr(args, option)
+    if value is None:
+        parser.error(f"family {args.family} needs --{option}")
+    if least is not None and value < least:
+        parser.error(f"--{option} out of range for family {args.family}")
+    return value
 
 
-# -- table ------------------------------------------------------------------
-
-def _number_values(family: str, n_max: int, args) -> list[Fraction]:
-    # the generating-function families read all values off one series
-    if family == "cauchy_hi1":
-        return cauchy_hi_numbers(CauchyKind.FIRST, n_max, args.order)
-    if family == "cauchy_hi2":
-        return cauchy_hi_numbers(CauchyKind.SECOND, n_max, args.order)
-    if family == "bernoulli_hi":
-        return bernoulli_hi_numbers(n_max, args.alpha)
-    if family in ("cauchy1", "cauchy2"):
-        value = cauchy1 if family == "cauchy1" else cauchy2
-        return [value(n) for n in range(n_max + 1)]
-    value = poly_cauchy1 if family == "poly_cauchy1" else poly_cauchy2
-    return [value(n, args.order) for n in range(n_max + 1)]
-
+# -- commands -----------------------------------------------------------------
 
 def _stream_triangle(kind: StirlingKind, n_max: int, fmt: str) -> None:
     """Write rows 0..n_max of the triangle of `kind` to stdout as each is built."""
@@ -150,92 +181,35 @@ def _stream_triangle(kind: StirlingKind, n_max: int, fmt: str) -> None:
 
 
 def _cmd_table(args, parser) -> int:
-    family = args.family
-    if args.n_max < 0:
-        parser.error("--n-max must be nonnegative")
-    if family in ("cauchy_hi1", "cauchy_hi2", "poly_cauchy1", "poly_cauchy2"):
-        if args.order is None:
-            parser.error(f"family {family} needs --order")
-        if args.order < (0 if family.startswith("cauchy_hi") else 1):
-            parser.error(f"--order out of range for family {family}")
-    if family == "bernoulli_hi" and args.alpha is None:
-        parser.error("family bernoulli_hi needs --alpha")
-
-    if family in TRIANGLE_FAMILIES:
-        kind = StirlingKind.SIGNED_FIRST if family == "stirling1" else StirlingKind.SECOND
-        _stream_triangle(kind, args.n_max, args.format)
-        return 0
-
-    values = list(enumerate(_number_values(family, args.n_max, args)))
-    with _unlimited_int_text():
-        if args.format == "json":
-            _emit(_dump_json([{"n": n, "value": format_rational(v)} for n, v in values]))
-        else:
-            _emit(_render_cells([[str(n), format_rational(v)] for n, v in values],
-                                args.format))
+    need, build = NUMBER_FAMILIES.get(args.family, (None, None))
+    value = _family_option(args, parser, need, args.n_max, "--n-max")
+    if build is None:
+        _stream_triangle(TRIANGLE_FAMILIES[args.family], args.n_max, args.format)
+    else:
+        _render(build(args.n_max, value), args.format, indexed=True)
     return 0
 
-
-# -- poly -------------------------------------------------------------------
 
 def _cmd_poly(args, parser) -> int:
-    if args.n < 0:
-        parser.error("--n must be nonnegative")
-    if args.family == "bernoulli_hi_poly":
-        if args.alpha is None:
-            parser.error("family bernoulli_hi_poly needs --alpha")
-        poly = bernoulli_hi_poly(args.n, args.alpha)
-    else:
-        if args.order is None or args.order < 1:
-            parser.error(f"family {args.family} needs --order >= 1")
-        maker = cauchy_hi_poly1 if args.family == "cauchy_hi_poly1" else cauchy_hi_poly2
-        poly = maker(args.n, args.order)
-    with _unlimited_int_text():
-        cells = _poly_cells(poly)
-        if args.format == "json":
-            _emit(_dump_json(cells))
-        else:
-            _emit(_render_cells([cells], args.format))
-    return 0
-
-
-def _poly_cells(poly: Polynomial) -> list[str]:
+    need, build = POLY_FAMILIES[args.family]
+    poly = build(args.n, _family_option(args, parser, need, args.n, "--n"))
     # constant term first; the zero polynomial renders as a single "0"
-    if poly.is_zero():
-        return ["0"]
-    return [format_rational(c) for c in poly.coeffs]
-
-
-# -- series -----------------------------------------------------------------
-
-def _series_by_name(name: str, terms: int):
-    if name == "log1p":
-        return log1p_series(terms)
-    if name == "exp_m1":
-        return expm1_series(terms)
-    if name == "cauchy1_gf":
-        return cauchy1_gf(terms)
-    if name == "cauchy2_gf":
-        return cauchy2_gf(terms)
-    match = _BERNOULLI_GF_RE.fullmatch(name)
-    if match:
-        return bernoulli_gf(int(match.group(1)), terms)
-    return None
+    _render(poly.coeffs or (0,), args.format)
+    return 0
 
 
 def _cmd_series(args, parser) -> int:
     if args.terms < 1:
         parser.error("--terms must be at least 1")
-    series = _series_by_name(args.name, args.terms)
-    if series is None:
+    match = _BERNOULLI_GF_RE.fullmatch(args.name)
+    if match:
+        series = bernoulli_gf(int(match.group(1)), args.terms)
+    elif args.name in SERIES:
+        series = SERIES[args.name](args.terms)
+    else:
         parser.error(f"unknown series {args.name!r}; registry: "
                      + ", ".join(_SERIES_REGISTRY_HELP))
-    with _unlimited_int_text():
-        cells = [format_rational(c) for c in series.coeffs[:args.terms]]
-        if args.format == "json":
-            _emit(_dump_json(cells))
-        else:
-            _emit(_render_cells([cells], args.format))
+    _render(series.coeffs[:args.terms], args.format)
     return 0
 
 
@@ -244,9 +218,8 @@ def _cmd_series(args, parser) -> int:
 _GRID_KEYS = {"n": "n_max", "k": "k_max", "alpha": "alpha_max"}
 
 
-def _parse_grid(text: str | None, defaults: dict, parser) -> Grid:
-    """Apply "n=..,k=..,alpha=.." over the defaults; values are ASCII integers, keys unique."""
-    values = dict(defaults)
+def _parse_grid(text: str | None, values: dict, parser):
+    """Apply "n=..,k=..,alpha=.." over `values`; values are ASCII integers, keys unique."""
     seen = set()
     if text:
         for piece in text.split(","):
@@ -263,7 +236,7 @@ def _parse_grid(text: str | None, defaults: dict, parser) -> Grid:
                 values[_GRID_KEYS[key]] = _ascii_int(raw)
             except argparse.ArgumentTypeError:
                 parser.error(f"bad --grid value {raw!r}")
-    return Grid(**values)
+    return dataclasses.replace(DEFAULT_GRID, **values)
 
 
 def _load_config(path: str | None, parser) -> dict:
@@ -276,8 +249,7 @@ def _load_config(path: str | None, parser) -> dict:
         parser.error(f"cannot read config {path!r}: {exc}")
     if not isinstance(raw, dict):
         parser.error(f"config {path!r} must hold a JSON object, not {type(raw).__name__}")
-    allowed = {"n_max", "k_max", "alpha_max"}
-    bad = set(raw) - allowed
+    bad = set(raw) - set(_GRID_KEYS.values())
     if bad:
         parser.error(f"unknown config keys: {sorted(bad)}")
     for key, value in raw.items():
@@ -287,9 +259,7 @@ def _load_config(path: str | None, parser) -> dict:
 
 
 def _cmd_verify(args, parser) -> int:
-    defaults = {"n_max": 15, "k_max": 4, "alpha_max": 3}
-    defaults.update(_load_config(args.config, parser))
-    grid = _parse_grid(args.grid, defaults, parser)
+    grid = _parse_grid(args.grid, _load_config(args.config, parser), parser)
     if args.checks.strip().lower() == "all":
         checks = None
     else:
@@ -302,10 +272,7 @@ def _cmd_verify(args, parser) -> int:
                              + ",".join(cid.value for cid in CheckId))
             checks.append(by_value[token])
     reports = run_suite(grid, checks)
-    if args.format == "json":
-        _emit(reports_to_json(reports))
-    else:
-        _emit(reports_to_text(reports))
+    _emit((reports_to_json if args.format == "json" else reports_to_text)(reports))
     return suite_exit_code(reports)
 
 
@@ -321,25 +288,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     table = sub.add_parser("table", help="tabulate a number family or Stirling triangle")
     table.add_argument("--family", required=True,
-                       choices=NUMBER_FAMILIES + TRIANGLE_FAMILIES)
+                       choices=[*NUMBER_FAMILIES, *TRIANGLE_FAMILIES])
     table.add_argument("--order", type=_ascii_int, default=None,
                        help="k parameter for the higher-order/poly families")
     table.add_argument("--alpha", type=_ascii_int, default=None,
                        help="order for the bernoulli_hi family")
     table.add_argument("--n-max", type=_ascii_int, required=True)
-    table.add_argument("--format", choices=("csv", "json", "text"), default="text")
+    table.add_argument("--format", choices=_FORMATS, default="text")
+    table.set_defaults(run=_cmd_table)
 
     poly = sub.add_parser("poly", help="print one polynomial, constant term first")
-    poly.add_argument("--family", required=True, choices=POLY_FAMILIES)
+    poly.add_argument("--family", required=True, choices=list(POLY_FAMILIES))
     poly.add_argument("--n", type=_ascii_int, required=True)
     poly.add_argument("--order", type=_ascii_int, default=None)
     poly.add_argument("--alpha", type=_ascii_int, default=None)
-    poly.add_argument("--format", choices=("csv", "json", "text"), default="text")
+    poly.add_argument("--format", choices=_FORMATS, default="text")
+    poly.set_defaults(run=_cmd_poly)
 
     series = sub.add_parser("series", help="print ordinary series coefficients")
     series.add_argument("name", help="registry key: " + ", ".join(_SERIES_REGISTRY_HELP))
     series.add_argument("--terms", type=_ascii_int, required=True)
-    series.add_argument("--format", choices=("csv", "json", "text"), default="text")
+    series.add_argument("--format", choices=_FORMATS, default="text")
+    series.set_defaults(run=_cmd_series)
 
     verify = sub.add_parser("verify", help="run identity checks")
     verify.add_argument("--checks", default="all",
@@ -348,6 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--config", default=None,
                         help="JSON file with default grid bounds")
     verify.add_argument("--format", choices=("json", "text"), default="text")
+    verify.set_defaults(run=_cmd_verify)
 
     return parser
 
@@ -355,13 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "table":
-        return _cmd_table(args, parser)
-    if args.command == "poly":
-        return _cmd_poly(args, parser)
-    if args.command == "series":
-        return _cmd_series(args, parser)
-    return _cmd_verify(args, parser)
+    return args.run(args, parser)
 
 
 def entry() -> None:

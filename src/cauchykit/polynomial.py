@@ -136,15 +136,21 @@ class _Numerators:
         return self.from_numerators([v * num for v in self.numerators], self.denominator * den)
 
     def _power(self, one, exponent: int):
-        """one * self**exponent for exponent >= 0, by square-and-multiply."""
-        result, base = one, self
-        while exponent:
+        """self**exponent for exponent >= 0 by square-and-multiply; `one` is the 0th power.
+
+        The result starts from the lowest power of two in the exponent, so
+        ``s ** 1`` takes no product and ``s ** 2**j`` takes j.
+        """
+        if not exponent:
+            return one
+        result, base = None, self
+        while True:
             if exponent & 1:
-                result = result * base
+                result = base if result is None else result * base
             exponent >>= 1
-            if exponent:
-                base = base * base
-        return result
+            if not exponent:
+                return result
+            base = base * base
 
     def __neg__(self):
         return self.from_numerators([-v for v in self.numerators], self.denominator)

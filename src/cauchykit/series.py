@@ -304,33 +304,25 @@ def one_series(order: int) -> PowerSeries:
 
 
 def t_series(order: int) -> PowerSeries:
-    if order < 2:
-        return PowerSeries([Fraction(0)], order=order)
     return PowerSeries([Fraction(0), Fraction(1)], order=order)
 
 
 def log1p_series(order: int) -> PowerSeries:
     """log(1+t) = t - t^2/2 + t^3/3 - ..."""
-    if order < 1:
-        raise ValueError("order must be positive")
     return PowerSeries(
-        [Fraction(0)] + [Fraction((-1) ** (j - 1), j) for j in range(1, order)])
+        [Fraction(0)] + [Fraction((-1) ** (j - 1), j) for j in range(1, order)], order=order)
 
 
 def expm1_series(order: int) -> PowerSeries:
     """e^t - 1 = t + t^2/2! + ..."""
-    if order < 1:
-        raise ValueError("order must be positive")
     return PowerSeries(
-        [Fraction(0)] + [Fraction(1, factorial(j)) for j in range(1, order)])
+        [Fraction(0)] + [Fraction(1, factorial(j)) for j in range(1, order)], order=order)
 
 
 def one_minus_exp_neg_series(order: int) -> PowerSeries:
     """1 - e^{-t} = t - t^2/2! + t^3/3! - ..."""
-    if order < 1:
-        raise ValueError("order must be positive")
-    return PowerSeries(
-        [Fraction(0)] + [Fraction((-1) ** (j - 1), factorial(j)) for j in range(1, order)])
+    return PowerSeries([Fraction(0)] + [Fraction((-1) ** (j - 1), factorial(j))
+                                        for j in range(1, order)], order=order)
 
 
 def cauchy1_gf(order: int) -> PowerSeries:

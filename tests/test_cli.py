@@ -1,5 +1,6 @@
 """CLI contract: exact output strings, formats, exit codes."""
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -93,6 +94,46 @@ def test_series_bernoulli_gf_zero(capsys):
                         "--terms", "2", "--format", "json")
     assert code == 0
     assert out == '["1","0"]\n'
+
+
+# -- every registry entry is reachable -------------------------------------------
+
+def _family_choices(command):
+    subcommands = next(a for a in cli.build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in subcommands.choices[command]._actions if a.dest == "family").choices
+
+
+def _registry_argvs():
+    for command, registry, size in (("table", cli.NUMBER_FAMILIES, "--n-max"),
+                                    ("poly", cli.POLY_FAMILIES, "--n")):
+        for family, (need, _) in registry.items():
+            option = ()
+            if need is not None:  # the option at its least value, or at -2 where any goes
+                name, least = need
+                option = (f"--{name}", str(-2 if least is None else least))
+            yield [command, "--family", family, *option, size, "3"]
+    for family in cli.TRIANGLE_FAMILIES:
+        yield ["table", "--family", family, "--n-max", "3"]
+    for name in [*cli.SERIES, "bernoulli_gf(-2)"]:
+        yield ["series", name, "--terms", "3"]
+
+
+def test_family_choices_are_the_registries():
+    assert list(_family_choices("table")) == [*cli.NUMBER_FAMILIES, *cli.TRIANGLE_FAMILIES]
+    assert list(_family_choices("poly")) == list(cli.POLY_FAMILIES)
+    assert cli._SERIES_REGISTRY_HELP == (*cli.SERIES, "bernoulli_gf(alpha)")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+@pytest.mark.parametrize("argv", list(_registry_argvs()), ids=" ".join)
+def test_every_registry_entry_renders(capsys, argv, fmt):
+    code, out = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 0
+    lines = 4 if argv[0] == "table" and fmt != "json" else 1  # rows n = 0..3, or one line
+    assert out.endswith("\n") and out.count("\n") == lines
+    if fmt == "json":
+        assert json.dumps(json.loads(out), separators=(",", ":")) + "\n" == out
 
 
 # -- formats agree on values -----------------------------------------------------
@@ -217,6 +258,30 @@ def test_missing_alpha_is_usage_error(capsys):
 def test_bad_family_is_usage_error(capsys):
     assert run_cli_expect_usage_error(
         capsys, "table", "--family", "nonsense", "--n-max", "3") == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["table", "--family", "cauchy_hi1", "--n-max", "3"], "family cauchy_hi1 needs --order"),
+    (["table", "--family", "cauchy_hi2", "--order", "-1", "--n-max", "3"],
+     "--order out of range for family cauchy_hi2"),
+    (["table", "--family", "poly_cauchy1", "--order", "0", "--n-max", "3"],
+     "--order out of range for family poly_cauchy1"),
+    (["table", "--family", "bernoulli_hi", "--n-max", "3"], "family bernoulli_hi needs --alpha"),
+    (["poly", "--family", "cauchy_hi_poly1", "--n", "3"], "family cauchy_hi_poly1 needs --order"),
+    (["poly", "--family", "cauchy_hi_poly2", "--order", "0", "--n", "3"],
+     "--order out of range for family cauchy_hi_poly2"),
+    (["poly", "--family", "bernoulli_hi_poly", "--n", "3"],
+     "family bernoulli_hi_poly needs --alpha"),
+], ids=["table missing order", "table order below 0", "table order below 1",
+        "table missing alpha", "poly missing order", "poly order below 1", "poly missing alpha"])
+def test_family_option_errors_read_alike(capsys, argv, message):
+    # table and poly share one check, so a missing option and one below its
+    # least value read the same in both
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    err = capsys.readouterr().err
+    assert excinfo.value.code == 2
+    assert err.splitlines()[-1] == f"cauchykit: error: {message}"
 
 
 def test_bad_grid_entry_is_usage_error(capsys):

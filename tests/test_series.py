@@ -160,6 +160,35 @@ def test_negative_pow_needs_unit():
         t_series(4) ** -1
 
 
+@pytest.mark.parametrize("exponent, products", [(1, 0), (2, 1), (4, 2)])
+def test_pow_skips_the_product_by_one(monkeypatch, exponent, products):
+    # square-and-multiply from the base: s ** 2**j is j squarings, no 1 * s
+    calls = []
+    original = series_module._convolve
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(series_module, "_convolve", counted)
+    f = series(1, 2, 3, 4, 5)
+    power = f ** exponent
+    assert len(calls) == products
+    expected = one_series(5)
+    for _ in range(exponent):
+        expected = expected * f
+    assert power.coeffs == expected.coeffs
+
+
+@pytest.mark.parametrize("stock", [t_series, log1p_series, expm1_series,
+                                   one_minus_exp_neg_series])
+def test_stock_series_at_order_zero_and_one(stock):
+    with pytest.raises(ValueError, match="order must be positive"):
+        stock(0)
+    # order 1 keeps only the constant term, which is 0 for each of these
+    assert stock(1).coeffs == (F(0),) and stock(1).order == 1
+
+
 # -- log(1+t) ----------------------------------------------------------------------
 
 def test_log1p_mercator():
