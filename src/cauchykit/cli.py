@@ -147,9 +147,12 @@ def _render(values, fmt: str, indexed: bool = False) -> None:
 
 
 def _family_option(args, parser, need, size: int, size_flag: str):
-    """The value of the option a `table` or `poly` family needs; bad input exits 2."""
+    """The value of the option a `table` or `poly` family needs; bad or unread input exits 2."""
     if size < 0:
         parser.error(f"{size_flag} must be nonnegative")
+    for option in ("order", "alpha"):
+        if getattr(args, option) is not None and option != (need and need[0]):
+            parser.error(f"family {args.family} does not take --{option}")
     if need is None:
         return None
     option, least = need

@@ -61,6 +61,23 @@ def _over_common_denominator(cs: Sequence[Fraction]) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in cs], den
 
 
+def _linear_combination(terms: Iterable[tuple[Polynomial, Scalar]]) -> Polynomial:
+    """sum c p over the (p, c) pairs as int sums over one lcm; a float c raises TypeError."""
+    scaled, out, den = [], [], 1
+    for p, c in terms:
+        ratio = _as_ratio(c)
+        if ratio is None or isinstance(c, Polynomial):
+            raise TypeError(f"a weight must be an int or a Fraction: {c!r}")
+        num, d = ratio[0], ratio[1] * p.denominator
+        if num:
+            scaled.append((p.numerators, num, d))
+            den = lcm(den, d)
+    for nums, num, d in scaled:
+        num *= den // d
+        out = [o + v * num for o, v in zip_longest(out, nums, fillvalue=0)]
+    return Polynomial.from_numerators(out, den)
+
+
 def _lowest_terms(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
     """nums and den divided by gcd(den, *nums), for a positive den.
 

@@ -14,7 +14,9 @@ holds on every case (the report keeps the printed-form counterexamples),
 
 Reports are plain data: deterministic, JSON-serialisable, byte-stable
 across runs for a fixed grid.  Checks are independent of each other and of
-execution order.
+execution order.  Both sides of a check may share the arithmetic layer and
+nothing above it: the sums of T5, T8, T9, T10, T13 and EQ58 all run through
+one int kernel, ``polynomial._linear_combination``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import comb, factorial, perm
+from math import comb, factorial, lcm, perm
 from typing import Callable, Iterable, Iterator
 
 from .bernoulli import bernoulli_hi_poly
@@ -44,7 +46,8 @@ from .cauchy import (
     poly_cauchy_poly2,
     product_integrate,
 )
-from .polynomial import Polynomial, _over_common_denominator, falling_factorial, rising_factorial
+from .polynomial import (Polynomial, _linear_combination, _over_common_denominator,
+                         falling_factorial, rising_factorial)
 from .rational import format_rational
 from .series import (
     PowerSeries,
@@ -203,16 +206,18 @@ def _cases_t2(grid: Grid) -> Iterator[Case]:
 
 def _cases_t3(grid: Grid) -> Iterator[Case]:
     """T3: S2(m+k,k) from binomially weighted first-kind numbers (both displays)."""
+    columns = {k: (_over_common_denominator([cauchy_hi1(n, k, CauchyMethod.GF_COEFF)
+                                             for n in grid.ns()]),
+                   _over_common_denominator([bernoulli_hi_poly(n, n - k + 1).evaluate(1)
+                                             for n in grid.ns()]))
+               for k in grid.ks()}
     for m in grid.ns():
         for k in grid.ks():
             lhs = Fraction(stirling2(m + k, k))
             front = comb(m + k, m)
-            yield ({"m": m, "k": k, "form": "cauchy_sum"}, lhs,
-                   front * sum((cauchy_hi1(n, k, CauchyMethod.GF_COEFF) * stirling2(m, n)
-                                for n in range(m + 1)), Fraction(0)))
-            yield ({"m": m, "k": k, "form": "bernoulli_sum"}, lhs,
-                   front * sum((bernoulli_hi_poly(n, n - k + 1).evaluate(1) * stirling2(m, n)
-                                for n in range(m + 1)), Fraction(0)))
+            for form, (nums, den) in zip(("cauchy_sum", "bernoulli_sum"), columns[k]):
+                yield ({"m": m, "k": k, "form": form}, lhs,
+                       Fraction(front * sum(nums[n] * stirling2(m, n) for n in range(m + 1)), den))
 
 
 def _cases_poly_paths(grid: Grid, kind: CauchyKind) -> Iterator[Case]:
@@ -246,20 +251,23 @@ def _cases_t5(grid: Grid) -> Iterator[Case]:
     """T5: first-kind polynomial / S2 resummation identity."""
     for m in grid.ns():
         for k in grid.ks():
-            rhs = Polynomial.zero()
-            for n in range(m + 1):
-                rhs = rhs + cauchy_hi_poly1(n, k) * stirling2(m, n)
+            rhs = _linear_combination((cauchy_hi_poly1(n, k), stirling2(m, n))
+                                      for n in range(m + 1))
             yield ({"m": m, "k": k}, _s2_weights(m, k).reflect(), rhs)
 
 
 def _cases_t6(grid: Grid) -> Iterator[Case]:
     """T6: second-kind numbers / S2 resummation identity with (-k) powers."""
+    numbers = {k: _over_common_denominator([cauchy_hi2(m, k, CauchyMethod.GF_COEFF)
+                                            for m in grid.ns()])
+               for k in grid.ks()}
     for n in grid.ns():
         for k in grid.ks():
-            lhs = sum((Fraction(comb(n, m), comb(k + m, m)) * stirling2(k + m, k)
-                       * Fraction((-k) ** (n - m)) for m in range(n + 1)), Fraction(0))
-            rhs = sum((cauchy_hi2(m, k, CauchyMethod.GF_COEFF) * stirling2(n, m)
-                       for m in range(n + 1)), Fraction(0))
+            scale = lcm(*[comb(k + m, m) for m in range(n + 1)])
+            lhs = Fraction(sum(comb(n, m) * (scale // comb(k + m, m)) * stirling2(k + m, k)
+                               * (-k) ** (n - m) for m in range(n + 1)), scale)
+            nums, den = numbers[k]
+            rhs = Fraction(sum(nums[m] * stirling2(n, m) for m in range(n + 1)), den)
             yield ({"n": n, "k": k}, lhs, rhs)
 
 
@@ -267,9 +275,8 @@ def _cases_t8(grid: Grid) -> Iterator[Case]:
     """T8: second-kind polynomial / S2 resummation identity with (x-k) powers."""
     for m in grid.ns():
         for k in grid.ks():
-            lhs = Polynomial.zero()
-            for n in range(m + 1):
-                lhs = lhs + cauchy_hi_poly2(n, k) * stirling2(m, n)
+            lhs = _linear_combination((cauchy_hi_poly2(n, k), stirling2(m, n))
+                                      for n in range(m + 1))
             yield ({"m": m, "k": k}, lhs, _s2_weights(m, k).shift(-k))
 
 
@@ -285,9 +292,8 @@ def _cases_reciprocity(grid: Grid, kind: CauchyKind) -> Iterator[Case]:
             continue
         for k in grid.ks():
             lhs = poly(n, k) * Fraction((-1) ** n, factorial(n))
-            rhs = Polynomial.zero()
-            for m in range(1, n + 1):
-                rhs = rhs + other(m, k) * Fraction(comb(n - 1, n - m), factorial(m))
+            rhs = _linear_combination((other(m, k), Fraction(comb(n - 1, n - m), factorial(m)))
+                                      for m in range(1, n + 1))
             yield ({"n": n, "k": k}, lhs, rhs)
 
 
@@ -306,29 +312,28 @@ def _cases_l11(grid: Grid) -> Iterator[Case]:
 
 
 def _umbral_weights(n: int, k: int) -> Polynomial:
-    # T12: sum over l,m of C(l,m)/C(k+l-m,k) S2(k+l-m,k) S1(n,l) y^m
-    weights = [Fraction(0)] * (n + 1)
+    # T12: sum over l,m of C(l,m)/C(k+l-m,k) S2(k+l-m,k) S1(n,l) y^m, over lcm_j C(k+j,k)
+    den = lcm(*[comb(k + j, k) for j in range(n + 1)])
+    weights = [0] * (n + 1)
     for l in range(n + 1):
         s1 = stirling1_signed(n, l)
         if s1 == 0:
             continue
         for m in range(l + 1):
-            weights[m] += (Fraction(comb(l, m), comb(k + l - m, k))
-                           * stirling2(k + l - m, k) * s1)
-    return Polynomial(weights)
+            weights[m] += comb(l, m) * (den // comb(k + l - m, k)) * stirling2(k + l - m, k) * s1
+    return Polynomial.from_numerators(weights, den)
 
 
 def _operator_weights(n: int, k: int) -> Polynomial:
-    # EQ59-61: sum over l,m of k!/(k+m)! (l)_m S2(k+m,k) S1(n,l) y^(l-m)
-    weights = [Fraction(0)] * (n + 1)
+    # EQ59-61: sum over l,m of k!/(k+m)! (l)_m S2(k+m,k) S1(n,l) y^(l-m), over (k+n)!/k!
+    weights = [0] * (n + 1)
     for l in range(n + 1):
         s1 = stirling1_signed(n, l)
         if s1 == 0:
             continue
         for m in range(l + 1):
-            weights[l - m] += (Fraction(factorial(k), factorial(k + m))
-                               * perm(l, m) * stirling2(k + m, k) * s1)
-    return Polynomial(weights)
+            weights[l - m] += perm(k + n, n - m) * perm(l, m) * stirling2(k + m, k) * s1
+    return Polynomial.from_numerators(weights, perm(k + n, n))
 
 
 def _cases_umbral(grid: Grid, weights_of: Callable[[int, int], Polynomial]) -> Iterator[Case]:
@@ -403,7 +408,7 @@ def _cases_t13(grid: Grid) -> Iterator[Case]:
                 row = coefficients[n]
                 yield ({"alpha": alpha, "k": k, "n": n, "form": "resummation"},
                        bases[n] * sum(row, Fraction(0)), cauchy_hi_poly2(n, k),
-                       sum((b * c for b, c in zip(bases, row)), Polynomial.zero()))
+                       _linear_combination(zip(bases, row)))
                 for m in range(n + 1):
                     yield ({"alpha": alpha, "k": k, "n": n, "m": m,
                             "form": "connection_matrix"},
@@ -464,16 +469,10 @@ def _cases_sheffer(grid: Grid, kind: CauchyKind) -> Iterator[Case]:
 
 def _apply_series_operator(op: PowerSeries, p: Polynomial) -> Polynomial:
     """Evaluate op(d/dx) p(x): the t^j coefficient of op multiplies the j-th derivative."""
-    result = Polynomial.zero()
-    current = p
-    for j in range(op.order):
-        if current.is_zero():
-            break
-        c = op.coefficient(j)
-        if c != 0:
-            result = result + current * c
-        current = current.derivative()
-    return result
+    derivatives = [p]
+    while len(derivatives) < op.order and derivatives[-1]:
+        derivatives.append(derivatives[-1].derivative())
+    return _linear_combination(zip(derivatives, op.coeffs))
 
 
 def _cases_eq58(grid: Grid) -> Iterator[Case]:
@@ -499,17 +498,18 @@ def _cases_polyc(grid: Grid) -> Iterator[Case]:
     """
     for n in grid.ns():
         ff = falling_factorial(n)
+        reflected = ff.reflect()
+        shifted = [(z, ff.shift(-z), reflected.shift(-z)) for z in grid.x_samples]
         for k in grid.ks():
             yield ({"n": n, "k": k, "form": "numbers_first"},
                    poly_cauchy1(n, k), product_integrate(ff, k))
             yield ({"n": n, "k": k, "form": "numbers_second"},
-                   poly_cauchy2(n, k), product_integrate(ff.reflect(), k))
-            for z in grid.x_samples:
+                   poly_cauchy2(n, k), product_integrate(reflected, k))
+            for z, first, second in shifted:
                 yield ({"n": n, "k": k, "z": format_rational(z), "form": "poly_first"},
-                       poly_cauchy_poly1(n, k, z), product_integrate(ff.shift(-z), k))
+                       poly_cauchy_poly1(n, k, z), product_integrate(first, k))
                 yield ({"n": n, "k": k, "z": format_rational(z), "form": "poly_second"},
-                       poly_cauchy_poly2(n, k, z),
-                       product_integrate(ff.reflect().shift(-z), k))
+                       poly_cauchy_poly2(n, k, z), product_integrate(second, k))
 
 
 @dataclass(frozen=True)

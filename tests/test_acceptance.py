@@ -76,6 +76,10 @@ EDGE_GRID_VERIFY_JSON_SHA256 = {
     "n=9,k=3,alpha=2": "2d08cbfc3f93fa6b00c3f6835d1ce2f39619d94181ba2281e98d08d4bbf808f9",
 }
 
+# ... and of `reports_to_json(run_suite(Grid(25, 4, 3)))`, in-process: past the
+# default grid the sums run over wider denominators
+WIDE_GRID_JSON_SHA256 = "220ad6cc8629b164ed84c2a75dcd7284ad9793ff5d38a89aec6eebe3b4e805ac"
+
 _SUITE_CACHE: dict = {}
 
 
@@ -283,3 +287,8 @@ def test_verify_json_pinned_on_edge_grids(grid):
     result = _run_cli("verify", "--format", "json", "--grid", grid)
     assert result.returncode == 0, result.stderr
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == EDGE_GRID_VERIFY_JSON_SHA256[grid]
+
+
+def test_verify_json_pinned_past_the_default_grid():
+    reports = run_suite(Grid(n_max=25, k_max=4, alpha_max=3))
+    assert hashlib.sha256(reports_to_json(reports).encode()).hexdigest() == WIDE_GRID_JSON_SHA256

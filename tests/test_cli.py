@@ -284,6 +284,24 @@ def test_family_option_errors_read_alike(capsys, argv, message):
     assert err.splitlines()[-1] == f"cauchykit: error: {message}"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["table", "--family", "cauchy1", "--order", "5", "--alpha", "2", "--n-max", "3"],
+     "family cauchy1 does not take --order"),
+    (["table", "--family", "stirling1", "--order", "3", "--n-max", "2"],
+     "family stirling1 does not take --order"),
+    (["poly", "--family", "cauchy_hi_poly1", "--n", "2", "--order", "2", "--alpha", "7"],
+     "family cauchy_hi_poly1 does not take --alpha"),
+], ids=["table number family", "table triangle", "poly"])
+def test_family_rejects_options_it_does_not_read(capsys, argv, message):
+    # these printed a table or polynomial and exited 0, so a mistyped family
+    # silently answered a different question
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    err = capsys.readouterr().err
+    assert excinfo.value.code == 2
+    assert err.splitlines()[-1] == f"cauchykit: error: {message}"
+
+
 def test_bad_grid_entry_is_usage_error(capsys):
     assert run_cli_expect_usage_error(
         capsys, "verify", "--grid", "q=3") == 2

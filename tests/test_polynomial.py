@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cauchykit.polynomial import Polynomial, falling_factorial, rising_factorial
+from cauchykit.polynomial import (Polynomial, _linear_combination, falling_factorial,
+                                  rising_factorial)
 from cauchykit.series import PowerSeries
 from interpolation_reference import interpolate
 
@@ -402,3 +403,42 @@ def test_layout_edge_cases():
     for make, nums in ((Polynomial.from_numerators, [1]), (PowerSeries.from_numerators, [X])):
         with pytest.raises(TypeError):
             make(nums, Fraction(2))
+
+
+# -- the verifier's linear-combination kernel against a Fraction loop -------------
+
+def reference_combination(terms):
+    """Reference sum of c p: one Fraction multiply-add per coefficient of each term."""
+    out = []
+    for a, c in terms:
+        out += [Fraction(0)] * (len(a) - len(out))
+        for i, x in enumerate(a):
+            out[i] += Fraction(x) * c
+    return out
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(coeff_lists, scalars), max_size=6))
+@example([])
+@example([([0, 0], 3), ([Fraction(1, 2), 0], 0), ([], Fraction(-5, 7))])
+@example([([1, 2], Fraction(1, 2)), ([2, 4], Fraction(-1, 4))])
+@example([([Fraction(v, p) for v, p in zip(range(1, 17), PRIMES)], -7),
+          ([Fraction(1, 10**6), 0, 3], Fraction(-999_983, 10**6)), ([5], 2)])
+def test_linear_combination_matches_the_fraction_reference(terms):
+    # zero weights, int and Fraction weights mixed, trailing zeros, wide and
+    # negative denominators; the ([1, 2], 1/2), ([2, 4], -1/4) example cancels
+    pairs = [(Polynomial(a), c) for a, c in terms]
+    got = _linear_combination(pairs)
+    assert_lowest_terms(got)
+    assert got.coeffs == stripped(reference_combination(terms))
+    assert _linear_combination(iter(pairs)) == got
+    # adding each term's negation cancels to the zero polynomial's one layout
+    cancelled = _linear_combination(pairs + [(p, -c) for p, c in pairs])
+    assert (cancelled.numerators, cancelled.denominator) == ((), 1)
+
+
+def test_linear_combination_takes_only_exact_scalar_weights():
+    assert _linear_combination([]) == Polynomial.zero()
+    for weight in (0.5, 0.0, X, Polynomial.one(), "1", None):
+        with pytest.raises(TypeError):
+            _linear_combination([(X, 1), (X, weight)])

@@ -259,6 +259,34 @@ def test_each_check_makes_one_pass(monkeypatch):
     assert len(calls) == len(DEFAULT_GRID.ns()) * len(DEFAULT_GRID.ks()) == 64
 
 
+def test_t3_reads_each_bernoulli_value_once(monkeypatch):
+    # one B_n^(n-k+1)(1) per (n, k), not one per term of every sum over n <= m
+    calls = []
+    original = verifier.bernoulli_hi_poly
+
+    def counting(n, alpha):
+        calls.append((n, alpha))
+        return original(n, alpha)
+
+    monkeypatch.setattr(verifier, "bernoulli_hi_poly", counting)
+    assert verify(CheckId.T3).status == PASS
+    assert len(calls) == len(set(calls)) == len(DEFAULT_GRID.ns()) * len(DEFAULT_GRID.ks()) == 64
+
+
+def test_polyc_shifts_each_factorial_once_per_sample(monkeypatch):
+    # (x)_n and (-x)_n are shifted once per (n, z) and reused for every k
+    calls = []
+    original = Polynomial.shift
+
+    def counting(self, offset):
+        calls.append(offset)
+        return original(self, offset)
+
+    monkeypatch.setattr(Polynomial, "shift", counting)
+    assert verify(CheckId.POLYC_ORACLE).status == PASS_WITH_CORRECTION
+    assert len(calls) == 2 * len(DEFAULT_GRID.ns()) * len(DEFAULT_GRID.x_samples) == 160
+
+
 def test_no_reading_hides_a_bug(monkeypatch):
     # at n <= 2 a second-kind formula with S2 in place of the signed S1
     # agrees with the true one, so a fallback reading of that kind would
@@ -291,9 +319,10 @@ def _off_by_one_at_3_2(fn):
     ("poly_cauchy_poly1", _plus_one, {"POLYC_ORACLE"}),
     ("poly_cauchy_poly2", _plus_one, {"POLYC_ORACLE"}),
     ("product_integrate", _plus_one, {"POLYC_ORACLE"}),
+    ("_linear_combination", _plus_one, {"T5", "T8", "T9", "T10", "T13", "EQ58"}),
 ], ids=["cauchy_hi_poly1", "cauchy_hi_poly2", "stirling2", "stirling1_signed",
         "cauchy_hi_poly_bridge", "poly_cauchy_poly1", "poly_cauchy_poly2",
-        "product_integrate"])
+        "product_integrate", "_linear_combination"])
 def test_each_check_reads_both_of_its_sides(monkeypatch, name, corrupt, failing):
     # a corrupted input must fail every check that reads it on either side;
     # a check whose two sides both came from one path would stay green
