@@ -7,23 +7,27 @@ well defined and the family extends to every alpha in Z; the identities
 relating Cauchy and Bernoulli families evaluate at order n-k+1, which is
 frequently zero or negative, making the extension mandatory here.
 
-Number lists are cached per (order, truncation); polynomials are assembled
-from binomial convolutions of the cached numbers.
+One generating function is held per order alpha and read by prefix (see
+``series._PrefixMemo``); numbers and polynomials are read off its int
+numerators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import comb
+from math import perm
 
 from .polynomial import Polynomial
-from .series import PowerSeries, bernoulli_gf, egf_coeff
+from .series import PowerSeries, _PrefixMemo, bernoulli_gf, egf_coeff
+
+_GF = _PrefixMemo(lambda alpha, order: bernoulli_gf(alpha, order))
 
 
-@lru_cache(maxsize=None, typed=True)
 def _gf(alpha: int, order: int) -> PowerSeries:
-    return bernoulli_gf(alpha, order)
+    """(t/(e^t-1))^alpha known at least to t^(order-1); a non-int alpha raises TypeError."""
+    if not isinstance(alpha, int):
+        raise TypeError(f"alpha must be an int: {alpha!r}")
+    return _GF.series(order, alpha)
 
 
 def bernoulli_hi_numbers(n_max: int, alpha: int) -> list[Fraction]:
@@ -35,12 +39,20 @@ def bernoulli_hi_numbers(n_max: int, alpha: int) -> list[Fraction]:
 
 
 def bernoulli_hi_number(n: int, alpha: int) -> Fraction:
-    return bernoulli_hi_numbers(n, alpha)[n]
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return egf_coeff(_gf(alpha, n + 1), n)
 
 
 def bernoulli_hi_poly(n: int, alpha: int) -> Polynomial:
-    """B_n^(alpha)(x) = sum_j C(n,j) B_j^(alpha) x^(n-j); monic of degree n."""
+    """B_n^(alpha)(x) = sum_j C(n,j) B_j^(alpha) x^(n-j); monic of degree n.
+
+    With the series' numerators N_j over D, B_j^(alpha) = j! N_j / D, so the
+    x^(n-j) coefficient is perm(n, j) N_j / D, built on ints.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    numbers = bernoulli_hi_numbers(n, alpha)
-    return Polynomial([comb(n, j) * numbers[j] for j in reversed(range(n + 1))])
+    gf = _gf(alpha, n + 1)
+    nums = gf.numerators
+    return Polynomial.from_numerators([perm(n, j) * nums[j] for j in range(n, -1, -1)],
+                                      gf.denominator)

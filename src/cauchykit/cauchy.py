@@ -29,6 +29,8 @@ order n-k+1, and an iterated-antiderivative integration oracle.  The oracle
 the polynomials) never touches Stirling numbers or series, so agreement
 between paths is a genuine cross-check, not a tautology.  The memoised
 ``cauchy_hi_poly1/2`` hold the triple sum; T4/T7 check it against the bridge.
+The GF_COEFF path holds one series per (kind, k) and reads it by prefix
+(``series._PrefixMemo``), as ``bernoulli`` does per order alpha.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from math import comb, factorial, lcm
 from .bernoulli import bernoulli_hi_poly
 from .polynomial import Polynomial, _over_common_denominator, falling_factorial
 from .rational import _as_fraction
-from .series import PowerSeries, cauchy1_gf, cauchy2_gf, egf_coeff
+from .series import PowerSeries, _PrefixMemo, cauchy1_gf, cauchy2_gf, egf_coeff
 from .stirling import stirling1_signed
 
 
@@ -121,12 +123,17 @@ def _check_poly_args(n: int, k: int) -> None:
         raise ValueError("k must be positive")
 
 
+def _power_weights(n: int, k: int) -> tuple[list[int], int]:
+    """The weights 1/(j+1)^k, j = 0..n, as ints over D = lcm(1..n+1)^k."""
+    den = lcm(*range(1, n + 2)) ** k
+    return [den // (j + 1) ** k for j in range(n + 1)], den
+
+
 def poly_cauchy(kind: CauchyKind, n: int, k: int) -> Fraction:
     """sum_m row(n,m)/(m+1)^k, the k-fold product integral, on ints over lcm(1..n+1)^k."""
     _check_poly_args(n, k)
-    den = lcm(*range(1, n + 2)) ** k
-    return Fraction(sum(c * (den // (m + 1) ** k) for m, c in enumerate(_stirling_row(kind, n))),
-                    den)
+    weights, den = _power_weights(n, k)
+    return Fraction(sum(c * w for c, w in zip(_stirling_row(kind, n), weights)), den)
 
 
 def poly_cauchy_poly(kind: CauchyKind, n: int, k: int, z: Fraction) -> Fraction:
@@ -136,12 +143,12 @@ def poly_cauchy_poly(kind: CauchyKind, n: int, k: int, z: Fraction) -> Fraction:
     """
     _check_poly_args(n, k)
     z = _as_fraction(z)
-    den = lcm(*range(1, n + 2)) ** k
+    weights, den = _power_weights(n, k)
     coeffs = [0] * (n + 1)
     for m, c in enumerate(_stirling_row(kind, n)):
         if c:
             for i in range(m + 1):
-                coeffs[i] += c * comb(m, i) * (den // (m - i + 1) ** k)
+                coeffs[i] += c * comb(m, i) * weights[m - i]
     return Polynomial.from_numerators(coeffs, den).evaluate(-z)
 
 
@@ -202,10 +209,19 @@ def _sum_power_volume(l: int, k: int) -> Fraction:
     return Fraction(row[l] * factorial(l), factorial(l + k))
 
 
-@lru_cache(maxsize=None, typed=True)
-def _hi_gf(kind: CauchyKind, k: int, order: int) -> PowerSeries:
+def _build_hi_gf(kind: CauchyKind, k: int, order: int) -> PowerSeries:
     base = cauchy1_gf(order) if kind is CauchyKind.FIRST else cauchy2_gf(order)
     return base ** k
+
+
+_HI_GF = _PrefixMemo(_build_hi_gf)
+
+
+def _hi_gf(kind: CauchyKind, k: int, order: int) -> PowerSeries:
+    """The kind's EGF to the power k, known at least to t^(order-1); a non-int k raises TypeError."""
+    if not isinstance(k, int):
+        raise TypeError(f"k must be an int: {k!r}")
+    return _HI_GF.series(order, kind, k)
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -403,21 +403,25 @@ class Polynomial(_Numerators):
         return text
 
 
-def falling_factorial(n: int) -> Polynomial:
-    """x(x-1)...(x-n+1); the coefficient of x^l is the signed Stirling number."""
+def _factorial_poly(n: int, step: int) -> Polynomial:
+    """x(x+step)...(x+(n-1)step): p <- x p + i step p on an int list, in place, i = 0..n-1."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    result = Polynomial.one()
+    nums = [1]
     for i in range(n):
-        result = result * Polynomial.from_numerators((-i, 1))
-    return result
+        c = i * step
+        nums.append(nums[-1])
+        for j in range(len(nums) - 2, 0, -1):
+            nums[j] = nums[j - 1] + c * nums[j]
+        nums[0] *= c
+    return Polynomial.from_numerators(nums)
+
+
+def falling_factorial(n: int) -> Polynomial:
+    """x(x-1)...(x-n+1); the coefficient of x^l is the signed Stirling number."""
+    return _factorial_poly(n, -1)
 
 
 def rising_factorial(n: int) -> Polynomial:
     """x(x+1)...(x+n-1); the coefficient of x^m is the unsigned Stirling number."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    result = Polynomial.one()
-    for i in range(n):
-        result = result * Polynomial.from_numerators((i, 1))
-    return result
+    return _factorial_poly(n, 1)

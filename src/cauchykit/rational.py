@@ -1,10 +1,10 @@
 """Exact rational scalars: canonical construction, parsing and text form.
 
-The whole package computes over ``fractions.Fraction``, which already keeps
-values in the canonical form we rely on everywhere: reduced terms, positive
-denominator, zero stored as 0/1.  Equality of results is therefore plain
-structural equality.  This module pins down the constructor contract and the
-text form used by the CLI ("-19/30", "3").  It also owns the scalar
+Scalar results are ``fractions.Fraction`` values, which keep the canonical
+form relied on everywhere: reduced terms, positive denominator, zero stored
+as 0/1.  Equality of results is therefore plain structural equality.  This
+module pins down the constructor contract and the text form used by the CLI
+("-19/30", "3").  It also owns the scalar
 contract of every public entry point: an ``int`` or a ``Fraction`` is
 accepted, anything else (a float, a ``Decimal``) raises ``TypeError``.
 """

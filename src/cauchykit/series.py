@@ -47,10 +47,11 @@ number sequences throughout the package.
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from math import factorial, gcd
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .polynomial import (Polynomial, _Numerators, _as_ratio, _convolve, _lowest_terms,
                          _over_common_denominator)
@@ -293,6 +294,38 @@ class PowerSeries(_Numerators):
 def egf_coeff(f: PowerSeries, n: int):
     """n! * [t^n] f, the exponential-generating-function coefficient."""
     return f._scaled_coefficient(n, factorial(n))
+
+
+class _PrefixMemo:
+    """One series per key, held at the highest order built, read by prefix.
+
+    Truncated series arithmetic is exact, so the terms below t^order of a
+    series built at a higher order are those of one built at ``order``: a
+    request at or below the held order returns the held series.  A miss
+    builds ``build(*key, order)`` at max(order, twice the held order), so a
+    sweep up to order N builds O(log N) series per key, and a first fill is
+    built at exactly the order asked for.  The memo grows under a lock, as
+    the Stirling tables do; a reader whose order is held takes no lock.
+    """
+
+    def __init__(self, build: Callable[..., PowerSeries]):
+        self._build = build
+        self._held: dict = {}
+        self._lock = threading.Lock()
+
+    def series(self, order: int, *key) -> PowerSeries:
+        held = self._held.get(key)
+        if held is None or held.order < order:
+            with self._lock:
+                held = self._held.get(key)
+                if held is None or held.order < order:
+                    held = self._build(*key, order if held is None else max(order, 2 * held.order))
+                    self._held[key] = held
+        return held
+
+    def clear(self) -> None:
+        with self._lock:
+            self._held.clear()
 
 
 # -- stock series ------------------------------------------------------------

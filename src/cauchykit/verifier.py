@@ -58,6 +58,7 @@ from .series import (
     log1p_series,
     one_minus_exp_neg_series,
     one_plus_t_pow,
+    one_series,
     sheffer_polys,
     t_series,
 )
@@ -368,16 +369,17 @@ def _sheffer_pair(kind: CauchyKind, order: int, k: int) -> tuple[PowerSeries, Po
     return unit ** k, expm1_series(order)
 
 
-def _t13_coefficients(n_max: int, k: int, alpha: int) -> list[list[Fraction]]:
+def _t13_coefficients(n_max: int, k: int, alpha: int,
+                      s1: list[list[int]]) -> list[list[Fraction]]:
     """Rows n = 0..n_max of sum_l C(n,l) S1(n-l,m) Chat_l^(k+alpha)(alpha), m = 0..n.
 
-    The values Chat_l^(k+alpha)(alpha) go over their lcm denominator, so
-    each entry is an integer sum and one ``Fraction``.
+    s1[j][m] is S1(j,m) for j <= n_max.  The values Chat_l^(k+alpha)(alpha)
+    go over their lcm denominator, so each entry is an integer sum and one
+    ``Fraction``.
     """
     nums, den = _over_common_denominator(
         [cauchy_hi_poly2(l, k + alpha).evaluate(alpha) for l in range(n_max + 1)])
-    return [[Fraction(sum(comb(n, l) * stirling1_signed(n - l, m) * nums[l]
-                          for l in range(n - m + 1)), den)
+    return [[Fraction(sum(comb(n, l) * s1[n - l][m] * nums[l] for l in range(n - m + 1)), den)
              for m in range(n + 1)]
             for n in range(n_max + 1)]
 
@@ -398,12 +400,13 @@ def _cases_t13(grid: Grid) -> Iterator[Case]:
     fbar = expm1_series(order).revert()
     g_of_fbar = {k: _sheffer_pair(CauchyKind.SECOND, order, k)[0].compose(fbar)
                  for k in grid.ks()}
+    s1 = [[stirling1_signed(j, m) for m in range(j + 1)] for j in grid.ns()]
     for alpha in grid.alphas():
         bases = [bernoulli_hi_poly(m, alpha) for m in grid.ns()]
         h_of_fbar = ((expm1_series(order + 1) / t_series(order + 1)) ** alpha).compose(fbar)
         for k in grid.ks():
             matrix = _connection_rows(h_of_fbar / g_of_fbar[k], fbar, grid.n_max)
-            coefficients = _t13_coefficients(grid.n_max, k, alpha)
+            coefficients = _t13_coefficients(grid.n_max, k, alpha, s1)
             for n in grid.ns():
                 row = coefficients[n]
                 yield ({"alpha": alpha, "k": k, "n": n, "form": "resummation"},
@@ -418,8 +421,11 @@ def _cases_t13(grid: Grid) -> Iterator[Case]:
 def _cases_eq6(grid: Grid) -> Iterator[Case]:
     """EQ6: powers of log(1+t) generate signed first-kind Stirling numbers."""
     order = grid.n_max + 3
+    base = log1p_series(order)
+    power = one_series(order)
     for n in grid.ns():
-        power = log1p_series(order) ** n
+        if n:
+            power = power * base
         for l in range(order):
             yield ({"n": n, "l": l},
                    power.coefficient(l),
@@ -429,8 +435,11 @@ def _cases_eq6(grid: Grid) -> Iterator[Case]:
 def _cases_eq7(grid: Grid) -> Iterator[Case]:
     """EQ7: powers of e^t-1 generate second-kind Stirling numbers."""
     order = grid.n_max + 3
+    base = expm1_series(order)
+    power = one_series(order)
     for n in grid.ns():
-        power = expm1_series(order) ** n
+        if n:
+            power = power * base
         for l in range(order):
             yield ({"n": n, "l": l},
                    power.coefficient(l),

@@ -1,13 +1,13 @@
 """Cauchy families: classical, poly-, higher-order; all computation paths."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cauchykit import cauchy, polynomial
+from cauchykit import cauchy, polynomial, stirling
 from cauchykit.cauchy import (
     CauchyKind,
     CauchyMethod,
@@ -28,7 +28,7 @@ from cauchykit.cauchy import (
     product_integrate,
 )
 from cauchykit.bernoulli import bernoulli_hi_poly
-from cauchykit.polynomial import Polynomial, falling_factorial
+from cauchykit.polynomial import Polynomial, falling_factorial, rising_factorial
 from cauchykit.stirling import stirling1_signed, stirling1_unsigned
 from combinatorial_reference import compositions, multinomial
 from interpolation_reference import interpolate
@@ -551,6 +551,20 @@ def test_polynomial_oracle_needs_no_stirling_series_or_interpolation(monkeypatch
     assert cauchy_hi_poly_oracle(CauchyKind.FIRST, 2, 2) == Polynomial((F(1, 6), -1, 1))
     assert cauchy_hi_poly_oracle(CauchyKind.SECOND, 2, 2) == Polynomial((F(13, 6), -3, 1))
     assert cauchy_hi1(6, 3, CauchyMethod.INTEGRAL_ORACLE) == F(16, 21)
+
+
+def test_factorials_and_polynomial_oracle_read_no_stirling_table(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a factorial reached the Stirling recurrence it is meant to check")
+
+    expected = {kind: cauchy_hi_poly_sum(kind, 12, 3) for kind in CauchyKind}
+    for name in ("value", "row", "_grow"):
+        monkeypatch.setattr(stirling.StirlingTable, name, forbidden)
+    monkeypatch.setattr(stirling, "next_row", forbidden)
+    assert falling_factorial(12).evaluate(12) == factorial(12)
+    assert rising_factorial(12).evaluate(1) == factorial(12)
+    for kind in CauchyKind:
+        assert cauchy_hi_poly_oracle(kind, 12, 3) == expected[kind]
 
 
 def test_oracle_supremacy_for_numbers():

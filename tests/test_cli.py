@@ -566,8 +566,8 @@ def test_triangle_context_traps_rounding():
 ])
 def test_number_table_builds_one_series(capsys, monkeypatch, family, param, builder):
     module, name = builder
-    bernoulli._gf.cache_clear()
-    cauchy._hi_gf.cache_clear()
+    bernoulli._GF.clear()
+    cauchy._HI_GF.clear()
     calls = []
     original = getattr(module, name)
 

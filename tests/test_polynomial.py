@@ -86,6 +86,20 @@ def test_factorial_polynomials_small():
     assert rising_factorial(3) == Polynomial((0, 2, 3, 1))
 
 
+def linear_factor_product(n, step):
+    """Reference: x(x+step)...(x+(n-1)step) as n products of linear polynomials."""
+    result = Polynomial.one()
+    for i in range(n):
+        result = result * Polynomial((i * step, 1))
+    return result
+
+
+@pytest.mark.parametrize("n", range(41))
+def test_factorials_equal_products_of_linear_factors(n):
+    assert falling_factorial(n) == linear_factor_product(n, -1)
+    assert rising_factorial(n) == linear_factor_product(n, 1)
+
+
 @pytest.mark.parametrize("n", range(21))
 def test_falling_factorial_at_n_is_factorial(n):
     assert falling_factorial(n).evaluate(n) == factorial(n)

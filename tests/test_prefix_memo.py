@@ -1,0 +1,140 @@
+"""The generating-function memos: one series per key, read by prefix, grown under a lock."""
+
+import sys
+import threading
+from collections import Counter
+from fractions import Fraction
+from math import comb
+
+import pytest
+
+from cauchykit import bernoulli, cauchy
+from cauchykit.bernoulli import bernoulli_hi_number, bernoulli_hi_numbers, bernoulli_hi_poly
+from cauchykit.cauchy import CauchyKind, cauchy_hi1, cauchy_hi2, cauchy_hi_numbers
+from cauchykit.polynomial import Polynomial
+from cauchykit.series import bernoulli_gf, cauchy1_gf, cauchy2_gf, egf_coeff
+
+ALPHAS = (-2, 0, 1, 3)
+KS = (0, 1, 3)
+
+
+@pytest.fixture
+def cold_memos():
+    bernoulli._GF.clear()
+    cauchy._HI_GF.clear()
+    yield
+    bernoulli._GF.clear()
+    cauchy._HI_GF.clear()
+
+
+def counting(monkeypatch, module, name, key_of):
+    """Patch module.name to count its calls per key; returns the Counter."""
+    calls = Counter()
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls[key_of(args)] += 1
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_sweep_builds_few_series_per_key(monkeypatch, cold_memos):
+    bernoulli_builds = counting(monkeypatch, bernoulli, "bernoulli_gf", lambda args: args[0])
+    cauchy_builds = counting(monkeypatch, cauchy, "cauchy1_gf", lambda args: None)
+    for alpha in ALPHAS:
+        for n in range(64):
+            bernoulli_hi_poly(n, alpha)
+    for k in KS:
+        before = sum(cauchy_builds.values())
+        for n in range(64):
+            cauchy_hi1(n, k)
+        assert sum(cauchy_builds.values()) - before <= 7
+    assert set(bernoulli_builds) == set(ALPHAS)
+    assert max(bernoulli_builds.values()) <= 7
+
+
+def test_first_fill_is_built_at_the_order_asked_for(monkeypatch, cold_memos):
+    orders = counting(monkeypatch, bernoulli, "bernoulli_gf", lambda args: args[1])
+    bernoulli_hi_numbers(60, 2)
+    assert orders == {61: 1}
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_bernoulli_values_across_a_growth_step_equal_an_exact_build(cold_memos, alpha):
+    bernoulli_hi_poly(4, alpha)      # held at order 5
+    grown = bernoulli_hi_poly(5, alpha)  # a miss: built at order 10
+    assert bernoulli._GF.series(1, alpha).order == 10
+    for n in (3, 5, 6, 9):
+        exact = bernoulli_gf(alpha, n + 1)
+        numbers = [egf_coeff(exact, j) for j in range(n + 1)]
+        assert bernoulli_hi_numbers(n, alpha) == numbers
+        assert bernoulli_hi_number(n, alpha) == numbers[n]
+        assert bernoulli_hi_poly(n, alpha) == Polynomial(
+            [comb(n, j) * numbers[j] for j in reversed(range(n + 1))])
+    assert grown.degree == 5
+
+
+@pytest.mark.parametrize("kind, gf", [(CauchyKind.FIRST, cauchy1_gf),
+                                      (CauchyKind.SECOND, cauchy2_gf)])
+@pytest.mark.parametrize("k", KS)
+def test_cauchy_values_across_a_growth_step_equal_an_exact_build(cold_memos, kind, gf, k):
+    cauchy_hi_numbers(kind, 6, k)    # held at order 7
+    cauchy_hi_numbers(kind, 7, k)    # a miss: built at order 14
+    for n in (4, 7, 8, 13):
+        exact = gf(n + 1) ** k
+        assert cauchy_hi_numbers(kind, n, k) == [egf_coeff(exact, j) for j in range(n + 1)]
+
+
+def test_an_inexact_key_raises_before_the_memo_is_read(cold_memos):
+    bernoulli_hi_poly(4, 2)
+    cauchy_hi1(4, 2)
+    with pytest.raises(TypeError):
+        bernoulli._gf(2.0, 3)
+    with pytest.raises(TypeError):
+        bernoulli._gf(Fraction(2), 3)
+    with pytest.raises(TypeError):
+        cauchy._hi_gf(CauchyKind.FIRST, 2.0, 3)
+
+
+def sweep():
+    return ([bernoulli_hi_poly(n, alpha) for alpha in (-1, 2) for n in range(40)]
+            + [f(n, k) for f in (cauchy_hi1, cauchy_hi2) for k in (1, 4) for n in range(40)])
+
+
+def test_concurrent_first_use_reads_the_same_values(monkeypatch, cold_memos):
+    reference = sweep()
+    builds = []  # list.append is atomic, a Counter update is not
+    original = bernoulli.bernoulli_gf
+    monkeypatch.setattr(bernoulli, "bernoulli_gf",
+                        lambda alpha, order: builds.append(alpha) or original(alpha, order))
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    results, errors = {}, []
+
+    def run(index):
+        try:
+            results[index] = sweep()
+        except Exception as exc:  # a race shows up as an IndexError or a wrong value
+            errors.append(exc)
+
+    try:
+        for _ in range(3):
+            bernoulli._GF.clear()
+            cauchy._HI_GF.clear()
+            results.clear()
+            builds.clear()
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert not errors
+            assert len(results) == 8
+            assert all(result == reference for result in results.values())
+            # growth under the lock: no thread rebuilds an order another has built
+            assert max(Counter(builds).values()) <= 7
+    finally:
+        sys.setswitchinterval(previous)
