@@ -27,7 +27,7 @@ from .cauchy import (
     product_integrate,
 )
 from .polynomial import Polynomial, falling_factorial, rising_factorial
-from .rational import format_rational, parse_rational, rational
+from .rational import format_rational, parse_rational
 from .series import (
     PowerSeries,
     bernoulli_gf,

@@ -282,7 +282,9 @@ def cauchy_hi(kind: CauchyKind, n: int, k: int,
     if method is CauchyMethod.GF_COEFF:
         return egf_coeff(_hi_gf(kind, k, n + 1), n)
     if method is CauchyMethod.BERNOULLI_BRIDGE:
-        return cauchy_hi_poly_bridge(kind, n, k).constant
+        # the bridge polynomial at x = 0 is B_n^(n-k+1) at 1 or at 1-k: no Taylor shift
+        point = 1 if kind is CauchyKind.FIRST else 1 - k
+        return bernoulli_hi_poly(n, n - k + 1).evaluate(point)
     if method is CauchyMethod.INTEGRAL_ORACLE:
         return cube_integrate(_integrand(kind, n), k)
 

@@ -240,9 +240,6 @@ class Polynomial(_Numerators):
         """Degree, with -1 standing in for the zero polynomial."""
         return len(self.numerators) - 1
 
-    def is_zero(self) -> bool:
-        return not self.numerators
-
     def __bool__(self) -> bool:
         return bool(self.numerators)
 

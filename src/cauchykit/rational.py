@@ -3,8 +3,7 @@
 Scalar results are ``fractions.Fraction`` values, which keep the canonical
 form relied on everywhere: reduced terms, positive denominator, zero stored
 as 0/1.  Equality of results is therefore plain structural equality.  This
-module pins down the constructor contract and the text form used by the CLI
-("-19/30", "3").  It also owns the scalar
+module owns the text form used by the CLI ("-19/30", "3") and the scalar
 contract of every public entry point: an ``int`` or a ``Fraction`` is
 accepted, anything else (a float, a ``Decimal``) raises ``TypeError``.
 """
@@ -24,13 +23,6 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"not an exact scalar: {value!r}")
-
-
-def rational(numerator: int, denominator: int = 1) -> Fraction:
-    """Canonical rational from an integer pair; the sign lives on the numerator."""
-    if denominator == 0:
-        raise ZeroDivisionError("division by zero")
-    return Fraction(numerator, denominator)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -75,9 +75,6 @@ class StirlingTable:
         self.rows: list[list[int]] = [[1]]
         self._lock = threading.Lock()
 
-    def preload(self, n_max: int) -> None:
-        self._grow(n_max)
-
     def _grow(self, n: int) -> None:
         if n < len(self.rows):
             return

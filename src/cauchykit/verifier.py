@@ -62,7 +62,7 @@ from .series import (
     sheffer_polys,
     t_series,
 )
-from .stirling import stirling1_signed, stirling2
+from .stirling import StirlingKind, stirling1_signed, stirling2
 
 PASS = "pass"
 FAIL = "fail"
@@ -300,16 +300,13 @@ def _cases_reciprocity(grid: Grid, kind: CauchyKind) -> Iterator[Case]:
 
 def _cases_l11(grid: Grid) -> Iterator[Case]:
     """L11: difference equations n*C_(n-1)^(k)(x) = C_n^(k)(x-1) - C_n^(k)(x), both kinds."""
+    kinds = (("first_kind", cauchy_hi_poly1, -1), ("second_kind", cauchy_hi_poly2, 1))
     for n in grid.ns():
         for k in grid.ks():
-            first = cauchy_hi_poly1(n, k)
-            second = cauchy_hi_poly2(n, k)
-            lhs1 = cauchy_hi_poly1(n - 1, k) * n if n >= 1 else Polynomial.zero()
-            lhs2 = cauchy_hi_poly2(n - 1, k) * n if n >= 1 else Polynomial.zero()
-            yield ({"n": n, "k": k, "form": "first_kind"}, lhs1,
-                   first.shift(-1) - first)
-            yield ({"n": n, "k": k, "form": "second_kind"}, lhs2,
-                   second.shift(1) - second)
+            for form, poly, step in kinds:
+                p = poly(n, k)
+                lhs = poly(n - 1, k) * n if n >= 1 else Polynomial.zero()
+                yield ({"n": n, "k": k, "form": form}, lhs, p.shift(step) - p)
 
 
 def _umbral_weights(n: int, k: int) -> Polynomial:
@@ -418,10 +415,15 @@ def _cases_t13(grid: Grid) -> Iterator[Case]:
                            row[m], matrix[n][m])
 
 
-def _cases_eq6(grid: Grid) -> Iterator[Case]:
-    """EQ6: powers of log(1+t) generate signed first-kind Stirling numbers."""
+def _cases_stirling_gf(grid: Grid, kind: StirlingKind) -> Iterator[Case]:
+    """EQ6: powers of log(1+t) generate signed first-kind Stirling numbers.
+
+    EQ7: powers of e^t-1 generate second-kind Stirling numbers.
+    """
+    series, stirling = ((log1p_series, stirling1_signed) if kind is StirlingKind.SIGNED_FIRST
+                        else (expm1_series, stirling2))
     order = grid.n_max + 3
-    base = log1p_series(order)
+    base = series(order)
     power = one_series(order)
     for n in grid.ns():
         if n:
@@ -429,21 +431,7 @@ def _cases_eq6(grid: Grid) -> Iterator[Case]:
         for l in range(order):
             yield ({"n": n, "l": l},
                    power.coefficient(l),
-                   Fraction(factorial(n) * stirling1_signed(l, n), factorial(l)))
-
-
-def _cases_eq7(grid: Grid) -> Iterator[Case]:
-    """EQ7: powers of e^t-1 generate second-kind Stirling numbers."""
-    order = grid.n_max + 3
-    base = expm1_series(order)
-    power = one_series(order)
-    for n in grid.ns():
-        if n:
-            power = power * base
-        for l in range(order):
-            yield ({"n": n, "l": l},
-                   power.coefficient(l),
-                   Fraction(factorial(n) * stirling2(l, n), factorial(l)))
+                   Fraction(factorial(n) * stirling(l, n), factorial(l)))
 
 
 def _cases_eq19_28(grid: Grid, shift: int) -> Iterator[Case]:
@@ -553,8 +541,8 @@ _CHECKS: dict[CheckId, _Check] = {
     CheckId.T12: _Check(partial(_cases_umbral, weights_of=_umbral_weights),
                         correction=TAG_SIGN_FIRST_KIND),
     CheckId.T13: _Check(_cases_t13, correction=TAG_T13_INDEX),
-    CheckId.EQ6: _Check(_cases_eq6),
-    CheckId.EQ7: _Check(_cases_eq7),
+    CheckId.EQ6: _Check(partial(_cases_stirling_gf, kind=StirlingKind.SIGNED_FIRST)),
+    CheckId.EQ7: _Check(partial(_cases_stirling_gf, kind=StirlingKind.SECOND)),
     CheckId.EQ19: _Check(partial(_cases_eq19_28, shift=0)),
     CheckId.EQ28: _Check(partial(_cases_eq19_28, shift=1)),
     CheckId.EQ52: _Check(partial(_cases_sheffer, kind=CauchyKind.FIRST)),

@@ -440,6 +440,19 @@ def test_k_zero_convention():
             assert cauchy_hi2(n, 0, method) == 0
 
 
+def test_bridge_numbers_take_no_taylor_shift(monkeypatch):
+    # the number path reads the bridge polynomial at x = 0 by evaluation alone
+    expected = {(kind, n, k): cauchy.cauchy_hi(kind, n, k, CauchyMethod.GF_COEFF)
+                for kind in CauchyKind for n in range(31) for k in range(n + 4)}
+
+    def no_shift(self, offset):
+        raise AssertionError("the bridge number ran a Taylor shift")
+
+    monkeypatch.setattr(Polynomial, "shift", no_shift)
+    for (kind, n, k), value in expected.items():
+        assert cauchy.cauchy_hi(kind, n, k, CauchyMethod.BERNOULLI_BRIDGE) == value
+
+
 def test_integral_oracle_needs_positive_k():
     with pytest.raises(ValueError):
         cauchy_hi1(3, 0, CauchyMethod.INTEGRAL_ORACLE)

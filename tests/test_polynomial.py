@@ -113,8 +113,8 @@ def test_rising_is_reflected_falling(n):
 
 def test_degree_and_zero():
     assert Polynomial().degree == -1
-    assert Polynomial().is_zero()
-    assert Polynomial((0, 0)).is_zero()
+    assert not Polynomial()
+    assert not Polynomial((0, 0))
     assert Polynomial((1, 2, 0, 0)).degree == 1
     assert falling_factorial(5).degree == 5
 

@@ -156,7 +156,7 @@ def test_multinomial_equals_binomial_products():
 
 def test_preload_matches_lazy_fill():
     table = stirling_table(StirlingKind.SECOND)
-    table.preload(20)
+    table.value(20, 0)
     assert table.value(20, 10) == stirling2(20, 10)
     assert table.row(3) == (0, 1, 3, 1)
 
@@ -171,14 +171,14 @@ def test_compositions_with_many_parts_need_no_deep_recursion():
 
 def test_concurrent_first_use_builds_the_same_triangle():
     reference = StirlingTable(StirlingKind.SIGNED_FIRST)
-    reference.preload(60)
+    reference.value(60, 0)
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as possible
     errors = []
 
     def fill(table):
         try:
-            table.preload(60)
+            table.value(60, 0)
         except Exception as exc:  # a race shows up as IndexError
             errors.append(exc)
 
@@ -224,6 +224,6 @@ def test_next_row_matches_the_old_grow_loop(kind):
         assert next_row(kind, reference[n - 1]) == reference[n]
     assert list(stirling_rows(kind, 300)) == reference
     table = StirlingTable(kind)
-    table.preload(300)
+    table.value(300, 0)
     assert table.rows == reference
     assert all(type(v) is int for row in table.rows for v in row)
