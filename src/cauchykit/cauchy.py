@@ -116,7 +116,14 @@ def product_integrate(p: Polynomial, k: int) -> Fraction:
 
 # -- poly-Cauchy family and the classical numbers ------------------------------------
 
-def _check_poly_args(n: int, k: int) -> None:
+def _check_kind(kind: CauchyKind) -> None:
+    """Reject a kind that is not a ``CauchyKind``, which the branches would read as SECOND."""
+    if not isinstance(kind, CauchyKind):
+        raise ValueError(f"unknown kind: {kind!r}")
+
+
+def _check_poly_args(kind: CauchyKind, n: int, k: int) -> None:
+    _check_kind(kind)
     if n < 0:
         raise ValueError("n must be nonnegative")
     if k < 1:
@@ -131,7 +138,7 @@ def _power_weights(n: int, k: int) -> tuple[list[int], int]:
 
 def poly_cauchy(kind: CauchyKind, n: int, k: int) -> Fraction:
     """sum_m row(n,m)/(m+1)^k, the k-fold product integral, on ints over lcm(1..n+1)^k."""
-    _check_poly_args(n, k)
+    _check_poly_args(kind, n, k)
     weights, den = _power_weights(n, k)
     return Fraction(sum(c * w for c, w in zip(_stirling_row(kind, n), weights)), den)
 
@@ -141,7 +148,7 @@ def poly_cauchy_poly(kind: CauchyKind, n: int, k: int, z: Fraction) -> Fraction:
 
     The (-z)^i coefficients are summed on ints over lcm(1..n+1)^k, then read at -z by Horner.
     """
-    _check_poly_args(n, k)
+    _check_poly_args(kind, n, k)
     z = _as_fraction(z)
     weights, den = _power_weights(n, k)
     coeffs = [0] * (n + 1)
@@ -247,12 +254,13 @@ def cauchy_hi_numbers(kind: CauchyKind, n_max: int, k: int) -> list[Fraction]:
     The values are those of the GF_COEFF path, read from one series rather
     than from one series power per n.
     """
-    _check_hi_args(n_max, k, CauchyMethod.GF_COEFF)
+    _check_hi_args(kind, n_max, k, CauchyMethod.GF_COEFF)
     gf = _hi_gf(kind, k, n_max + 1)
     return [egf_coeff(gf, n) for n in range(n_max + 1)]
 
 
-def _check_hi_args(n: int, k: int, method: CauchyMethod) -> None:
+def _check_hi_args(kind: CauchyKind, n: int, k: int, method: CauchyMethod) -> None:
+    _check_kind(kind)
     if not isinstance(method, CauchyMethod):
         raise ValueError(f"unknown method: {method!r}")
     if n < 0:
@@ -271,7 +279,7 @@ def cauchy_hi(kind: CauchyKind, n: int, k: int,
     cross-check.  k = 0 degenerates to the Kronecker delta at n = 0.  The
     classical-convolution path exists for the first kind only.
     """
-    _check_hi_args(n, k, method)
+    _check_hi_args(kind, n, k, method)
     if method is CauchyMethod.STIRLING_SUM:
         return sum((c * _sum_power_volume(l, k) for l, c in enumerate(_stirling_row(kind, n))),
                    Fraction(0))
@@ -311,7 +319,7 @@ def cauchy_hi_poly_sum(kind: CauchyKind, n: int, k: int) -> Polynomial:
     volumes go over one denominator, so the sum runs on ints and gives the
     polynomial's numerators over that denominator.
     """
-    _check_poly_args(n, k)
+    _check_poly_args(kind, n, k)
     volumes, den = _over_common_denominator([_sum_power_volume(j, k) for j in range(n + 1)])
     coeffs = [0] * (n + 1)
     for l, c in enumerate(_stirling_row(kind, n)):
@@ -324,7 +332,7 @@ def cauchy_hi_poly_sum(kind: CauchyKind, n: int, k: int) -> Polynomial:
 
 def cauchy_hi_poly_bridge(kind: CauchyKind, n: int, k: int) -> Polynomial:
     """C_n^(k)(x) = B_n^(n-k+1)(1-x), or Chat_n^(k)(x) = B_n^(n-k+1)(x-k+1), k >= 0."""
-    _check_hi_args(n, k, CauchyMethod.BERNOULLI_BRIDGE)
+    _check_hi_args(kind, n, k, CauchyMethod.BERNOULLI_BRIDGE)
     bernoulli = bernoulli_hi_poly(n, n - k + 1)
     return bernoulli.reflect().shift(-1) if kind is CauchyKind.FIRST else bernoulli.shift(1 - k)
 
@@ -336,7 +344,7 @@ def cauchy_hi_poly_oracle(kind: CauchyKind, n: int, k: int) -> Polynomial:
     coordinate sum; ``_cube_mean`` commutes with shifts, so the polynomial
     is the cube mean of I read at -x.
     """
-    _check_poly_args(n, k)
+    _check_poly_args(kind, n, k)
     return _cube_mean(_integrand(kind, n), k).reflect()
 
 

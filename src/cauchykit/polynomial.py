@@ -15,12 +15,11 @@ are immutable, so values can be shared freely between threads.
 is written once, in their private base class ``_Numerators``:
 ``from_numerators`` (the one place that checks the denominator),
 immutability and pickling, negation and subtraction, the sum over
-lcm(Da, Db), scaling by and division by a scalar (a constant ``Polynomial``
-included), square-and-multiply powers and ``repr``.  ``_convolve`` is the
-one product loop and ``_as_ratio`` the one scalar reader.  Each type keeps
-its ``_store`` (a polynomial strips trailing zeros; a series keeps ``order``
-terms and settles its coefficient ring), equality, hashing, coefficient
-reads and the operations only it has.
+lcm(Da, Db), scaling by and division by an exact scalar, square-and-multiply
+powers and ``repr``.  ``_convolve`` is the one product loop and ``_as_ratio``
+the one scalar reader.  Each type keeps its ``_store`` (a polynomial strips
+trailing zeros; a series keeps ``order`` terms), equality, hashing,
+coefficient reads and the operations only it has.
 
 Products are schoolbook convolutions of the numerators; ``shift`` is a
 Taylor shift of the numerators (Ruffini's repeated synthetic division);
@@ -66,7 +65,7 @@ def _linear_combination(terms: Iterable[tuple[Polynomial, Scalar]]) -> Polynomia
     scaled, out, den = [], [], 1
     for p, c in terms:
         ratio = _as_ratio(c)
-        if ratio is None or isinstance(c, Polynomial):
+        if ratio is None:
             raise TypeError(f"a weight must be an int or a Fraction: {c!r}")
         num, d = ratio[0], ratio[1] * p.denominator
         if num:
@@ -93,22 +92,17 @@ def _lowest_terms(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
 
 
 def _as_ratio(value):
-    """(numerator, denominator) of an int or a ``Fraction``, (value, 1) of a ``Polynomial``.
+    """(numerator, denominator) of an int or a ``Fraction``.
 
     None for anything else, which the operators answer with ``NotImplemented``.
     """
     if isinstance(value, (int, Fraction)):
         return value.numerator, value.denominator
-    if isinstance(value, Polynomial):
-        return value, 1
     return None
 
 
 def _convolve(na, nb, n: int) -> list:
-    """The first n terms of the product of the numerator sequences na and nb, zero-padded.
-
-    Row 0 is taken in full, so every term lies in the ring of the operands.
-    """
+    """The first n terms of the product of the int numerator sequences na and nb, zero-padded."""
     out = [na[0] * b for b in nb[:n]] if na else []
     out += [0] * (n - len(out))
     for i, a in enumerate(na[1:n], 1):
@@ -181,14 +175,14 @@ class _Numerators:
         return (-self).__add__(other)
 
     def __truediv__(self, other):
-        """self * (1/other) for an exact scalar other, a constant ``Polynomial`` included."""
+        """self * (1/other) for an exact scalar other."""
         ratio = _as_ratio(other)
         if ratio is None:
             return NotImplemented
         num, den = ratio
         if not num:
             raise ZeroDivisionError("division by zero")
-        return self * (1 / other if isinstance(other, Polynomial) else Fraction(den, num))
+        return self * Fraction(den, num)
 
     def __repr__(self):
         return f"{type(self).__name__}({list(self.coeffs)!r})"
@@ -284,11 +278,6 @@ class Polynomial(_Numerators):
         return NotImplemented if ratio is None else self._scale(*ratio)
 
     __rmul__ = __mul__
-
-    def __rtruediv__(self, other):
-        if self.degree > 0:
-            raise ValueError("polynomial division only by a nonzero constant")
-        return Polynomial((_as_fraction(other) / self.constant,))
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:

@@ -7,22 +7,17 @@ equality likewise compares at the common precision.  There is no global
 precision state: callers pick the order each series is built at, usually
 one above the largest index they will read.
 
-Coefficients are ``Fraction`` scalars or ``Polynomial`` values over them
-(ints are promoted, floats rejected with ``TypeError``).  Both form exact
-commutative rings, and every algorithm here is written against that
-contract only, so series in t with polynomial coefficients (two-variable
-generating functions such as (1+t)^x, realised as exp(x*log(1+t))) reuse
-the same code paths.
+Coefficients are exact scalars, ints or ``Fraction`` values; anything
+else (a float, a polynomial) raises ``TypeError``.
 
-A series is stored the way a ``Polynomial`` is: a tuple ``numerators`` of
-length ``order`` over one positive int ``denominator``, in lowest terms; a
-series with ``Polynomial`` coefficients holds them as its numerators, over
-1.  The code the two types share (``from_numerators``, sums, scalar
+A series is stored in the polynomials' layout: a tuple ``numerators`` of
+``order`` ints over one positive int ``denominator``, in lowest terms.
+The code the two types share (``from_numerators``, sums, scalar
 products and quotients, powers, ``_convolve``) is in their base class
 ``polynomial._Numerators``.  This module keeps the series' own: ``_store``
-(``order`` terms, trailing zeros kept, the ring settled), equality at the
-common precision, coefficient reads, division by a series, ``compose``,
-``revert`` and ``exp``.  ``coeffs`` builds the coefficients on each read.
+(``order`` terms, trailing zeros kept), equality at the common precision,
+coefficient reads, division by a series, ``compose``, ``revert`` and
+``exp``.  ``coeffs`` builds the coefficients on each read.
 
 The module provides the arithmetic needed to realise the generating
 functions of the Cauchy/Bernoulli families,
@@ -88,27 +83,17 @@ class PowerSeries(_Numerators):
     __slots__ = ()
 
     def __init__(self, coeffs: Iterable = (), order: int | None = None):
-        cs = [c if isinstance(c, Polynomial) else _as_fraction(c) for c in coeffs]
+        cs = [_as_fraction(c) for c in coeffs]
         if order is not None:
-            if order < 1:
-                raise ValueError("order must be positive")
+            _check_order(order)
             cs = cs[:order] + [Fraction(0)] * (order - len(cs))
-        if any(isinstance(c, Polynomial) for c in cs):
-            self._store(cs, 1)
-        else:
-            self._store(*_over_common_denominator(cs))
+        self._store(*_over_common_denominator(cs))
 
-    def _store(self, nums: Sequence, den: int) -> None:
-        """Set the slots to nums/den in lowest terms; ``Polynomial`` nums make all one, over 1."""
+    def _store(self, nums: Sequence[int], den: int) -> None:
+        """Set the slots to nums/den in lowest terms; a non-int numerator raises TypeError."""
         if not nums:
             raise ValueError("a series needs coefficients or an explicit order")
-        if any(isinstance(v, Polynomial) for v in nums):
-            nums = tuple([(v if den == 1 else v._scale(1, den)) if isinstance(v, Polynomial)
-                          else Polynomial.from_numerators((v.numerator,), v.denominator * den)
-                          for v in nums])
-            den = 1
-        else:
-            nums, den = _lowest_terms(nums, den)
+        nums, den = _lowest_terms(nums, den)
         object.__setattr__(self, "numerators", nums)
         object.__setattr__(self, "denominator", den)
 
@@ -118,21 +103,20 @@ class PowerSeries(_Numerators):
 
     @property
     def coeffs(self) -> tuple:
-        """The coefficients, built on each read: ``Fraction`` values or the polynomials."""
+        """The coefficients, as ``Fraction`` values built on each read."""
         return tuple([self.coefficient(j) for j in range(len(self.numerators))])
 
-    def coefficient(self, n: int):
+    def coefficient(self, n: int) -> Fraction:
         """[t^n]; raises if the series is not known that far."""
         return self._scaled_coefficient(n, 1)
 
-    def _scaled_coefficient(self, n: int, scale: int):
-        """scale * [t^n], built as one value."""
+    def _scaled_coefficient(self, n: int, scale: int) -> Fraction:
+        """scale * [t^n], built as one ``Fraction``."""
         if n < 0:
             raise ValueError("coefficient index must be nonnegative")
         if n >= len(self.numerators):
             raise ValueError("insufficient truncation")
-        v = self.numerators[n] * scale
-        return v if isinstance(v, Polynomial) else Fraction(v, self.denominator)
+        return Fraction(self.numerators[n] * scale, self.denominator)
 
     def truncate(self, order: int) -> "PowerSeries":
         if not 1 <= order <= len(self.numerators):
@@ -167,8 +151,7 @@ class PowerSeries(_Numerators):
     def __mul__(self, other):
         """Product truncated to the smaller order.
 
-        A scalar scales the numerators; two series convolve them over Da*Db,
-        ints and ``Polynomial`` values alike.
+        A scalar scales the numerators; two series convolve them over Da*Db.
         """
         ratio = _as_ratio(other)
         if ratio is not None:
@@ -186,10 +169,8 @@ class PowerSeries(_Numerators):
 
         A power of t shared by both operands is cancelled first, which is
         what makes t/log(1+t) well defined; if the divisor still has a zero
-        constant term afterwards the division fails loudly.  Int numerators
-        divide in ``_divide_ints``; ``Polynomial`` ones solve Q*G = F in the
-        ring loop, scaled by dg/df.  A scalar, a constant ``Polynomial`` included,
-        divides in the base class.
+        constant term afterwards the division fails loudly.  The numerators
+        divide in ``_divide_ints``; a scalar divides in the base class.
         """
         if not isinstance(other, PowerSeries):
             return super().__truediv__(other)
@@ -205,16 +186,8 @@ class PowerSeries(_Numerators):
         g = other.numerators[shared:shared + n]
         if not g[0]:
             raise ValueError("non-unit divisor")
-        df, dg = self.denominator, other.denominator
-        if not (isinstance(f[0], Polynomial) or isinstance(g[0], Polynomial)):
-            return PowerSeries.from_numerators(*_divide_ints(f, g, df, dg))
-        out = []
-        for i in range(n):
-            acc = f[i]
-            for j, q in enumerate(out):
-                acc = acc - q * g[i - j]
-            out.append(acc / g[0])
-        return PowerSeries.from_numerators([q * dg for q in out], df)
+        return PowerSeries.from_numerators(
+            *_divide_ints(f, g, self.denominator, other.denominator))
 
     def __rtruediv__(self, other):
         ratio = _as_ratio(other)
@@ -227,9 +200,7 @@ class PowerSeries(_Numerators):
         """Integer power by repeated squaring; negative powers invert first."""
         if not isinstance(exponent, int):
             raise TypeError("series powers must be integers")
-        n = len(self.numerators)
-        # the one of the base's ring: v ** 0 is 1 or Polynomial.one()
-        result = PowerSeries.from_numerators([self.numerators[0] ** 0] + [0] * (n - 1))
+        result = one_series(len(self.numerators))
         if exponent < 0:
             if not self.numerators[0]:
                 raise ValueError("non-unit base")
@@ -260,9 +231,7 @@ class PowerSeries(_Numerators):
         h = t/self, the inverse has [t^m] = [t^(m-1)] h^m / m (Knuth, TAOCP
         vol. 2, section 4.7).  At order n that is one series division and
         n-2 series products of n-1 terms each, O(n^3) coefficient
-        operations.  Only ring operations and division by the linear
-        coefficient are used, so series with ``Polynomial`` coefficients
-        invert too, provided that coefficient is a nonzero constant.
+        operations.
         """
         nums = self.numerators
         n = len(nums)
@@ -281,7 +250,7 @@ class PowerSeries(_Numerators):
         nums = self.numerators
         if nums[0]:
             raise ValueError("exponential needs zero constant term")
-        out = [nums[0] ** 0]
+        out = [1]
         for m in range(1, len(nums)):
             acc = 0
             for j in range(1, m + 1):
@@ -330,9 +299,13 @@ class _PrefixMemo:
 
 # -- stock series ------------------------------------------------------------
 
-def one_series(order: int) -> PowerSeries:
+def _check_order(order: int) -> None:
     if order < 1:
         raise ValueError("order must be positive")
+
+
+def one_series(order: int) -> PowerSeries:
+    _check_order(order)
     return PowerSeries.from_numerators([1] + [0] * (order - 1))
 
 
@@ -360,27 +333,28 @@ def one_minus_exp_neg_series(order: int) -> PowerSeries:
 
 def cauchy1_gf(order: int) -> PowerSeries:
     """t/log(1+t); its EGF coefficients are the classical Cauchy numbers."""
+    _check_order(order)
     return t_series(order + 1) / log1p_series(order + 1)
 
 
 def cauchy2_gf(order: int) -> PowerSeries:
     """t/((1+t)log(1+t)); EGF coefficients are the second-kind Cauchy numbers."""
+    _check_order(order)
     one_plus_t = PowerSeries([Fraction(1), Fraction(1)], order=order + 1)
     return t_series(order + 1) / (one_plus_t * log1p_series(order + 1))
 
 
 def bernoulli_gf(alpha: int, order: int) -> PowerSeries:
     """(t/(e^t-1))^alpha for any integer order alpha."""
+    _check_order(order)
     unit = t_series(order + 1) / expm1_series(order + 1)
     return unit ** alpha
 
 
 def one_plus_t_pow(exponent, order: int) -> PowerSeries:
-    """(1+t)^exponent = exp(exponent*log(1+t)).
+    """(1+t)^exponent = exp(exponent*log(1+t)) for an exact scalar exponent.
 
-    The exponent may be an exact scalar or a ``Polynomial``; the latter
-    yields a series with polynomial coefficients, e.g. the two-variable
-    generating function (1+t)^x.
+    Its t^j coefficient is binom(exponent, j); any other exponent raises ``TypeError``.
     """
     return (log1p_series(order) * exponent).exp()
 

@@ -53,7 +53,6 @@ from .series import (
     PowerSeries,
     _connection_rows,
     cauchy1_gf,
-    egf_coeff,
     expm1_series,
     log1p_series,
     one_minus_exp_neg_series,
@@ -438,15 +437,22 @@ def _cases_eq19_28(grid: Grid, shift: int) -> Iterator[Case]:
     """EQ19 (shift 0): (t/log(1+t))^e (1+t)^(x-1) generates B_j^(j-e+1)(x).
 
     EQ28 (shift 1): (t/log(1+t))^e (1+t)^x generates B_j^(j-e+1)(x+1).
+
+    The left side stays on scalar series.  With (1+t)^x read as
+    sum_m x^m log(1+t)^m / m!, the x^m coefficient of the j-th EGF
+    coefficient is (j!/m!) [t^j] (t/log(1+t))^e (1+t)^(shift-1) log(1+t)^m,
+    which is entry (j, m) of ``_connection_rows`` on a running power of
+    log(1+t), as EQ6 reads its powers.
     """
     if grid.n_max < 0:
         return
     order = grid.n_max + 1
-    x_power = one_plus_t_pow(Polynomial((shift - 1, 1)), order)
+    log = log1p_series(order)
+    unit_power = one_plus_t_pow(shift - 1, order)
     for e in grid.ks():
-        gf = (cauchy1_gf(order) ** e) * x_power
+        rows = _connection_rows((cauchy1_gf(order) ** e) * unit_power, log, grid.n_max)
         for j in grid.ns():
-            yield ({"e": e, "j": j}, egf_coeff(gf, j),
+            yield ({"e": e, "j": j}, Polynomial(rows[j]),
                    bernoulli_hi_poly(j, j - e + 1).shift(shift))
 
 

@@ -480,6 +480,26 @@ def test_unknown_method_rejected():
         cauchy_hi1(4, 0, "gf_coeff")
 
 
+@pytest.mark.parametrize("kind", ["first", "second", CauchyMethod.GF_COEFF, None, 1])
+def test_unknown_kind_rejected(kind):
+    # a kind that is not a CauchyKind must not be read as the second kind,
+    # which would make classical_cauchy(3, "first") Chat_3 = -9/4, not C_3 = 1/4
+    calls = [
+        lambda: classical_cauchy(3, kind),
+        lambda: cauchy.poly_cauchy(kind, 3, 2),
+        lambda: cauchy.poly_cauchy_poly(kind, 3, 2, F(1, 2)),
+        lambda: cauchy.cauchy_hi_numbers(kind, 3, 2),
+        lambda: cauchy.cauchy_hi_poly_bridge(kind, 3, 2),
+        lambda: cauchy_hi_poly_sum(kind, 3, 2),
+        lambda: cauchy_hi_poly_oracle(kind, 3, 2),
+        *[lambda method=method: cauchy.cauchy_hi(kind, 3, 2, method) for method in ALL_METHODS],
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="unknown kind"):
+            call()
+    assert classical_cauchy(3, CauchyKind.FIRST) == F(1, 4)
+
+
 def test_k_one_degenerates_to_classical():
     for n in range(21):
         assert cauchy_hi1(n, 1) == cauchy1(n)

@@ -122,8 +122,10 @@ def test_degree_and_zero():
 def test_division_only_by_constants():
     p = X ** 2 + 1
     assert p / 2 == Polynomial((Fraction(1, 2), 0, Fraction(1, 2)))
-    with pytest.raises(ValueError):
-        p / X
+    # a polynomial divides by an exact scalar only, a constant polynomial included
+    for divisor in (X, Polynomial((2,))):
+        with pytest.raises(TypeError):
+            p / divisor
     with pytest.raises(ZeroDivisionError):
         p / 0
 
@@ -410,13 +412,13 @@ def test_layout_edge_cases():
     for den in (0, -2):
         with pytest.raises(ValueError):
             Polynomial.from_numerators([1], den)
-        # a series with Polynomial numerators checks its denominator as well
-        for nums in ([X], [Polynomial.zero(), 1], [1, 2]):
+        # a series checks its denominator as well
+        for nums in ([0, 1], [1, 2]):
             with pytest.raises(ValueError):
                 PowerSeries.from_numerators(nums, den)
-    for make, nums in ((Polynomial.from_numerators, [1]), (PowerSeries.from_numerators, [X])):
+    for make in (Polynomial.from_numerators, PowerSeries.from_numerators):
         with pytest.raises(TypeError):
-            make(nums, Fraction(2))
+            make([1], Fraction(2))
 
 
 # -- the verifier's linear-combination kernel against a Fraction loop -------------

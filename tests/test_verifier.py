@@ -320,9 +320,11 @@ def _off_by_one_at_3_2(fn):
     ("poly_cauchy_poly2", _plus_one, {"POLYC_ORACLE"}),
     ("product_integrate", _plus_one, {"POLYC_ORACLE"}),
     ("_linear_combination", _plus_one, {"T5", "T8", "T9", "T10", "T13", "EQ58"}),
+    ("cauchy1_gf", _plus_one, {"EQ19", "EQ28"}),
+    ("bernoulli_hi_poly", _plus_one, {"T1", "T3", "T13", "EQ19", "EQ28"}),
 ], ids=["cauchy_hi_poly1", "cauchy_hi_poly2", "stirling2", "stirling1_signed",
         "cauchy_hi_poly_bridge", "poly_cauchy_poly1", "poly_cauchy_poly2",
-        "product_integrate", "_linear_combination"])
+        "product_integrate", "_linear_combination", "cauchy1_gf", "bernoulli_hi_poly"])
 def test_each_check_reads_both_of_its_sides(monkeypatch, name, corrupt, failing):
     # a corrupted input must fail every check that reads it on either side;
     # a check whose two sides both came from one path would stay green
