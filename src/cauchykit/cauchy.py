@@ -136,6 +136,21 @@ def _power_weights(n: int, k: int) -> tuple[list[int], int]:
     return [den // (j + 1) ** k for j in range(n + 1)], den
 
 
+def _shifted_moments(kind: CauchyKind, n: int, weights: list[int], den: int) -> Polynomial:
+    """sum_m row(n,m) E[(y + W)^m] for the moments E[W^j] = weights[j]/den.
+
+    The y^i coefficient sum_m row(n,m) C(m,i) w_(m-i) is summed on ints.
+    W is the product of k coordinates for the poly-Cauchy family and their
+    sum for the higher-order one.
+    """
+    coeffs = [0] * (n + 1)
+    for m, c in enumerate(_stirling_row(kind, n)):
+        if c:
+            for i in range(m + 1):
+                coeffs[i] += c * comb(m, i) * weights[m - i]
+    return Polynomial.from_numerators(coeffs, den)
+
+
 def poly_cauchy(kind: CauchyKind, n: int, k: int) -> Fraction:
     """sum_m row(n,m)/(m+1)^k, the k-fold product integral, on ints over lcm(1..n+1)^k."""
     _check_poly_args(kind, n, k)
@@ -150,13 +165,7 @@ def poly_cauchy_poly(kind: CauchyKind, n: int, k: int, z: Fraction) -> Fraction:
     """
     _check_poly_args(kind, n, k)
     z = _as_fraction(z)
-    weights, den = _power_weights(n, k)
-    coeffs = [0] * (n + 1)
-    for m, c in enumerate(_stirling_row(kind, n)):
-        if c:
-            for i in range(m + 1):
-                coeffs[i] += c * comb(m, i) * weights[m - i]
-    return Polynomial.from_numerators(coeffs, den).evaluate(-z)
+    return _shifted_moments(kind, n, *_power_weights(n, k)).evaluate(-z)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -316,18 +325,12 @@ def cauchy_hi_poly_sum(kind: CauchyKind, n: int, k: int) -> Polynomial:
         (-x)^(l-j) / ((j_1+1)...(j_k+1)),
 
     with the composition sum folded into the cube volume of degree j.  The
-    volumes go over one denominator, so the sum runs on ints and gives the
-    polynomial's numerators over that denominator.
+    volumes go over one denominator; ``_shifted_moments`` sums the
+    polynomial in -x on ints and ``reflect`` reads it at x.
     """
     _check_poly_args(kind, n, k)
-    volumes, den = _over_common_denominator([_sum_power_volume(j, k) for j in range(n + 1)])
-    coeffs = [0] * (n + 1)
-    for l, c in enumerate(_stirling_row(kind, n)):
-        if c == 0:
-            continue
-        for j in range(l + 1):
-            coeffs[l - j] += c * comb(l, j) * volumes[j] * (-1) ** (l - j)
-    return Polynomial.from_numerators(coeffs, den)
+    volumes = _over_common_denominator([_sum_power_volume(j, k) for j in range(n + 1)])
+    return _shifted_moments(kind, n, *volumes).reflect()
 
 
 def cauchy_hi_poly_bridge(kind: CauchyKind, n: int, k: int) -> Polynomial:

@@ -242,13 +242,23 @@ def _parse_grid(text: str | None, values: dict, parser):
     return dataclasses.replace(DEFAULT_GRID, **values)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """``json.load``'s object hook: a repeated key raises, where a dict keeps the last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated config key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _load_config(path: str | None, parser) -> dict:
     if path is None:
         return {}
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+            raw = json.load(handle, object_pairs_hook=_unique_keys)
+    except (OSError, ValueError) as exc:  # bad JSON or UTF-8 and repeated keys are ValueErrors
         parser.error(f"cannot read config {path!r}: {exc}")
     if not isinstance(raw, dict):
         parser.error(f"config {path!r} must hold a JSON object, not {type(raw).__name__}")

@@ -367,46 +367,31 @@ def sheffer_polys(g: PowerSeries, f: PowerSeries, n_max: int) -> list[Polynomial
     S_n is row n of the connection matrix into the monomials, the Sheffer
     sequence for (1, t): the x^m coefficient of S_n is
     (n!/m!) * [t^n] (fbar^m / g(fbar)), with fbar the compositional inverse
-    of f.  deg S_n = n.  The identity pair is sized by f, so the
-    truncation needed is that of g and f alone.
+    of f.  deg S_n = n.
     """
-    rows = connection_coeffs(g, f, one_series(f.order), t_series(f.order), n_max)
-    return [Polynomial(row) for row in rows]
+    fbar = f.revert()
+    return [Polynomial(row) for row in connection_coeffs(1 / g.compose(fbar), fbar, n_max)]
 
 
-def connection_coeffs(g: PowerSeries, f: PowerSeries,
-                      h: PowerSeries, l: PowerSeries, n_max: int) -> list[list[Fraction]]:
-    """Triangular matrix expressing the (g, f) Sheffer sequence in the (h, l) one.
+def connection_coeffs(base: PowerSeries, step: PowerSeries, n_max: int) -> list[list[Fraction]]:
+    """Rows 0..n_max of C[n][m] = (n!/m!) * [t^n] base * step^m, m = 0..n.
 
-    Row n holds C[n][m] = (n!/m!) * [t^n] ( h(fbar)/g(fbar) * l(fbar)^m ) for
-    m = 0..n, so that s_n(x) = sum_m C[n][m] q_m(x).
+    Expanding the (g, f) Sheffer sequence in the (h, l) one, s_n(x) =
+    sum_m C[n][m] q_m(x), takes base = h(fbar)/g(fbar) and step = l(fbar),
+    with fbar the compositional inverse of f.  The caller composes, so one
+    that connects several pairs sharing f reverts f once.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    n = min(g.order, f.order, h.order, l.order)
-    if n <= n_max:
+    if min(base.order, step.order) <= n_max:
         raise ValueError("insufficient truncation")
-    if not h.numerators[0]:
-        raise ValueError("invertible series required")
-    if l.numerators[0] or l.order < 2 or not l.numerators[1]:
+    if step.numerators[0] or (n_max and not step.numerators[1]):
         raise ValueError("not a delta series")
-    fbar = f.revert()
-    return _connection_rows(h.compose(fbar) / g.compose(fbar), l.compose(fbar), n_max)
-
-
-def _connection_rows(base: PowerSeries, l_of_fbar: PowerSeries,
-                     n_max: int) -> list[list[Fraction]]:
-    """Rows 0..n_max of ``connection_coeffs`` from its composed series.
-
-    base = h(fbar)/g(fbar) and l_of_fbar = l(fbar), both known past t^n_max;
-    C[n][m] = (n!/m!) * [t^n] base * l_of_fbar^m.  A caller that connects
-    several pairs sharing f reverts f once and composes each series once.
-    """
     rows: list[list[Fraction]] = [[Fraction(0)] * (i + 1) for i in range(n_max + 1)]
     power = base
     for m in range(n_max + 1):
         if m > 0:
-            power = power * l_of_fbar
+            power = power * step
         for i in range(m, n_max + 1):
             rows[i][m] = power._scaled_coefficient(i, factorial(i) // factorial(m))
     return rows

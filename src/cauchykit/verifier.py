@@ -51,8 +51,8 @@ from .polynomial import (Polynomial, _linear_combination, _over_common_denominat
 from .rational import format_rational
 from .series import (
     PowerSeries,
-    _connection_rows,
     cauchy1_gf,
+    connection_coeffs,
     expm1_series,
     log1p_series,
     one_minus_exp_neg_series,
@@ -401,7 +401,7 @@ def _cases_t13(grid: Grid) -> Iterator[Case]:
         bases = [bernoulli_hi_poly(m, alpha) for m in grid.ns()]
         h_of_fbar = ((expm1_series(order + 1) / t_series(order + 1)) ** alpha).compose(fbar)
         for k in grid.ks():
-            matrix = _connection_rows(h_of_fbar / g_of_fbar[k], fbar, grid.n_max)
+            matrix = connection_coeffs(h_of_fbar / g_of_fbar[k], fbar, grid.n_max)
             coefficients = _t13_coefficients(grid.n_max, k, alpha, s1)
             for n in grid.ns():
                 row = coefficients[n]
@@ -441,7 +441,7 @@ def _cases_eq19_28(grid: Grid, shift: int) -> Iterator[Case]:
     The left side stays on scalar series.  With (1+t)^x read as
     sum_m x^m log(1+t)^m / m!, the x^m coefficient of the j-th EGF
     coefficient is (j!/m!) [t^j] (t/log(1+t))^e (1+t)^(shift-1) log(1+t)^m,
-    which is entry (j, m) of ``_connection_rows`` on a running power of
+    which is entry (j, m) of ``connection_coeffs`` on a running power of
     log(1+t), as EQ6 reads its powers.
     """
     if grid.n_max < 0:
@@ -450,7 +450,7 @@ def _cases_eq19_28(grid: Grid, shift: int) -> Iterator[Case]:
     log = log1p_series(order)
     unit_power = one_plus_t_pow(shift - 1, order)
     for e in grid.ks():
-        rows = _connection_rows((cauchy1_gf(order) ** e) * unit_power, log, grid.n_max)
+        rows = connection_coeffs((cauchy1_gf(order) ** e) * unit_power, log, grid.n_max)
         for j in grid.ns():
             yield ({"e": e, "j": j}, Polynomial(rows[j]),
                    bernoulli_hi_poly(j, j - e + 1).shift(shift))

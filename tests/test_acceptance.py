@@ -16,6 +16,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +52,7 @@ from cauchykit.verifier import (
     TAG_T13_INDEX,
     CheckId,
     Grid,
+    TheoremReport,
     reports_to_json,
     run_suite,
 )
@@ -292,3 +294,28 @@ def test_verify_json_pinned_on_edge_grids(grid):
 def test_verify_json_pinned_past_the_default_grid():
     reports = run_suite(Grid(n_max=25, k_max=4, alpha_max=3))
     assert hashlib.sha256(reports_to_json(reports).encode()).hexdigest() == WIDE_GRID_JSON_SHA256
+
+
+def test_readme_library_examples_print_what_their_comments_say():
+    # README's "Library surface" block: expression -> the comment beside it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library surface", 1)[1].split("```")[1]
+    comments = {code.strip(): comment for code, comment in
+                (line.split("  # ", 1) for line in block.splitlines() if "  # " in line)}
+    assert comments["cauchy_hi1(6, 3, CauchyMethod.INTEGRAL_ORACLE)"] == repr(
+        cauchy_hi1(6, 3, CauchyMethod.INTEGRAL_ORACLE)) == "Fraction(16, 21)"
+    coeffs = cauchy_hi_poly1(2, 2).coeffs
+    assert coeffs == (F(1, 6), -1, 1)
+    assert comments["cauchy_hi_poly1(2, 2).coeffs"] == (
+        f"({', '.join(map(str, coeffs))}), constant first")
+    assert comments["bernoulli_hi_poly(4, -2)"] == str(bernoulli_hi_poly(4, -2))
+    assert comments["f = log1p_series(12)"] == "truncated at t^12"
+    f = log1p_series(12)
+    assert f.order == 12
+    assert comments["f.revert().compose(f)"] == "the identity series t"
+    assert f.revert().compose(f) == t_series(12)
+    assert comments["run_suite(Grid(n_max=10, k_max=3, alpha_max=2))"] == (
+        "list of TheoremReport")
+    reports = run_suite(Grid(n_max=10, k_max=3, alpha_max=2))
+    assert isinstance(reports, list)
+    assert all(isinstance(report, TheoremReport) for report in reports)

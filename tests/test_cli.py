@@ -368,10 +368,13 @@ def test_negative_terms_is_usage_error(capsys):
     ("5", "must hold a JSON object, not int"),
     ('"x"', "must hold a JSON object, not str"),
     ("[1]", "must hold a JSON object, not list"),
+    pytest.param(b"\xff\xfe", "invalid start byte", id="not utf-8"),
+    pytest.param('{"n_max": 3, "n_max": 4}', "repeated config key 'n_max'", id="repeated key"),
 ])
 def test_malformed_config_is_usage_error(tmp_path, capsys, content, message):
+    # a non-UTF-8 file exited 1 with a traceback; a repeated key silently kept the last value
     config = tmp_path / "grid.json"
-    config.write_text(content)
+    (config.write_bytes if isinstance(content, bytes) else config.write_text)(content)
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["verify", "--checks", "T1", "--config", str(config)])
     err = capsys.readouterr().err

@@ -119,6 +119,21 @@ def test_degree_and_zero():
     assert falling_factorial(5).degree == 5
 
 
+@pytest.mark.parametrize("p, text", [
+    (Polynomial(), "0"),
+    (Polynomial((0, 0)), "0"),
+    (Polynomial((Fraction(-3, 2),)), "-3/2"),
+    (Polynomial((0, 1)), "x"),
+    (Polynomial((0, -1)), "-x"),
+    (Polynomial((1, 1, -1)), "1 + x - x^2"),
+    (Polynomial((-3, 0, -2)), "-3 - 2*x^2"),
+    (Polynomial((0, Fraction(1, 3), 0, Fraction(-5, 7))), "1/3*x - 5/7*x^3"),
+], ids=["zero", "zero with trailing terms", "negative constant", "x", "-x",
+        "unit coefficients", "negative leading term", "fractions"])
+def test_str_renders_terms_from_the_constant_up(p, text):
+    assert str(p) == text
+
+
 def test_division_only_by_constants():
     p = X ** 2 + 1
     assert p / 2 == Polynomial((Fraction(1, 2), 0, Fraction(1, 2)))

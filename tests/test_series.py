@@ -631,9 +631,11 @@ def test_sheffer_needs_enough_truncation():
 
 
 def test_connection_same_pair_is_identity_matrix():
-    g = one_series(8)
+    # a pair connected to itself: base g(fbar)/g(fbar) = 1, step f(fbar) = t
+    g = bernoulli_gf(2, 8)
     f = expm1_series(8)
-    rows = connection_coeffs(g, f, g, f, 5)
+    fbar = f.revert()
+    rows = connection_coeffs(g.compose(fbar) / g.compose(fbar), f.compose(fbar), 5)
     for n, row in enumerate(rows):
         for m, value in enumerate(row):
             assert value == (1 if n == m else 0)
@@ -642,15 +644,33 @@ def test_connection_same_pair_is_identity_matrix():
 def test_connection_single_entry_is_constant_ratio():
     g = series(4, 1, 1, order=4)
     h = series(3, -2, order=4)
-    rows = connection_coeffs(g, t_series(4), h, t_series(4), 0)
+    rows = connection_coeffs(h / g, t_series(4), 0)
     assert rows == [[F(3, 4)]]
 
 
-def test_connection_rejects_bad_inputs():
-    with pytest.raises(ValueError, match="invertible series required"):
-        connection_coeffs(one_series(6), t_series(6), t_series(6), t_series(6), 3)
+def test_connection_at_n_max_zero_takes_an_order_one_step():
+    assert connection_coeffs(series(F(-2, 3), 7), log1p_series(1), 0) == [[F(-2, 3)]]
     with pytest.raises(ValueError, match="not a delta series"):
-        connection_coeffs(one_series(6), t_series(6), one_series(6), one_series(6), 3)
+        connection_coeffs(one_series(1), one_series(1), 0)
+
+
+def test_connection_rows_are_defined_for_any_base():
+    # base t: C[n][m] = (n!/m!) [t^n] t^(m+1) is n on the subdiagonal, 0 elsewhere
+    rows = connection_coeffs(t_series(6), t_series(6), 4)
+    assert rows == [[F(n) if m == n - 1 else F(0) for m in range(n + 1)] for n in range(5)]
+
+
+def test_connection_rejects_bad_inputs():
+    with pytest.raises(ValueError, match="insufficient truncation"):
+        connection_coeffs(one_series(4), t_series(6), 4)
+    with pytest.raises(ValueError, match="insufficient truncation"):
+        connection_coeffs(one_series(6), t_series(4), 4)
+    with pytest.raises(ValueError, match="not a delta series"):
+        connection_coeffs(one_series(6), one_series(6), 3)
+    with pytest.raises(ValueError, match="not a delta series"):
+        connection_coeffs(one_series(6), series(0, 0, 1, order=6), 3)
+    with pytest.raises(ValueError, match="n_max must be nonnegative"):
+        connection_coeffs(one_series(6), t_series(6), -1)
 
 
 def test_connection_between_cauchy_and_bernoulli_bases():
@@ -665,7 +685,8 @@ def test_connection_between_cauchy_and_bernoulli_bases():
     g = ((t_series(order) * exp_t) / expm1_series(order + 1)) ** k
     f = expm1_series(order)
     h = (expm1_series(order + 1) / t_series(order + 1)) ** alpha
-    rows = connection_coeffs(g, f, h, t_series(order), n_max)
+    fbar = f.revert()
+    rows = connection_coeffs(h.compose(fbar) / g.compose(fbar), fbar, n_max)
     for n in range(n_max + 1):
         for m in range(n + 1):
             expected = sum(

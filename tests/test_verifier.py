@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from cauchykit import verifier
+from cauchykit import series, verifier
 from cauchykit.cauchy import cauchy_hi_poly1, cauchy_hi_poly2
 from cauchykit.polynomial import Polynomial
 from cauchykit.series import PowerSeries
@@ -208,7 +208,7 @@ def test_t13_builds_each_connection_matrix_once(monkeypatch):
     # the printed and the corrected reading share one matrix per (alpha, k),
     # and every matrix reads the one reversion of f = e^t - 1
     calls = []
-    original = verifier._connection_rows
+    original = verifier.connection_coeffs
 
     def counting(*args):
         calls.append(args[-1])
@@ -221,12 +221,21 @@ def test_t13_builds_each_connection_matrix_once(monkeypatch):
         reverts.append(self.order)
         return original_revert(self)
 
-    monkeypatch.setattr(verifier, "_connection_rows", counting)
+    monkeypatch.setattr(verifier, "connection_coeffs", counting)
     monkeypatch.setattr(PowerSeries, "revert", counting_revert)
     report = verify(CheckId.T13)
     assert report.status == PASS_WITH_CORRECTION
     assert len(calls) == DEFAULT_GRID.k_max * DEFAULT_GRID.alpha_max == 12
     assert len(reverts) == 1
+
+
+def test_verifier_imports_no_private_series_name():
+    # the verifier reads the series layer through its public functions only
+    private = {name for name, obj in vars(series).items()
+               if name.startswith("_") and not name.startswith("__")
+               and getattr(obj, "__module__", None) == series.__name__}
+    assert "_PrefixMemo" in private
+    assert not private & set(vars(verifier))
 
 
 def test_t13_builds_each_bernoulli_basis_once(monkeypatch):
