@@ -38,7 +38,6 @@ from .series import (
     expm1_series,
     log1p_series,
     one_minus_exp_neg_series,
-    one_plus_t_pow,
     one_series,
     sheffer_polys,
     t_series,

@@ -334,8 +334,8 @@ def cauchy_hi_poly_sum(kind: CauchyKind, n: int, k: int) -> Polynomial:
 
 
 def cauchy_hi_poly_bridge(kind: CauchyKind, n: int, k: int) -> Polynomial:
-    """C_n^(k)(x) = B_n^(n-k+1)(1-x), or Chat_n^(k)(x) = B_n^(n-k+1)(x-k+1), k >= 0."""
-    _check_hi_args(kind, n, k, CauchyMethod.BERNOULLI_BRIDGE)
+    """C_n^(k)(x) = B_n^(n-k+1)(1-x), or Chat_n^(k)(x) = B_n^(n-k+1)(x-k+1), k >= 1."""
+    _check_poly_args(kind, n, k)
     bernoulli = bernoulli_hi_poly(n, n - k + 1)
     return bernoulli.reflect().shift(-1) if kind is CauchyKind.FIRST else bernoulli.shift(1 - k)
 

@@ -16,8 +16,8 @@ The code the two types share (``from_numerators``, sums, scalar
 products and quotients, powers, ``_convolve``) is in their base class
 ``polynomial._Numerators``.  This module keeps the series' own: ``_store``
 (``order`` terms, trailing zeros kept), equality at the common precision,
-coefficient reads, division by a series, ``compose``, ``revert`` and
-``exp``.  ``coeffs`` builds the coefficients on each read.
+coefficient reads, division by a series, ``compose`` and ``revert``.
+``coeffs`` builds the coefficients on each read.
 
 The module provides the arithmetic needed to realise the generating
 functions of the Cauchy/Bernoulli families,
@@ -25,9 +25,9 @@ functions of the Cauchy/Bernoulli families,
     t/log(1+t),   (t/((1+t)log(1+t)))^k,   (t/(e^t-1))^alpha,
 
 including division with explicit cancellation of a shared power of t,
-integer powers (negative powers of unit series included), composition,
-compositional inversion, and exponentials, plus the Sheffer-sequence and
-connection-coefficient extractors built on top of them.
+integer powers (negative powers of unit series included), composition and
+compositional inversion, plus the Sheffer-sequence and connection-coefficient
+extractors built on top of them.
 
 Costs at order n, in coefficient operations: multiplication and division
 are O(n^2); ``compose`` (Horner from the outer series' highest nonzero
@@ -245,20 +245,6 @@ class PowerSeries(_Numerators):
             g.append(power.coefficient(m - 1) / m)
         return PowerSeries(g)
 
-    def exp(self) -> "PowerSeries":
-        """exp(self) for a series with zero constant term, via the ODE recurrence."""
-        nums = self.numerators
-        if nums[0]:
-            raise ValueError("exponential needs zero constant term")
-        out = [1]
-        for m in range(1, len(nums)):
-            acc = 0
-            for j in range(1, m + 1):
-                if nums[j]:
-                    acc = acc + nums[j] * out[m - j] * j
-            out.append(acc * Fraction(1, m * self.denominator))
-        return PowerSeries(out)
-
 
 def egf_coeff(f: PowerSeries, n: int):
     """n! * [t^n] f, the exponential-generating-function coefficient."""
@@ -349,14 +335,6 @@ def bernoulli_gf(alpha: int, order: int) -> PowerSeries:
     _check_order(order)
     unit = t_series(order + 1) / expm1_series(order + 1)
     return unit ** alpha
-
-
-def one_plus_t_pow(exponent, order: int) -> PowerSeries:
-    """(1+t)^exponent = exp(exponent*log(1+t)) for an exact scalar exponent.
-
-    Its t^j coefficient is binom(exponent, j); any other exponent raises ``TypeError``.
-    """
-    return (log1p_series(order) * exponent).exp()
 
 
 # -- Sheffer machinery ---------------------------------------------------------

@@ -56,7 +56,6 @@ from .series import (
     expm1_series,
     log1p_series,
     one_minus_exp_neg_series,
-    one_plus_t_pow,
     one_series,
     sheffer_polys,
     t_series,
@@ -237,14 +236,14 @@ def _cases_poly_paths(grid: Grid, kind: CauchyKind) -> Iterator[Case]:
 # The paper prints most identities once per kind.  Each display is built
 # here from one weight polynomial w, transcribed once: the first kind reads
 # it in powers of -x, w.reflect(), and the second kind in powers of x-k,
-# w.shift(-k), because Chat_n^(k)(x) = C_n^(k)(k-x).
+# w.shift(-k), because Chat_n^(k)(x) = C_n^(k)(k-x).  T6's second-kind
+# numbers are that display at x = 0, w(-k).
 
 def _s2_weights(m: int, k: int) -> Polynomial:
-    # T5/T8: sum over n of C(m,n)/C(n+k,n) S2(n+k,k) y^(m-n)
-    coeffs = [Fraction(0)] * (m + 1)
-    for n in range(m + 1):
-        coeffs[m - n] = Fraction(comb(m, n), comb(n + k, n)) * stirling2(n + k, k)
-    return Polynomial(coeffs)
+    # T5/T6/T8: sum over n of C(m,n)/C(n+k,n) S2(n+k,k) y^(m-n), over the lcm of the C(n+k,n)
+    den = lcm(*[comb(n + k, n) for n in range(m + 1)])
+    return Polynomial.from_numerators([comb(m, n) * (den // comb(n + k, n)) * stirling2(n + k, k)
+                                       for n in range(m, -1, -1)], den)
 
 
 def _cases_t5(grid: Grid) -> Iterator[Case]:
@@ -263,12 +262,9 @@ def _cases_t6(grid: Grid) -> Iterator[Case]:
                for k in grid.ks()}
     for n in grid.ns():
         for k in grid.ks():
-            scale = lcm(*[comb(k + m, m) for m in range(n + 1)])
-            lhs = Fraction(sum(comb(n, m) * (scale // comb(k + m, m)) * stirling2(k + m, k)
-                               * (-k) ** (n - m) for m in range(n + 1)), scale)
             nums, den = numbers[k]
             rhs = Fraction(sum(nums[m] * stirling2(n, m) for m in range(n + 1)), den)
-            yield ({"n": n, "k": k}, lhs, rhs)
+            yield ({"n": n, "k": k}, _s2_weights(n, k).evaluate(-k), rhs)
 
 
 def _cases_t8(grid: Grid) -> Iterator[Case]:
@@ -448,7 +444,7 @@ def _cases_eq19_28(grid: Grid, shift: int) -> Iterator[Case]:
         return
     order = grid.n_max + 1
     log = log1p_series(order)
-    unit_power = one_plus_t_pow(shift - 1, order)
+    unit_power = PowerSeries([1, 1], order=order) ** (shift - 1)
     for e in grid.ks():
         rows = connection_coeffs((cauchy1_gf(order) ** e) * unit_power, log, grid.n_max)
         for j in grid.ns():

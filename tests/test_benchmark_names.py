@@ -6,6 +6,7 @@ by name.  A renamed or deleted name would make a ``cache_info()`` read
 crash, or a call counter silently read 0, so each one is pinned here.
 """
 
+import runpy
 from pathlib import Path
 
 import pytest
@@ -48,7 +49,17 @@ def test_counted_functions_are_defined_where_they_are_counted(module, owner, nam
     assert Path(code.co_filename).resolve() == Path(module.__file__).resolve()
 
 
-@pytest.mark.parametrize("name", ["bernoulli_hi_number", "stirling1_unsigned", "parse_rational",
-                                  "product_integrate", "cauchy_hi1", "cauchy_hi2"])
+def _stream_names() -> list[str]:
+    # perfbench/run.py is run from its path (no bytecode written), so the list follows the stream
+    run = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "run.py"))
+    return sorted({call[0] for call in run["library_stream"](0)})
+
+
+# the names perfbench reads to resolve and check the stream, besides the stream's own
+CHECKED = ["CauchyMethod", "Polynomial", "bernoulli_hi_number", "falling_factorial",
+           "parse_rational", "product_integrate", "stirling1_signed", "stirling1_unsigned"]
+
+
+@pytest.mark.parametrize("name", sorted(set(_stream_names()) | set(CHECKED)))
 def test_public_names_the_stream_calls_are_exported(name):
     assert callable(getattr(cauchykit, name))

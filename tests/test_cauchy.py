@@ -500,6 +500,17 @@ def test_unknown_kind_rejected(kind):
     assert classical_cauchy(3, CauchyKind.FIRST) == F(1, 4)
 
 
+POLY_PATHS = [cauchy_hi_poly_sum, cauchy.cauchy_hi_poly_bridge, cauchy_hi_poly_oracle]
+
+
+@pytest.mark.parametrize("path", POLY_PATHS, ids=[p.__name__ for p in POLY_PATHS])
+@pytest.mark.parametrize("kind", list(CauchyKind), ids=lambda kind: kind.name.lower())
+def test_polynomial_paths_reject_k_zero(path, kind):
+    # T4/T7 compare the three paths, so they take the same k; only the numbers define k = 0
+    with pytest.raises(ValueError, match="k must be positive"):
+        path(kind, 3, 0)
+
+
 def test_k_one_degenerates_to_classical():
     for n in range(21):
         assert cauchy_hi1(n, 1) == cauchy1(n)
