@@ -19,6 +19,7 @@ from .cauchy import (
     cauchy_hi_poly1,
     cauchy_hi_poly2,
     classical_cauchy,
+    clear_caches,
     cube_integrate,
     poly_cauchy1,
     poly_cauchy2,

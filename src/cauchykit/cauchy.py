@@ -30,21 +30,24 @@ the polynomials) never touches Stirling numbers or series, so agreement
 between paths is a genuine cross-check, not a tautology.  The memoised
 ``cauchy_hi_poly1/2`` hold the triple sum; T4/T7 check it against the bridge.
 The GF_COEFF path holds one series per (kind, k) and reads it by prefix
-(``series._PrefixMemo``), as ``bernoulli`` does per order alpha.
+(``series._PrefixMemo``), as ``bernoulli`` does per order alpha.  The oracles
+climb one ladder per (kind, n), ``_LADDER``; ``_poly_cauchy_moments`` holds one
+z-polynomial per (kind, n, k); ``clear_caches`` empties every memo.
 """
 
 from __future__ import annotations
 
 import enum
+import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
 
-from .bernoulli import bernoulli_hi_poly
+from .bernoulli import _GF, bernoulli_hi_poly
 from .polynomial import Polynomial, _over_common_denominator, falling_factorial
 from .rational import _as_fraction
 from .series import PowerSeries, _PrefixMemo, cauchy1_gf, cauchy2_gf, egf_coeff
-from .stirling import stirling1_signed
+from .stirling import StirlingKind, stirling1_signed, stirling_table
 
 
 class CauchyKind(enum.Enum):
@@ -89,6 +92,24 @@ def _cube_mean(p: Polynomial, k: int) -> Polynomial:
         anti = q.antiderivative()
         q = anti.shift(1) - anti
     return q
+
+
+# (kind, n) -> [q_0, q_1, ...]: q_0 the integrand, q_j one ``_cube_mean`` round of q_(j-1)
+_LADDER: dict[tuple[CauchyKind, int], list[Polynomial]] = {}
+_LADDER_LOCK = threading.Lock()
+
+
+def _integrand_mean(kind: CauchyKind, n: int, k: int) -> Polynomial:
+    """``_cube_mean(_integrand(kind, n), k)``: q_k, each round built once under the lock."""
+    if not (isinstance(n, int) and isinstance(k, int)):
+        raise TypeError(f"n and k must be ints: {n!r}, {k!r}")
+    ladder = _LADDER.get((kind, n))
+    if ladder is None or len(ladder) <= k:
+        with _LADDER_LOCK:
+            ladder = _LADDER.setdefault((kind, n), [])
+            while len(ladder) <= k:
+                ladder.append(_cube_mean(ladder[-1], 1) if ladder else _integrand(kind, n))
+    return ladder[k]
 
 
 def cube_integrate(p: Polynomial, k: int) -> Fraction:
@@ -151,6 +172,11 @@ def _shifted_moments(kind: CauchyKind, n: int, weights: list[int], den: int) -> 
     return Polynomial.from_numerators(coeffs, den)
 
 
+@lru_cache(maxsize=None, typed=True)
+def _poly_cauchy_moments(kind: CauchyKind, n: int, k: int) -> Polynomial:
+    return _shifted_moments(kind, n, *_power_weights(n, k))
+
+
 def poly_cauchy(kind: CauchyKind, n: int, k: int) -> Fraction:
     """sum_m row(n,m)/(m+1)^k, the k-fold product integral, on ints over lcm(1..n+1)^k."""
     _check_poly_args(kind, n, k)
@@ -161,11 +187,11 @@ def poly_cauchy(kind: CauchyKind, n: int, k: int) -> Fraction:
 def poly_cauchy_poly(kind: CauchyKind, n: int, k: int, z: Fraction) -> Fraction:
     """Poly-Cauchy polynomial value, sum_m row(n,m) sum_i C(m,i)(-z)^i/(m-i+1)^k.
 
-    The (-z)^i coefficients are summed on ints over lcm(1..n+1)^k, then read at -z by Horner.
+    The (-z)^i coefficients, held once per (kind, n, k), are read at -z by Horner.
     """
     _check_poly_args(kind, n, k)
     z = _as_fraction(z)
-    return _shifted_moments(kind, n, *_power_weights(n, k)).evaluate(-z)
+    return _poly_cauchy_moments(kind, n, k).evaluate(-z)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -303,7 +329,7 @@ def cauchy_hi(kind: CauchyKind, n: int, k: int,
         point = 1 if kind is CauchyKind.FIRST else 1 - k
         return bernoulli_hi_poly(n, n - k + 1).evaluate(point)
     if method is CauchyMethod.INTEGRAL_ORACLE:
-        return cube_integrate(_integrand(kind, n), k)
+        return _integrand_mean(kind, n, k).constant
 
 
 def cauchy_hi1(n: int, k: int, method: CauchyMethod = CauchyMethod.GF_COEFF) -> Fraction:
@@ -348,7 +374,7 @@ def cauchy_hi_poly_oracle(kind: CauchyKind, n: int, k: int) -> Polynomial:
     is the cube mean of I read at -x.
     """
     _check_poly_args(kind, n, k)
-    return _cube_mean(_integrand(kind, n), k).reflect()
+    return _integrand_mean(kind, n, k).reflect()
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -361,3 +387,12 @@ def cauchy_hi_poly1(n: int, k: int) -> Polynomial:
 def cauchy_hi_poly2(n: int, k: int) -> Polynomial:
     """Higher-order Cauchy polynomial of the second kind, degree n in x."""
     return cauchy_hi_poly_sum(CauchyKind.SECOND, n, k)
+
+
+def clear_caches() -> None:
+    """Empty every memo of the package: the state of a fresh process."""
+    for memo in (classical_cauchy, _poly_cauchy_moments, _sum_power_volume, _convolution_first,
+                 cauchy_hi_poly1, cauchy_hi_poly2):
+        memo.cache_clear()
+    for memo in (_GF, _HI_GF, _LADDER, *map(stirling_table, StirlingKind)):
+        memo.clear()

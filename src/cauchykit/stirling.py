@@ -12,9 +12,10 @@ sweeps cost amortised O(1) per query.  Indices outside the triangle
 ranges of the identities verified elsewhere.
 
 Tables mutate only while growing, and they grow under a per-table lock:
-a reader whose row already exists takes no lock, and rows are built in full
-before they are appended, so concurrent first use from several threads
-yields the same triangle as a single-threaded fill.
+a ``value`` read whose row already exists takes no lock, and rows are
+built in full before they are appended, so concurrent first use from
+several threads yields the same triangle as a single-threaded fill.
+``clear`` swaps in a fresh row list, so a reader keeps the rows it holds.
 """
 
 from __future__ import annotations
@@ -75,29 +76,31 @@ class StirlingTable:
         self.rows: list[list[int]] = [[1]]
         self._lock = threading.Lock()
 
-    def _grow(self, n: int) -> None:
-        if n < len(self.rows):
-            return
+    def _grow(self, n: int) -> list[list[int]]:
         with self._lock:
             rows = self.rows
             while len(rows) <= n:
                 # [:] drops the spare capacity a built list carries, which
                 # would otherwise stay for the life of the table
                 rows.append(next_row(self.kind, rows[-1])[:])
+            return rows
 
     def value(self, n: int, l: int) -> int:
         if n < 0 or l < 0 or l > n:
             return 0
         rows = self.rows
         if n >= len(rows):
-            self._grow(n)
+            rows = self._grow(n)
         return rows[n][l]
 
     def row(self, n: int) -> Sequence[int]:
         if n < 0:
             raise ValueError("n must be nonnegative")
-        self._grow(n)
-        return tuple(self.rows[n])
+        return tuple(self._grow(n)[n])
+
+    def clear(self) -> None:
+        with self._lock:
+            self.rows = [[1]]
 
 
 _TABLES = {kind: StirlingTable(kind) for kind in StirlingKind}

@@ -150,8 +150,13 @@ def test_poly_cauchy_polynomials_reject_float_argument():
     (cauchy_hi1, (5, 2), (5, 2.0)),
     (cauchy_hi1, (5, 2, CauchyMethod.CONVOLUTION), (5.0, 2, CauchyMethod.CONVOLUTION)),
     (bernoulli_hi_poly, (4, 2), (4, 2.0)),
+    (poly_cauchy_poly1, (3, 2, F(1, 3)), (3.0, 2, F(1, 3))),
+    (poly_cauchy_poly2, (3, 2, F(1, 3)), (3, 2.0, F(1, 3))),
+    (cauchy_hi1, (5, 2, CauchyMethod.INTEGRAL_ORACLE), (5, 2.0, CauchyMethod.INTEGRAL_ORACLE)),
+    (cauchy_hi_poly_oracle, (CauchyKind.SECOND, 5, 2), (CauchyKind.SECOND, 5.0, 2)),
 ], ids=["cauchy1-float", "cauchy1-fraction", "hi_poly1", "hi_poly2", "hi_gf",
-        "convolution", "bernoulli_gf"])
+        "convolution", "bernoulli_gf", "poly_cauchy_poly1", "poly_cauchy_poly2",
+        "integral_oracle", "hi_poly_oracle"])
 def test_memo_hit_does_not_admit_an_inexact_index(entry, ints, inexact):
     # 3.0 and Fraction(3) hash like 3, so an untyped memo would answer them
     # from the int entry once that is cached, and reject them only when cold
@@ -419,12 +424,18 @@ def test_binomial_folds_match_composition_enumeration(k):
 
 
 def test_large_order_needs_no_deep_recursion():
-    # the folds are iterative in k, so k far beyond the recursion limit works
+    # the folds and the oracle ladder are iterative in k, so k far beyond the
+    # recursion limit works
     k = 1500
     expected = cauchy_hi1(3, k, CauchyMethod.GF_COEFF)
     assert cauchy_hi1(3, k, CauchyMethod.STIRLING_SUM) == expected
     assert cauchy_hi1(3, k, CauchyMethod.CONVOLUTION) == expected
-    assert cauchy_hi2(3, k, CauchyMethod.STIRLING_SUM) == cauchy_hi2(3, k, CauchyMethod.GF_COEFF)
+    assert cauchy_hi1(3, k, CauchyMethod.INTEGRAL_ORACLE) == expected
+    expected2 = cauchy_hi2(3, k, CauchyMethod.GF_COEFF)
+    assert cauchy_hi2(3, k, CauchyMethod.STIRLING_SUM) == expected2
+    assert cauchy_hi2(3, k, CauchyMethod.INTEGRAL_ORACLE) == expected2
+    for kind in CauchyKind:
+        assert cauchy_hi_poly_oracle(kind, 3, k) == cauchy_hi_poly_sum(kind, 3, k)
 
 
 def test_k_zero_convention():

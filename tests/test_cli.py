@@ -569,8 +569,7 @@ def test_triangle_context_traps_rounding():
 ])
 def test_number_table_builds_one_series(capsys, monkeypatch, family, param, builder):
     module, name = builder
-    bernoulli._GF.clear()
-    cauchy._HI_GF.clear()
+    cauchykit.clear_caches()
     calls = []
     original = getattr(module, name)
 

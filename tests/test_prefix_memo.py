@@ -1,4 +1,5 @@
-"""The generating-function memos: one series per key, read by prefix, grown under a lock."""
+"""The memos grown under a lock: the generating-function memos (one series per
+key, read by prefix) and the integral-oracle ladder (one list of rounds per key)."""
 
 import sys
 import threading
@@ -10,7 +11,17 @@ import pytest
 
 from cauchykit import bernoulli, cauchy
 from cauchykit.bernoulli import bernoulli_hi_number, bernoulli_hi_numbers, bernoulli_hi_poly
-from cauchykit.cauchy import CauchyKind, cauchy_hi1, cauchy_hi2, cauchy_hi_numbers
+from cauchykit.cauchy import (
+    CauchyKind,
+    CauchyMethod,
+    cauchy_hi,
+    cauchy_hi1,
+    cauchy_hi2,
+    cauchy_hi_numbers,
+    cauchy_hi_poly_oracle,
+    clear_caches,
+    poly_cauchy_poly,
+)
 from cauchykit.polynomial import Polynomial
 from cauchykit.series import bernoulli_gf, cauchy1_gf, cauchy2_gf, egf_coeff
 
@@ -20,11 +31,9 @@ KS = (0, 1, 3)
 
 @pytest.fixture
 def cold_memos():
-    bernoulli._GF.clear()
-    cauchy._HI_GF.clear()
+    clear_caches()
     yield
-    bernoulli._GF.clear()
-    cauchy._HI_GF.clear()
+    clear_caches()
 
 
 def counting(monkeypatch, module, name, key_of):
@@ -103,38 +112,62 @@ def sweep():
             + [f(n, k) for f in (cauchy_hi1, cauchy_hi2) for k in (1, 4) for n in range(40)])
 
 
+def run_in_eight_threads(work):
+    """The results of work() run in eight threads that switch as often as possible."""
+    results, errors = {}, []
+
+    def run(index):
+        try:
+            results[index] = work()
+        except Exception as exc:  # a race shows up as an IndexError or a wrong value
+            errors.append(exc)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(previous)
+    assert not errors
+    return [results[i] for i in range(8)]
+
+
 def test_concurrent_first_use_reads_the_same_values(monkeypatch, cold_memos):
     reference = sweep()
     builds = []  # list.append is atomic, a Counter update is not
     original = bernoulli.bernoulli_gf
     monkeypatch.setattr(bernoulli, "bernoulli_gf",
                         lambda alpha, order: builds.append(alpha) or original(alpha, order))
-    previous = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads as often as possible
-    results, errors = {}, []
+    for _ in range(3):
+        clear_caches()
+        builds.clear()
+        assert run_in_eight_threads(sweep) == [reference] * 8
+        # growth under the lock: no thread rebuilds an order another has built
+        assert max(Counter(builds).values()) <= 7
 
-    def run(index):
-        try:
-            results[index] = sweep()
-        except Exception as exc:  # a race shows up as an IndexError or a wrong value
-            errors.append(exc)
 
-    try:
-        for _ in range(3):
-            bernoulli._GF.clear()
-            cauchy._HI_GF.clear()
-            results.clear()
-            builds.clear()
-            threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-                assert not thread.is_alive()
-            assert not errors
-            assert len(results) == 8
-            assert all(result == reference for result in results.values())
-            # growth under the lock: no thread rebuilds an order another has built
-            assert max(Counter(builds).values()) <= 7
-    finally:
-        sys.setswitchinterval(previous)
+NS, KS, ZS = range(14), (4, 2, 1, 3), (Fraction(0), Fraction(1, 2), Fraction(-3, 7))
+
+
+def oracle_sweep():
+    return [(cauchy_hi(kind, n, k, CauchyMethod.INTEGRAL_ORACLE), cauchy_hi_poly_oracle(kind, n, k),
+             [poly_cauchy_poly(kind, n, k, z) for z in ZS])
+            for kind in CauchyKind for n in NS for k in KS]
+
+
+def test_concurrent_first_use_builds_each_ladder_round_once(monkeypatch, cold_memos):
+    reference = oracle_sweep()
+    rounds = []
+    original = cauchy._cube_mean
+    monkeypatch.setattr(cauchy, "_cube_mean", lambda p, k: rounds.append(k) or original(p, k))
+    for _ in range(3):
+        clear_caches()
+        rounds.clear()
+        assert run_in_eight_threads(oracle_sweep) == [reference] * 8
+        # one round per (kind, n, j), j = 1..max k: no thread rebuilds a round
+        assert rounds == [1] * (len(CauchyKind) * len(NS) * max(KS))

@@ -5,8 +5,8 @@ from math import comb
 
 import pytest
 
-from cauchykit import series, verifier
-from cauchykit.cauchy import cauchy_hi_poly1, cauchy_hi_poly2
+from cauchykit import cauchy, series, verifier
+from cauchykit.cauchy import cauchy_hi_poly1, cauchy_hi_poly2, clear_caches
 from cauchykit.polynomial import Polynomial
 from cauchykit.series import PowerSeries
 from cauchykit.verifier import (
@@ -294,6 +294,23 @@ def test_polyc_shifts_each_factorial_once_per_sample(monkeypatch):
     monkeypatch.setattr(Polynomial, "shift", counting)
     assert verify(CheckId.POLYC_ORACLE).status == PASS_WITH_CORRECTION
     assert len(calls) == 2 * len(DEFAULT_GRID.ns()) * len(DEFAULT_GRID.x_samples) == 160
+
+
+def test_oracles_build_each_value_once(monkeypatch):
+    # from cold memos, POLYC sums one z-polynomial per (kind, n, k), and T2, T4
+    # and T7 integrate each coordinate of each (kind, n) ladder once
+    clear_caches()
+    moments, rounds = [], []
+    original_moments, original_antiderivative = cauchy._shifted_moments, Polynomial.antiderivative
+    monkeypatch.setattr(cauchy, "_shifted_moments",
+                        lambda *args: moments.append(args[:2]) or original_moments(*args))
+    monkeypatch.setattr(Polynomial, "antiderivative",
+                        lambda self: rounds.append(self) or original_antiderivative(self))
+    cells = 2 * len(DEFAULT_GRID.ns()) * len(DEFAULT_GRID.ks())
+    assert verify(CheckId.POLYC_ORACLE).status == PASS_WITH_CORRECTION
+    assert len(moments) == cells == 128
+    assert all(verify(check).status == PASS for check in (CheckId.T2, CheckId.T4, CheckId.T7))
+    assert len(rounds) == cells == 128
 
 
 def test_no_reading_hides_a_bug(monkeypatch):
