@@ -277,13 +277,12 @@ def _cmd_verify(args, parser) -> int:
         checks = None
     else:
         checks = []
-        by_value = {cid.value: cid for cid in CheckId}
-        for token in args.checks.split(","):
-            token = token.strip()
-            if token not in by_value:
+        for token in map(str.strip, args.checks.split(",")):
+            try:
+                checks.append(CheckId(token))
+            except ValueError:
                 parser.error(f"unknown check id {token!r}; valid: "
                              + ",".join(cid.value for cid in CheckId))
-            checks.append(by_value[token])
     reports = run_suite(grid, checks)
     _emit((reports_to_json if args.format == "json" else reports_to_text)(reports))
     return suite_exit_code(reports)

@@ -14,16 +14,18 @@ holds on every case (the report keeps the printed-form counterexamples),
 
 Reports are plain data: deterministic, JSON-serialisable, byte-stable
 across runs for a fixed grid.  Checks are independent of each other and of
-execution order.  Both sides of a check may share the arithmetic layer and
-nothing above it: the sums of T5, T8, T9, T10, T13 and EQ58 all run through
-one int kernel, ``polynomial._linear_combination``.
+execution order.  The registry's keys define the check ids, ``CheckId``.
+Every check sweeps n = 0..n_max, so a grid with n_max < 0 is vacuous: each
+check reports zero cases.  Both sides of a check may share the arithmetic
+layer and nothing above it: the sums of T5, T8, T9, T10, T13 and EQ58 all
+run through one int kernel, ``polynomial._linear_combination``.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import partial
 from math import comb, factorial, lcm, perm
@@ -67,33 +69,6 @@ FAIL = "fail"
 PASS_WITH_CORRECTION = "pass_with_correction"
 
 
-class CheckId(enum.Enum):
-    """Identifiers of the executable identity checks, in suite order."""
-
-    T1 = "T1"
-    T2 = "T2"
-    T3 = "T3"
-    T4 = "T4"
-    T5 = "T5"
-    T6 = "T6"
-    T7 = "T7"
-    T8 = "T8"
-    T9 = "T9"
-    T10 = "T10"
-    L11 = "L11"
-    T12 = "T12"
-    T13 = "T13"
-    EQ6 = "EQ6"
-    EQ7 = "EQ7"
-    EQ19 = "EQ19"
-    EQ28 = "EQ28"
-    EQ52 = "EQ52"
-    EQ53 = "EQ53"
-    EQ58 = "EQ58"
-    EQ59_61 = "EQ59_61"
-    POLYC_ORACLE = "POLYC_ORACLE"
-
-
 TAG_T13_INDEX = "expansion term B_n^(alpha)(x) read as B_m^(alpha)(x) under the summation index m"
 TAG_SIGN_FIRST_KIND = "first-kind umbral expansion sign (-1)^(k-m) read as (-1)^m (stray (-1)^k dropped)"
 TAG_POLYC_INDEX = "defining-integral index m read as n"
@@ -118,14 +93,6 @@ class Grid:
     def alphas(self) -> range:
         return range(1, self.alpha_max + 1)
 
-    def to_json_obj(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "k_max": self.k_max,
-            "alpha_max": self.alpha_max,
-            "x_samples": [format_rational(x) for x in self.x_samples],
-        }
-
 
 DEFAULT_GRID = Grid()
 
@@ -135,9 +102,6 @@ class Counterexample:
     params: dict
     lhs: str
     rhs: str
-
-    def to_json_obj(self) -> dict:
-        return {"params": self.params, "lhs": self.lhs, "rhs": self.rhs}
 
 
 @dataclass(frozen=True)
@@ -152,18 +116,6 @@ class TheoremReport:
     @property
     def vacuous(self) -> bool:
         return self.cases_checked == 0
-
-    def to_json_obj(self) -> dict:
-        obj = {
-            "id": self.id.value,
-            "grid": self.grid.to_json_obj(),
-            "status": self.status,
-            "cases_checked": self.cases_checked,
-            "counterexamples": [c.to_json_obj() for c in self.counterexamples],
-        }
-        if self.corrected_reading is not None:
-            obj["corrected_reading"] = self.corrected_reading
-        return obj
 
 
 # (params, lhs, rhs), or (params, printed_lhs, rhs, corrected_lhs) where the
@@ -383,8 +335,6 @@ def _cases_t13(grid: Grid) -> Iterator[Case]:
     table, which share no code path with each other.  The printed reading
     resums with B_n^(alpha), the corrected one with B_m^(alpha).
     """
-    if grid.n_max < 0:
-        return
     order = grid.n_max + 2
     # Every second-kind pair has f = e^t - 1, so f is reverted once per grid,
     # each g and each Bernoulli h is composed with fbar once, and the
@@ -440,8 +390,6 @@ def _cases_eq19_28(grid: Grid, shift: int) -> Iterator[Case]:
     which is entry (j, m) of ``connection_coeffs`` on a running power of
     log(1+t), as EQ6 reads its powers.
     """
-    if grid.n_max < 0:
-        return
     order = grid.n_max + 1
     log = log1p_series(order)
     unit_power = PowerSeries([1, 1], order=order) ** (shift - 1)
@@ -457,8 +405,6 @@ def _cases_sheffer(grid: Grid, kind: CauchyKind) -> Iterator[Case]:
 
     EQ53: second-kind polynomials are the Sheffer sequence for ((te^t/(e^t-1))^k, e^t-1).
     """
-    if grid.n_max < 0:
-        return
     poly = cauchy_hi_poly1 if kind is CauchyKind.FIRST else cauchy_hi_poly2
     for k in grid.ks():
         polys = sheffer_polys(*_sheffer_pair(kind, grid.n_max + 2, k), grid.n_max)
@@ -476,8 +422,6 @@ def _apply_series_operator(op: PowerSeries, p: Polynomial) -> Polynomial:
 
 def _cases_eq58(grid: Grid) -> Iterator[Case]:
     """EQ58: (t/(1-e^-t))^k maps C_n^(k)(x) to the signed rising factorial."""
-    if grid.n_max < 0:
-        return
     for k in grid.ks():
         op, _ = _sheffer_pair(CauchyKind.FIRST, grid.n_max + 1, k)
         for n in grid.ns():
@@ -528,32 +472,36 @@ class _Check:
     structural: str | None = None
 
 
-_CHECKS: dict[CheckId, _Check] = {
-    CheckId.T1: _Check(_cases_t1),
-    CheckId.T2: _Check(_cases_t2),
-    CheckId.T3: _Check(_cases_t3),
-    CheckId.T4: _Check(partial(_cases_poly_paths, kind=CauchyKind.FIRST)),
-    CheckId.T5: _Check(_cases_t5),
-    CheckId.T6: _Check(_cases_t6),
-    CheckId.T7: _Check(partial(_cases_poly_paths, kind=CauchyKind.SECOND)),
-    CheckId.T8: _Check(_cases_t8),
-    CheckId.T9: _Check(partial(_cases_reciprocity, kind=CauchyKind.FIRST)),
-    CheckId.T10: _Check(partial(_cases_reciprocity, kind=CauchyKind.SECOND)),
-    CheckId.L11: _Check(_cases_l11),
-    CheckId.T12: _Check(partial(_cases_umbral, weights_of=_umbral_weights),
-                        correction=TAG_SIGN_FIRST_KIND),
-    CheckId.T13: _Check(_cases_t13, correction=TAG_T13_INDEX),
-    CheckId.EQ6: _Check(partial(_cases_stirling_gf, kind=StirlingKind.SIGNED_FIRST)),
-    CheckId.EQ7: _Check(partial(_cases_stirling_gf, kind=StirlingKind.SECOND)),
-    CheckId.EQ19: _Check(partial(_cases_eq19_28, shift=0)),
-    CheckId.EQ28: _Check(partial(_cases_eq19_28, shift=1)),
-    CheckId.EQ52: _Check(partial(_cases_sheffer, kind=CauchyKind.FIRST)),
-    CheckId.EQ53: _Check(partial(_cases_sheffer, kind=CauchyKind.SECOND)),
-    CheckId.EQ58: _Check(_cases_eq58),
-    CheckId.EQ59_61: _Check(partial(_cases_umbral, weights_of=_operator_weights),
-                            correction=TAG_SIGN_FIRST_KIND),
-    CheckId.POLYC_ORACLE: _Check(_cases_polyc, structural=TAG_POLYC_INDEX),
+_REGISTRY: dict[str, _Check] = {
+    "T1": _Check(_cases_t1),
+    "T2": _Check(_cases_t2),
+    "T3": _Check(_cases_t3),
+    "T4": _Check(partial(_cases_poly_paths, kind=CauchyKind.FIRST)),
+    "T5": _Check(_cases_t5),
+    "T6": _Check(_cases_t6),
+    "T7": _Check(partial(_cases_poly_paths, kind=CauchyKind.SECOND)),
+    "T8": _Check(_cases_t8),
+    "T9": _Check(partial(_cases_reciprocity, kind=CauchyKind.FIRST)),
+    "T10": _Check(partial(_cases_reciprocity, kind=CauchyKind.SECOND)),
+    "L11": _Check(_cases_l11),
+    "T12": _Check(partial(_cases_umbral, weights_of=_umbral_weights),
+                  correction=TAG_SIGN_FIRST_KIND),
+    "T13": _Check(_cases_t13, correction=TAG_T13_INDEX),
+    "EQ6": _Check(partial(_cases_stirling_gf, kind=StirlingKind.SIGNED_FIRST)),
+    "EQ7": _Check(partial(_cases_stirling_gf, kind=StirlingKind.SECOND)),
+    "EQ19": _Check(partial(_cases_eq19_28, shift=0)),
+    "EQ28": _Check(partial(_cases_eq19_28, shift=1)),
+    "EQ52": _Check(partial(_cases_sheffer, kind=CauchyKind.FIRST)),
+    "EQ53": _Check(partial(_cases_sheffer, kind=CauchyKind.SECOND)),
+    "EQ58": _Check(_cases_eq58),
+    "EQ59_61": _Check(partial(_cases_umbral, weights_of=_operator_weights),
+                      correction=TAG_SIGN_FIRST_KIND),
+    "POLYC_ORACLE": _Check(_cases_polyc, structural=TAG_POLYC_INDEX),
 }
+
+CheckId = enum.Enum("CheckId", [(name, name) for name in _REGISTRY], module=__name__)
+CheckId.__doc__ = "Identifiers of the executable identity checks, in suite order."
+_CHECKS: dict[CheckId, _Check] = dict(zip(CheckId, _REGISTRY.values()))
 
 
 def verify(check_id: CheckId, grid: Grid | None = None) -> TheoremReport:
@@ -565,7 +513,8 @@ def verify(check_id: CheckId, grid: Grid | None = None) -> TheoremReport:
     checked = 0
     failures: list[Counterexample] = []
     corrected_holds = True
-    for params, lhs, rhs, *corrected in check.cases(grid):
+    # every check sweeps n = 0..n_max, so a grid with n_max < 0 has no cases
+    for params, lhs, rhs, *corrected in check.cases(grid) if grid.n_max >= 0 else ():
         checked += 1
         printed_holds = lhs == rhs
         if not printed_holds and len(failures) < _MAX_COUNTEREXAMPLES:
@@ -583,9 +532,12 @@ def verify(check_id: CheckId, grid: Grid | None = None) -> TheoremReport:
 
 def run_suite(grid: Grid | None = None,
               checks: Iterable[CheckId] | None = None) -> list[TheoremReport]:
-    """Run the selected checks (all of them by default) in declaration order."""
+    """Run the selected checks (all by default) in declaration order; unknown ids raise."""
     grid = DEFAULT_GRID if grid is None else grid
     selected = set(CheckId) if checks is None else set(checks)
+    unknown = selected.difference(CheckId)
+    if unknown:
+        raise ValueError(f"unknown check id: {', '.join(sorted(map(repr, unknown)))}")
     return [verify(cid, grid) for cid in CheckId if cid in selected]
 
 
@@ -593,8 +545,22 @@ def suite_exit_code(reports: Iterable[TheoremReport]) -> int:
     return 1 if any(r.status == FAIL for r in reports) else 0
 
 
+def _json_field(value):
+    """The JSON form of a value that ``json`` cannot write itself.
+
+    A report, grid or counterexample is its fields in declaration order,
+    ``None`` ones left out; a ``CheckId`` is its value and a ``Fraction``
+    its canonical text.
+    """
+    if isinstance(value, CheckId):
+        return value.value
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    return {f.name: v for f in fields(value) if (v := getattr(value, f.name)) is not None}
+
+
 def reports_to_json(reports: Iterable[TheoremReport]) -> str:
-    return json.dumps([r.to_json_obj() for r in reports], separators=(",", ":"))
+    return json.dumps(list(reports), default=_json_field, separators=(",", ":"))
 
 
 def reports_to_text(reports: Iterable[TheoremReport]) -> str:

@@ -237,7 +237,13 @@ def test_verify_grid_overrides_config(tmp_path, capsys):
 # -- usage errors exit 2 -------------------------------------------------------------
 
 def test_unknown_check_id_is_usage_error(capsys):
-    assert run_cli_expect_usage_error(capsys, "verify", "--checks", "T99") == 2
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["verify", "--checks", "T1, T99"])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "cauchykit: error: unknown check id 'T99'; valid: "
+        "T1,T2,T3,T4,T5,T6,T7,T8,T9,T10,L11,T12,T13,"
+        "EQ6,EQ7,EQ19,EQ28,EQ52,EQ53,EQ58,EQ59_61,POLYC_ORACLE")
 
 
 def test_unknown_series_is_usage_error(capsys):
@@ -355,6 +361,13 @@ def test_grid_accepts_negative_and_padded_values(capsys):
     assert code == 0
     assert json.loads(out)[0]["grid"]["n_max"] == -1
     assert json.loads(out)[0]["grid"]["k_max"] == 2
+
+
+def test_verify_far_negative_grid_is_vacuous(capsys):
+    # below n = -2 EQ6/EQ7 built a series of order n_max + 3 < 1: exit 1 and a traceback
+    code, out = run_cli(capsys, "verify", "--grid", "n=-5", "--format", "json")
+    assert code == 0
+    assert [obj["cases_checked"] for obj in json.loads(out)] == [0] * len(CheckId)
 
 
 def test_negative_terms_is_usage_error(capsys):

@@ -1,7 +1,9 @@
 """Verifier behaviour: statuses, corrected readings, reports, determinism."""
 
 import json
+import pickle
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -104,9 +106,14 @@ def test_vacuous_grid_passes_with_zero_cases():
 @pytest.mark.parametrize("empty", [
     Grid(n_max=-1, k_max=0, alpha_max=0),
     Grid(n_max=-1, k_max=4, alpha_max=3),
-], ids=["all-empty", "empty-n"])
+    *(Grid(n_max=n) for n in range(-2, -6, -1)),
+    Grid(n_max=-4, k_max=-1, alpha_max=-2),
+], ids=["all-empty", "empty-n", *(f"n={n}" for n in range(-2, -6, -1)), "all-negative"])
 def test_all_checks_tolerate_empty_grid(empty):
-    for report in run_suite(empty):
+    # below n = -2 EQ6/EQ7 used to build a series of order n_max + 3 < 1 and raise
+    reports = run_suite(empty)
+    assert [r.id for r in reports] == list(CheckId)
+    for report in reports:
         assert report.status in (PASS, PASS_WITH_CORRECTION)
         assert report.cases_checked == 0
 
@@ -131,6 +138,14 @@ def test_unknown_check_id_rejected():
         verify("T99")
 
 
+@pytest.mark.parametrize("checks", [["T1", "T2"], [CheckId.T1, "bogus"]],
+                         ids=["values", "one-unknown"])
+def test_run_suite_rejects_unknown_check_ids(checks):
+    # a selection entry that is not a CheckId used to be dropped without a word
+    with pytest.raises(ValueError, match="unknown check id"):
+        run_suite(SMALL, checks=checks)
+
+
 def test_selection_yields_single_report():
     reports = run_suite(SMALL, checks=[CheckId.T1])
     assert [r.id for r in reports] == [CheckId.T1]
@@ -139,6 +154,19 @@ def test_selection_yields_single_report():
 def test_suite_order_is_declaration_order():
     reports = run_suite(SMALL, checks=[CheckId.EQ6, CheckId.T2, CheckId.T13])
     assert [r.id for r in reports] == [CheckId.T2, CheckId.T13, CheckId.EQ6]
+
+
+def test_readme_table_lists_the_registry_ids():
+    # the registry defines CheckId; README's suite table is the one other list
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## The verification suite\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1].strip() for line in section.splitlines() if line.startswith("|")]
+    assert rows[:2] == ["check", "---"]
+    assert [cid for row in rows[2:] for cid in row.split(" / ")] == [c.value for c in CheckId]
+    # built from the registry, the enum still pickles by name and documents itself
+    assert all(pickle.loads(pickle.dumps(c)) is c for c in CheckId)
+    assert CheckId.__module__ == "cauchykit.verifier"
+    assert CheckId.__doc__ == "Identifiers of the executable identity checks, in suite order."
 
 
 def test_exit_code_semantics():
