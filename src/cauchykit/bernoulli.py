@@ -9,7 +9,8 @@ frequently zero or negative, making the extension mandatory here.
 
 One generating function is held per order alpha and read by prefix (see
 ``series._PrefixMemo``); numbers and polynomials are read off its int
-numerators.
+numerators.  An order whose neighbour towards 0 is held that far is built
+from it by one division (above 0) or product (below 0) by (e^t-1)/t.
 """
 
 from __future__ import annotations
@@ -18,9 +19,19 @@ from fractions import Fraction
 from math import perm
 
 from .polynomial import Polynomial
-from .series import PowerSeries, _PrefixMemo, bernoulli_gf, egf_coeff
+from .series import PowerSeries, _expm1_over_t, _PrefixMemo, bernoulli_gf, egf_coeff
 
-_GF = _PrefixMemo(lambda alpha, order: bernoulli_gf(alpha, order))
+
+def _build_gf(alpha: int, order: int) -> PowerSeries:
+    """(t/(e^t-1))^alpha at `order`: the held order next towards 0, over or times (e^t-1)/t."""
+    step = (alpha > 1) - (alpha < -1)  # +-1 when |alpha| >= 2; -1, 0, 1 are built directly
+    held = _GF.held(order, alpha - step) if step else None
+    if held is None:
+        return bernoulli_gf(alpha, order)
+    return held / _expm1_over_t(order) if step > 0 else held * _expm1_over_t(order)
+
+
+_GF = _PrefixMemo(_build_gf)
 
 
 def _gf(alpha: int, order: int) -> PowerSeries:

@@ -29,10 +29,12 @@ order n-k+1, and an iterated-antiderivative integration oracle.  The oracle
 the polynomials) never touches Stirling numbers or series, so agreement
 between paths is a genuine cross-check, not a tautology.  The memoised
 ``cauchy_hi_poly1/2`` hold the triple sum; T4/T7 check it against the bridge.
-The GF_COEFF path holds one series per (kind, k) and reads it by prefix
-(``series._PrefixMemo``), as ``bernoulli`` does per order alpha.  The oracles
-climb one ladder per (kind, n), ``_LADDER``; ``_poly_cauchy_moments`` holds one
-z-polynomial per (kind, n, k); ``clear_caches`` empties every memo.
+The GF_COEFF path holds one series per (kind, k), read by prefix
+(``series._PrefixMemo``) and built as one product from (kind, k-1) when it
+can be, as ``bernoulli`` does per order alpha.  The oracles climb one ladder
+per (kind, n), ``_LADDER``; ``_poly_cauchy_moments`` holds one z-polynomial
+per (kind, n, k); ``_VOLUMES`` holds the cube volumes, one int row per k;
+``clear_caches`` empties every memo.
 """
 
 from __future__ import annotations
@@ -42,11 +44,12 @@ import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
+from operator import mul
 
 from .bernoulli import _GF, bernoulli_hi_poly
 from .polynomial import Polynomial, _over_common_denominator, falling_factorial
 from .rational import _as_fraction
-from .series import PowerSeries, _PrefixMemo, cauchy1_gf, cauchy2_gf, egf_coeff
+from .series import PowerSeries, _PrefixMemo, cauchy1_gf, cauchy2_gf, egf_coeff, one_series
 from .stirling import StirlingKind, stirling1_signed, stirling_table
 
 
@@ -232,26 +235,45 @@ def poly_cauchy_poly2(n: int, k: int, z: Fraction) -> Fraction:
 
 # -- higher-order numbers ----------------------------------------------------------
 
+# row j holds E(0,j), E(1,j), ...: the cube volumes V(m,j) scaled by (m+j)!/m!
+_VOLUMES: list[list[int]] = []
+_VOLUMES_LOCK = threading.Lock()
+
+
 @lru_cache(maxsize=None, typed=True)
 def _sum_power_volume(l: int, k: int) -> Fraction:
     """V(l,k), the integral of (x_1+...+x_k)^l over the unit k-cube.
 
     V(l,k) is the composition sum
     sum_{l_1+...+l_k = l} multinomial(l; parts) / ((l_1+1)...(l_k+1)),
-    computed as a k-fold binomial convolution filled bottom-up in k: split
-    off the last part, V(l,k) = sum_j C(l,j) V(j,k-1) / (l-j+1), with
-    V(l,0) = [l = 0].  Scaled by (l+k)!/l! every V is an integer E, and
-    the fold becomes E(l,k) = sum_j C(l+k, l-j+1) E(j,k-1), so it runs on
-    ints in O(k l^2) steps and builds one ``Fraction`` at the end.
+    a k-fold binomial convolution: split off the last part,
+    V(l,k) = sum_j C(l,j) V(j,k-1) / (l-j+1), with V(l,0) = [l = 0].
+    Scaled by (l+k)!/l! every V is an integer E(l,k) = sum_j C(l+k, l-j+1)
+    E(j,k-1).  Row k of ``_VOLUMES`` needs only row k-1, so one table
+    serves every k: a miss extends rows 0..k to width l+1 under the lock,
+    O(k l) entries of O(l) int steps, and a read of a built entry takes no lock.
     """
-    row = [1] + [0] * l
-    for order in range(1, k + 1):
-        row = [sum(comb(m + order, m - j + 1) * row[j] for j in range(m + 1))
-               for m in range(l + 1)]
-    return Fraction(row[l] * factorial(l), factorial(l + k))
+    try:
+        volume = _VOLUMES[k][l]
+    except IndexError:
+        with _VOLUMES_LOCK:
+            _VOLUMES.extend([] for _ in range(k + 1 - len(_VOLUMES)))
+            for j, row in enumerate(_VOLUMES[:k + 1]):
+                for m in range(len(row), l + 1):
+                    row.append(sum(comb(m + j, m - i + 1) * prev[i] for i in range(m + 1))
+                               if j else int(m == 0))
+                prev = row
+        volume = row[l]
+    return Fraction(volume * factorial(l), factorial(l + k))
 
 
 def _build_hi_gf(kind: CauchyKind, k: int, order: int) -> PowerSeries:
+    """The kind's EGF to the power k: (kind, k-1) times (kind, 1) when both are held at `order`."""
+    if k == 0:
+        return one_series(order)
+    previous, base = _HI_GF.held(order, kind, k - 1), _HI_GF.held(order, kind, 1)
+    if previous is not None and base is not None:  # never at k = 1, which is being built
+        return previous.truncate(order) * base
     base = cauchy1_gf(order) if kind is CauchyKind.FIRST else cauchy2_gf(order)
     return base ** k
 
@@ -316,8 +338,8 @@ def cauchy_hi(kind: CauchyKind, n: int, k: int,
     """
     _check_hi_args(kind, n, k, method)
     if method is CauchyMethod.STIRLING_SUM:
-        return sum((c * _sum_power_volume(l, k) for l, c in enumerate(_stirling_row(kind, n))),
-                   Fraction(0))
+        volumes, den = _over_common_denominator([_sum_power_volume(l, k) for l in range(n + 1)])
+        return Fraction(sum(map(mul, _stirling_row(kind, n), volumes)), den)
     if method is CauchyMethod.CONVOLUTION:
         if kind is not CauchyKind.FIRST:
             raise ValueError("convolution path is defined only for the first kind")
@@ -394,5 +416,5 @@ def clear_caches() -> None:
     for memo in (classical_cauchy, _poly_cauchy_moments, _sum_power_volume, _convolution_first,
                  cauchy_hi_poly1, cauchy_hi_poly2):
         memo.cache_clear()
-    for memo in (_GF, _HI_GF, _LADDER, *map(stirling_table, StirlingKind)):
+    for memo in (_GF, _HI_GF, _LADDER, _VOLUMES, *map(stirling_table, StirlingKind)):
         memo.clear()

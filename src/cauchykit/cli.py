@@ -39,7 +39,6 @@ import json
 import os
 import re
 import sys
-from contextlib import contextmanager
 from functools import partial
 
 from .bernoulli import bernoulli_hi_numbers, bernoulli_hi_poly
@@ -53,7 +52,7 @@ from .cauchy import (
     poly_cauchy1,
     poly_cauchy2,
 )
-from .rational import format_rational
+from .rational import _unlimited_int_text, format_rational
 from .series import bernoulli_gf, cauchy1_gf, cauchy2_gf, expm1_series, log1p_series
 from .stirling import StirlingKind, stirling_rows
 from .verifier import (
@@ -99,21 +98,6 @@ EXACT_INTEGERS = decimal.Context(
     prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
     traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow,
            decimal.Inexact, decimal.Rounded])
-
-
-@contextmanager
-def _unlimited_int_text():
-    """Lift the int-to-str digit limit for the block, then restore it."""
-    setter = getattr(sys, "set_int_max_str_digits", None)  # Python >= 3.11
-    if setter is None:
-        yield
-        return
-    previous = sys.get_int_max_str_digits()
-    setter(0)
-    try:
-        yield
-    finally:
-        setter(previous)
 
 
 def _ascii_int(text: str) -> int:

@@ -11,6 +11,8 @@ accepted, anything else (a float, a ``Decimal``) raises ``TypeError``.
 from __future__ import annotations
 
 import re
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 _RATIONAL_RE = re.compile(r"^(-?[0-9]+)(?:/([0-9]+))?$")
@@ -49,3 +51,15 @@ def format_rational(value: Fraction) -> str:
     An ``int`` or a ``Fraction`` only; a float or a ``Decimal`` raises ``TypeError``.
     """
     return str(_as_fraction(value))
+
+
+@contextmanager
+def _unlimited_int_text():
+    """Lift the int-to-str digit limit for the block, then restore it; no-op before it existed."""
+    previous = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    setter = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    setter(0)
+    try:
+        yield
+    finally:
+        setter(previous)

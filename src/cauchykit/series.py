@@ -260,7 +260,9 @@ class _PrefixMemo:
     builds ``build(*key, order)`` at max(order, twice the held order), so a
     sweep up to order N builds O(log N) series per key, and a first fill is
     built at exactly the order asked for.  The memo grows under a lock, as
-    the Stirling tables do; a reader whose order is held takes no lock.
+    the Stirling tables do; a reader whose order is held takes no lock.  A
+    build runs under that lock, so it reads other keys through ``held``,
+    which never builds, and never through ``series``.
     """
 
     def __init__(self, build: Callable[..., PowerSeries]):
@@ -277,6 +279,11 @@ class _PrefixMemo:
                     held = self._build(*key, order if held is None else max(order, 2 * held.order))
                     self._held[key] = held
         return held
+
+    def held(self, order: int, *key) -> PowerSeries | None:
+        """The series of `key` if it is held at `order` or above, else None; never builds."""
+        held = self._held.get(key)
+        return held if held is not None and held.order >= order else None
 
     def clear(self) -> None:
         with self._lock:
@@ -330,11 +337,16 @@ def cauchy2_gf(order: int) -> PowerSeries:
     return t_series(order + 1) / (one_plus_t * log1p_series(order + 1))
 
 
+def _expm1_over_t(order: int) -> PowerSeries:
+    """(e^t-1)/t = sum_j t^j/(j+1)!, the inverse of the Bernoulli unit t/(e^t-1)."""
+    top = factorial(order)
+    return PowerSeries.from_numerators([top // factorial(j + 1) for j in range(order)], top)
+
+
 def bernoulli_gf(alpha: int, order: int) -> PowerSeries:
-    """(t/(e^t-1))^alpha for any integer order alpha."""
+    """(t/(e^t-1))^alpha = ((e^t-1)/t)^-alpha, any int alpha; alpha <= 0 takes no division."""
     _check_order(order)
-    unit = t_series(order + 1) / expm1_series(order + 1)
-    return unit ** alpha
+    return _expm1_over_t(order) ** -alpha
 
 
 # -- Sheffer machinery ---------------------------------------------------------

@@ -50,7 +50,7 @@ from .cauchy import (
 )
 from .polynomial import (Polynomial, _linear_combination, _over_common_denominator,
                          falling_factorial, rising_factorial)
-from .rational import format_rational
+from .rational import _unlimited_int_text, format_rational
 from .series import (
     PowerSeries,
     cauchy1_gf,
@@ -125,9 +125,10 @@ _MAX_COUNTEREXAMPLES = 5
 
 
 def _fmt(value) -> str:
-    if isinstance(value, Polynomial):
-        return "[" + ",".join(format_rational(c) for c in value.coeffs) + "]"
-    return format_rational(value)
+    with _unlimited_int_text():
+        if isinstance(value, Polynomial):
+            return "[" + ",".join(format_rational(c) for c in value.coeffs) + "]"
+        return format_rational(value)
 
 
 # -- individual checks ------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Cauchy families: classical, poly-, higher-order; all computation paths."""
 
+import random
 from fractions import Fraction
 from math import comb, factorial
 
@@ -423,9 +424,20 @@ def test_binomial_folds_match_composition_enumeration(k):
         assert cauchy._convolution_first.__wrapped__(l, k) == enumerated_convolution(l, k), (l, k)
 
 
+def test_the_volume_table_agrees_with_the_composition_sum_in_any_order():
+    # one table serves every k: rows grow from the row below them, in whatever
+    # order the (l, k) cells are first asked for
+    cauchy.clear_caches()
+    cells = [(l, k) for l in range(9) for k in range(6)]
+    random.Random(24).shuffle(cells)
+    for l, k in cells:
+        assert cauchy._sum_power_volume(l, k) == enumerated_volume(l, k), (l, k)
+    assert [len(row) for row in cauchy._VOLUMES] == [9] * 6
+
+
 def test_large_order_needs_no_deep_recursion():
-    # the folds and the oracle ladder are iterative in k, so k far beyond the
-    # recursion limit works
+    # the folds, the volume table and the oracle ladder are iterative in k, so
+    # k far beyond the recursion limit works
     k = 1500
     expected = cauchy_hi1(3, k, CauchyMethod.GF_COEFF)
     assert cauchy_hi1(3, k, CauchyMethod.STIRLING_SUM) == expected

@@ -594,8 +594,9 @@ def test_number_table_builds_one_series(capsys, monkeypatch, family, param, buil
     code, out = run_cli(capsys, "table", "--family", family, *param,
                         "--n-max", "30", "--format", "json")
     assert code == 0
-    assert len(calls) == 1
     order = int(param[1])
+    # at order 0 the table is read off the series 1, which needs no builder
+    assert len(calls) == (1 if order else 0)
     single = {"bernoulli_hi": cauchykit.bernoulli_hi_number,
               "cauchy_hi1": cauchykit.cauchy_hi1,
               "cauchy_hi2": cauchykit.cauchy_hi2}[family]

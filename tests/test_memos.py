@@ -1,4 +1,7 @@
-"""One ``clear_caches`` over every memo, and the integral-oracle ladder filled cold."""
+"""One ``clear_caches`` over every memo, and the integral-oracle ladder filled cold.
+
+The memos are found in the source: every ``lru_cache``, every ``_PrefixMemo``
+and the table of every module-level lock."""
 
 import ast
 import importlib
@@ -39,6 +42,23 @@ def declared_memos():
     return found
 
 
+def guarded_tables():
+    """(module, name) of the table each module-level ``threading.Lock()`` in src/ guards.
+
+    A lock named ``X_LOCK`` guards the module's ``X``.
+    """
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"cauchykit.{path.stem}")
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                    and ast.unparse(node.value.func).endswith("Lock")):
+                for target in node.targets:
+                    assert target.id.endswith("_LOCK"), f"{path.name}: {target.id} names no table"
+                    found.append((module, target.id.removesuffix("_LOCK")))
+    return found
+
+
 def size(memo):
     return memo.cache_info().currsize if hasattr(memo, "cache_info") else len(memo._held)
 
@@ -63,18 +83,22 @@ def test_the_source_declares_the_memos_this_test_knows():
     assert all(isinstance(getattr(module, name), _PrefixMemo) or
                hasattr(getattr(module, name), "cache_clear")
                for module, name in declared_memos())
+    tables = {(module.__name__, name) for module, name in guarded_tables()}
+    assert tables >= {("cauchykit.cauchy", "_LADDER"), ("cauchykit.cauchy", "_VOLUMES")}
+    assert all(hasattr(module, name) for module, name in guarded_tables())
 
 
 def test_clear_caches_empties_every_memo():
     clear_caches()
     warm_every_memo()
     memos = [getattr(module, name) for module, name in declared_memos()]
+    guarded = [getattr(module, name) for module, name in guarded_tables()]
     tables = [stirling_table(kind) for kind in StirlingKind]
     assert all(size(memo) > 0 for memo in memos)
-    assert cauchy._LADDER and all(len(table.rows) > 1 for table in tables)
+    assert all(guarded) and all(len(table.rows) > 1 for table in tables)
     clear_caches()
     assert [size(memo) for memo in memos] == [0] * len(memos)
-    assert not cauchy._LADDER and all(table.rows == [[1]] for table in tables)
+    assert not any(guarded) and all(table.rows == [[1]] for table in tables)
 
 
 def test_a_cleared_memo_gives_the_same_values():

@@ -1,15 +1,19 @@
 """The memos grown under a lock: the generating-function memos (one series per
-key, read by prefix) and the integral-oracle ladder (one list of rounds per key)."""
+key, read by prefix, built from a held neighbour when they can be), the
+integral-oracle ladder (one list of rounds per key) and the cube-volume table
+(one int row per k)."""
 
+import random
 import sys
 import threading
+import time
 from collections import Counter
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from cauchykit import bernoulli, cauchy
+from cauchykit import bernoulli, cauchy, series
 from cauchykit.bernoulli import bernoulli_hi_number, bernoulli_hi_numbers, bernoulli_hi_poly
 from cauchykit.cauchy import (
     CauchyKind,
@@ -23,7 +27,7 @@ from cauchykit.cauchy import (
     poly_cauchy_poly,
 )
 from cauchykit.polynomial import Polynomial
-from cauchykit.series import bernoulli_gf, cauchy1_gf, cauchy2_gf, egf_coeff
+from cauchykit.series import bernoulli_gf, cauchy1_gf, cauchy2_gf, egf_coeff, one_series
 
 ALPHAS = (-2, 0, 1, 3)
 KS = (0, 1, 3)
@@ -94,6 +98,66 @@ def test_cauchy_values_across_a_growth_step_equal_an_exact_build(cold_memos, kin
     for n in (4, 7, 8, 13):
         exact = gf(n + 1) ** k
         assert cauchy_hi_numbers(kind, n, k) == [egf_coeff(exact, j) for j in range(n + 1)]
+
+
+def test_neighbour_builds_equal_exact_builds(monkeypatch, cold_memos):
+    # every order alpha read in a shuffled order, so some are built from a
+    # held neighbour and some from scratch, at orders the doubling rule picks
+    by_neighbour = counting(monkeypatch, bernoulli, "_expm1_over_t", lambda args: None)
+    cases = [(n, alpha) for alpha in range(-6, 31) for n in range(36)]
+    random.Random(24).shuffle(cases)
+    for n, alpha in cases:
+        exact = bernoulli_gf(alpha, n + 1)
+        assert bernoulli_hi_poly(n, alpha) == Polynomial(
+            [comb(n, j) * egf_coeff(exact, j) for j in reversed(range(n + 1))]), (n, alpha)
+    assert sum(by_neighbour.values()) > 0
+    cases = [(kind, n, k) for kind in CauchyKind for k in range(7) for n in range(36)]
+    random.Random(24).shuffle(cases)
+    for kind, n, k in cases:
+        exact = (cauchy1_gf if kind is CauchyKind.FIRST else cauchy2_gf)(n + 1) ** k
+        assert cauchy_hi_numbers(kind, n, k) == [egf_coeff(exact, j) for j in range(n + 1)]
+
+
+def test_a_held_neighbour_builds_without_the_builder(monkeypatch, cold_memos):
+    for alpha in (2, -2):
+        bernoulli_hi_numbers(9, alpha)             # held at order 10
+    for kind in CauchyKind:
+        cauchy_hi_numbers(kind, 9, 1)
+        cauchy_hi_numbers(kind, 9, 2)
+    builds = counting(monkeypatch, bernoulli, "bernoulli_gf", lambda args: args)
+    cauchy_builds = [counting(monkeypatch, cauchy, name, lambda args: args)
+                     for name in ("cauchy1_gf", "cauchy2_gf")]
+    bernoulli_hi_numbers(9, 3)
+    bernoulli_hi_numbers(9, -3)
+    bernoulli_hi_numbers(5, 4)                     # from 3, held at order 10 >= 6
+    for kind in CauchyKind:
+        cauchy_hi_numbers(kind, 9, 3)
+    assert not builds and not any(cauchy_builds)
+    bernoulli_hi_numbers(20, 5)                    # 4 is held only to order 6
+    assert builds == {(5, 21): 1}
+    assert bernoulli._GF.series(1, 4).order == 6
+
+
+def test_order_zero_takes_no_division(monkeypatch, cold_memos):
+    def forbidden(*args):
+        raise AssertionError("order 0 divided")
+
+    monkeypatch.setattr(series, "_divide_ints", forbidden)
+    for alpha in (0, -1, -4):                      # ((e^t-1)/t)^(-alpha), closed form
+        assert bernoulli_gf(alpha, 12).order == 12
+    assert bernoulli_gf(0, 12).numerators == one_series(12).numerators
+    for kind in CauchyKind:
+        gf = cauchy._build_hi_gf(kind, 0, 12)
+        assert (gf.order, gf.numerators, gf.denominator) == (12, (1,) + (0,) * 11, 1)
+        assert cauchy_hi_numbers(kind, 11, 0) == [1] + [0] * 11
+
+
+def test_the_volume_table_builds_only_the_entries_asked_for(cold_memos):
+    cauchy._sum_power_volume(3, 4)
+    assert [len(row) for row in cauchy._VOLUMES] == [4] * 5
+    cauchy._sum_power_volume(6, 2)
+    assert [len(row) for row in cauchy._VOLUMES] == [7, 7, 7, 4, 4]
+    assert cauchy._sum_power_volume(2, 1) == Fraction(1, 3)   # a held entry, read back
 
 
 def test_an_inexact_key_raises_before_the_memo_is_read(cold_memos):
@@ -171,3 +235,31 @@ def test_concurrent_first_use_builds_each_ladder_round_once(monkeypatch, cold_me
         assert run_in_eight_threads(oracle_sweep) == [reference] * 8
         # one round per (kind, n, j), j = 1..max k: no thread rebuilds a round
         assert rounds == [1] * (len(CauchyKind) * len(NS) * max(KS))
+
+
+VOLUME_CELLS = [(l, k) for l in range(25) for k in range(6)]
+
+
+def volume_sweep():
+    cells = VOLUME_CELLS[:]
+    random.Random(threading.get_ident()).shuffle(cells)
+    return {cell: cauchy._sum_power_volume.__wrapped__(*cell) for cell in cells}
+
+
+def test_concurrent_first_use_builds_each_volume_entry_once(monkeypatch, cold_memos):
+    reference = volume_sweep()
+    combs = []
+    original = cauchy.comb
+
+    def counted(n, r):
+        combs.append(n)
+        time.sleep(0)  # yields the GIL, so threads interleave inside every build
+        return original(n, r)
+
+    monkeypatch.setattr(cauchy, "comb", counted)
+    for _ in range(3):
+        clear_caches()
+        combs.clear()
+        assert run_in_eight_threads(volume_sweep) == [reference] * 8
+        # entry (m, j), j >= 1, sums m + 1 terms: built once, it reads m + 1 binomials
+        assert len(combs) == sum(m + 1 for m in range(25) for _ in range(1, 6))

@@ -1,7 +1,10 @@
 """Verifier behaviour: statuses, corrected readings, reports, determinism."""
 
+import dataclasses
 import json
 import pickle
+import sys
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
@@ -230,6 +233,22 @@ def test_text_rendering_mentions_failures():
     text = reports_to_text([failing])
     assert "FAIL" in text
     assert "n=1, k=2" in text and "1/2 != 1/3" in text
+
+
+def test_a_counterexample_past_the_int_text_limit_is_reported_in_full(monkeypatch):
+    # Python refuses int-to-str past 4300 digits by default; a failing case
+    # must still come back as a ``fail`` report, not as a ValueError
+    def huge(grid):
+        yield {"n": 0}, Fraction(10 ** 5000), Fraction(0)
+
+    monkeypatch.setitem(verifier._CHECKS, CheckId.T1,
+                        dataclasses.replace(verifier._CHECKS[CheckId.T1], cases=huge))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    report = verify(CheckId.T1, SMALL)
+    assert report.status == FAIL
+    assert report.counterexamples[0].lhs == "1" + "0" * 5000
+    assert report.counterexamples[0].rhs == "0"
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_t13_builds_each_connection_matrix_once(monkeypatch):
