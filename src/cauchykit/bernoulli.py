@@ -7,10 +7,9 @@ well defined and the family extends to every alpha in Z; the identities
 relating Cauchy and Bernoulli families evaluate at order n-k+1, which is
 frequently zero or negative, making the extension mandatory here.
 
-One generating function is held per order alpha and read by prefix (see
-``series._PrefixMemo``); numbers and polynomials are read off its int
-numerators.  An order whose neighbour towards 0 is held that far is built
-from it by one division (above 0) or product (below 0) by (e^t-1)/t.
+One generating function is held per order alpha in the table of unit
+powers, ``series._unit_power``, which the higher-order Cauchy EGFs share;
+numbers and polynomials are read off its int numerators.
 """
 
 from __future__ import annotations
@@ -19,26 +18,12 @@ from fractions import Fraction
 from math import perm
 
 from .polynomial import Polynomial
-from .series import PowerSeries, _expm1_over_t, _PrefixMemo, bernoulli_gf, egf_coeff
-
-
-def _build_gf(alpha: int, order: int) -> PowerSeries:
-    """(t/(e^t-1))^alpha at `order`: the held order next towards 0, over or times (e^t-1)/t."""
-    step = (alpha > 1) - (alpha < -1)  # +-1 when |alpha| >= 2; -1, 0, 1 are built directly
-    held = _GF.held(order, alpha - step) if step else None
-    if held is None:
-        return bernoulli_gf(alpha, order)
-    return held / _expm1_over_t(order) if step > 0 else held * _expm1_over_t(order)
-
-
-_GF = _PrefixMemo(_build_gf)
+from .series import PowerSeries, _expm1_over_t, _unit_power, egf_coeff
 
 
 def _gf(alpha: int, order: int) -> PowerSeries:
     """(t/(e^t-1))^alpha known at least to t^(order-1); a non-int alpha raises TypeError."""
-    if not isinstance(alpha, int):
-        raise TypeError(f"alpha must be an int: {alpha!r}")
-    return _GF.series(order, alpha)
+    return _unit_power(_expm1_over_t, alpha, order)
 
 
 def bernoulli_hi_numbers(n_max: int, alpha: int) -> list[Fraction]:

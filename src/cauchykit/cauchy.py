@@ -29,12 +29,11 @@ order n-k+1, and an iterated-antiderivative integration oracle.  The oracle
 the polynomials) never touches Stirling numbers or series, so agreement
 between paths is a genuine cross-check, not a tautology.  The memoised
 ``cauchy_hi_poly1/2`` hold the triple sum; T4/T7 check it against the bridge.
-The GF_COEFF path holds one series per (kind, k), read by prefix
-(``series._PrefixMemo``) and built as one product from (kind, k-1) when it
-can be, as ``bernoulli`` does per order alpha.  The oracles climb one ladder
-per (kind, n), ``_LADDER``; ``_poly_cauchy_moments`` holds one z-polynomial
-per (kind, n, k); ``_VOLUMES`` holds the cube volumes, one int row per k;
-``clear_caches`` empties every memo.
+The GF_COEFF path reads the kind's EGF to the power k from the table of unit
+powers, ``series._unit_power``, as ``bernoulli`` reads its orders alpha.  The
+oracles climb one ladder per (kind, n), ``_LADDER``; ``_poly_cauchy_moments``
+holds one z-polynomial per (kind, n, k); ``_VOLUMES`` holds the cube volumes,
+one int row per k; ``clear_caches`` empties every memo.
 """
 
 from __future__ import annotations
@@ -46,10 +45,11 @@ from functools import lru_cache
 from math import comb, factorial, lcm
 from operator import mul
 
-from .bernoulli import _GF, bernoulli_hi_poly
+from .bernoulli import bernoulli_hi_poly
 from .polynomial import Polynomial, _over_common_denominator, falling_factorial
 from .rational import _as_fraction
-from .series import PowerSeries, _PrefixMemo, cauchy1_gf, cauchy2_gf, egf_coeff, one_series
+from .series import (_POWERS, _POWERS_LOCK, PowerSeries, _log1p_over_t, _one_plus_t_log1p_over_t,
+                     _unit_power, egf_coeff)
 from .stirling import StirlingKind, stirling1_signed, stirling_table
 
 
@@ -267,25 +267,10 @@ def _sum_power_volume(l: int, k: int) -> Fraction:
     return Fraction(volume * factorial(l), factorial(l + k))
 
 
-def _build_hi_gf(kind: CauchyKind, k: int, order: int) -> PowerSeries:
-    """The kind's EGF to the power k: (kind, k-1) times (kind, 1) when both are held at `order`."""
-    if k == 0:
-        return one_series(order)
-    previous, base = _HI_GF.held(order, kind, k - 1), _HI_GF.held(order, kind, 1)
-    if previous is not None and base is not None:  # never at k = 1, which is being built
-        return previous.truncate(order) * base
-    base = cauchy1_gf(order) if kind is CauchyKind.FIRST else cauchy2_gf(order)
-    return base ** k
-
-
-_HI_GF = _PrefixMemo(_build_hi_gf)
-
-
 def _hi_gf(kind: CauchyKind, k: int, order: int) -> PowerSeries:
     """The kind's EGF to the power k, known at least to t^(order-1); a non-int k raises TypeError."""
-    if not isinstance(k, int):
-        raise TypeError(f"k must be an int: {k!r}")
-    return _HI_GF.series(order, kind, k)
+    return _unit_power(_log1p_over_t if kind is CauchyKind.FIRST else _one_plus_t_log1p_over_t,
+                       k, order)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -412,9 +397,17 @@ def cauchy_hi_poly2(n: int, k: int) -> Polynomial:
 
 
 def clear_caches() -> None:
-    """Empty every memo of the package: the state of a fresh process."""
+    """Empty every memo of the package: the state of a fresh process.
+
+    Each locked table is emptied under its own lock, so a fill in progress
+    completes before its table is cleared.
+    """
     for memo in (classical_cauchy, _poly_cauchy_moments, _sum_power_volume, _convolution_first,
                  cauchy_hi_poly1, cauchy_hi_poly2):
         memo.cache_clear()
-    for memo in (_GF, _HI_GF, _LADDER, _VOLUMES, *map(stirling_table, StirlingKind)):
-        memo.clear()
+    for table, lock in ((_LADDER, _LADDER_LOCK), (_VOLUMES, _VOLUMES_LOCK),
+                        (_POWERS, _POWERS_LOCK)):
+        with lock:
+            table.clear()
+    for table in map(stirling_table, StirlingKind):
+        table.clear()

@@ -27,7 +27,9 @@ functions of the Cauchy/Bernoulli families,
 including division with explicit cancellation of a shared power of t,
 integer powers (negative powers of unit series included), composition and
 compositional inversion, plus the Sheffer-sequence and connection-coefficient
-extractors built on top of them.
+extractors built on top of them.  Each of these generating functions is a
+power of a unit t/f; ``_unit_power`` holds every power that ``bernoulli`` and
+``cauchy`` read in one table, ``_POWERS``, and grows it by one rule.
 
 Costs at order n, in coefficient operations: multiplication and division
 are O(n^2); ``compose`` (Horner from the outer series' highest nonzero
@@ -44,7 +46,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
@@ -251,45 +253,6 @@ def egf_coeff(f: PowerSeries, n: int):
     return f._scaled_coefficient(n, factorial(n))
 
 
-class _PrefixMemo:
-    """One series per key, held at the highest order built, read by prefix.
-
-    Truncated series arithmetic is exact, so the terms below t^order of a
-    series built at a higher order are those of one built at ``order``: a
-    request at or below the held order returns the held series.  A miss
-    builds ``build(*key, order)`` at max(order, twice the held order), so a
-    sweep up to order N builds O(log N) series per key, and a first fill is
-    built at exactly the order asked for.  The memo grows under a lock, as
-    the Stirling tables do; a reader whose order is held takes no lock.  A
-    build runs under that lock, so it reads other keys through ``held``,
-    which never builds, and never through ``series``.
-    """
-
-    def __init__(self, build: Callable[..., PowerSeries]):
-        self._build = build
-        self._held: dict = {}
-        self._lock = threading.Lock()
-
-    def series(self, order: int, *key) -> PowerSeries:
-        held = self._held.get(key)
-        if held is None or held.order < order:
-            with self._lock:
-                held = self._held.get(key)
-                if held is None or held.order < order:
-                    held = self._build(*key, order if held is None else max(order, 2 * held.order))
-                    self._held[key] = held
-        return held
-
-    def held(self, order: int, *key) -> PowerSeries | None:
-        """The series of `key` if it is held at `order` or above, else None; never builds."""
-        held = self._held.get(key)
-        return held if held is not None and held.order >= order else None
-
-    def clear(self) -> None:
-        with self._lock:
-            self._held.clear()
-
-
 # -- stock series ------------------------------------------------------------
 
 def _check_order(order: int) -> None:
@@ -324,17 +287,17 @@ def one_minus_exp_neg_series(order: int) -> PowerSeries:
                                         for j in range(1, order)], order=order)
 
 
-def cauchy1_gf(order: int) -> PowerSeries:
-    """t/log(1+t); its EGF coefficients are the classical Cauchy numbers."""
-    _check_order(order)
-    return t_series(order + 1) / log1p_series(order + 1)
+def _log1p_over_t(order: int) -> PowerSeries:
+    """log(1+t)/t = sum_j (-1)^j t^j/(j+1), over lcm(1..order); the inverse of t/log(1+t)."""
+    top = lcm(*range(1, order + 1))
+    return PowerSeries.from_numerators([(-1) ** j * top // (j + 1) for j in range(order)], top)
 
 
-def cauchy2_gf(order: int) -> PowerSeries:
-    """t/((1+t)log(1+t)); EGF coefficients are the second-kind Cauchy numbers."""
-    _check_order(order)
-    one_plus_t = PowerSeries([Fraction(1), Fraction(1)], order=order + 1)
-    return t_series(order + 1) / (one_plus_t * log1p_series(order + 1))
+def _one_plus_t_log1p_over_t(order: int) -> PowerSeries:
+    """(1+t)log(1+t)/t = 1 + sum_(j>=1) (-1)^(j+1) t^j/(j(j+1)), over lcm(1..order)."""
+    top = lcm(*range(1, order + 1))
+    return PowerSeries.from_numerators(
+        [top] + [(-1) ** (j + 1) * top // (j * (j + 1)) for j in range(1, order)], top)
 
 
 def _expm1_over_t(order: int) -> PowerSeries:
@@ -343,10 +306,61 @@ def _expm1_over_t(order: int) -> PowerSeries:
     return PowerSeries.from_numerators([top // factorial(j + 1) for j in range(order)], top)
 
 
+def cauchy1_gf(order: int) -> PowerSeries:
+    """t/log(1+t); its EGF coefficients are the classical Cauchy numbers."""
+    _check_order(order)
+    return _log1p_over_t(order) ** -1
+
+
+def cauchy2_gf(order: int) -> PowerSeries:
+    """t/((1+t)log(1+t)); EGF coefficients are the second-kind Cauchy numbers."""
+    _check_order(order)
+    return _one_plus_t_log1p_over_t(order) ** -1
+
+
 def bernoulli_gf(alpha: int, order: int) -> PowerSeries:
     """(t/(e^t-1))^alpha = ((e^t-1)/t)^-alpha, any int alpha; alpha <= 0 takes no division."""
     _check_order(order)
     return _expm1_over_t(order) ** -alpha
+
+
+# (f/t builder, e) -> (t/f)^e, held at the highest order built
+_POWERS: dict[tuple[Callable[[int], PowerSeries], int], PowerSeries] = {}
+_POWERS_LOCK = threading.Lock()
+
+
+def _unit_power(over_t: Callable[[int], PowerSeries], e: int, order: int) -> PowerSeries:
+    """(t/f)^e = (f/t)^-e known at least to t^(order-1); over_t(order) builds f/t.
+
+    Truncated series arithmetic is exact, so the terms below t^order of a
+    power held at a higher order are those of one built at ``order``: a
+    request at or below the held order returns the held series.  A miss
+    builds at max(order, twice the held order), so a sweep up to order N
+    builds O(log N) series per e, and a first fill is built at exactly the
+    order asked for.  It builds one division (e >= 2) or product (e <= -2)
+    by f/t when the power next towards e = 0 is held that far, and
+    (f/t)^-e otherwise.  ``_POWERS`` grows under its lock, as the Stirling
+    tables do; a reader whose order is held takes no lock.  A non-int e
+    raises ``TypeError``.
+    """
+    if not isinstance(e, int):
+        raise TypeError(f"the exponent must be an int: {e!r}")
+    held = _POWERS.get((over_t, e))
+    if held is None or held.order < order:
+        with _POWERS_LOCK:
+            held = _POWERS.get((over_t, e))
+            if held is None or held.order < order:
+                order = order if held is None else max(order, 2 * held.order)
+                step = (e > 1) - (e < -1)  # +-1 when |e| >= 2; -1, 0, 1 are built directly
+                near = _POWERS.get((over_t, e - step)) if step else None
+                if near is None or near.order < order:
+                    held = over_t(order) ** -e
+                elif step > 0:
+                    held = near / over_t(order)
+                else:
+                    held = near * over_t(order)
+                _POWERS[over_t, e] = held
+    return held
 
 
 # -- Sheffer machinery ---------------------------------------------------------

@@ -18,7 +18,9 @@ execution order.  The registry's keys define the check ids, ``CheckId``.
 Every check sweeps n = 0..n_max, so a grid with n_max < 0 is vacuous: each
 check reports zero cases.  Both sides of a check may share the arithmetic
 layer and nothing above it: the sums of T5, T8, T9, T10, T13 and EQ58 all
-run through one int kernel, ``polynomial._linear_combination``.
+run through one int kernel, ``polynomial._linear_combination``, and the
+Bernoulli and higher-order Cauchy generating functions through one table of
+unit powers, ``series._unit_power``.
 """
 
 from __future__ import annotations
@@ -257,12 +259,13 @@ def _cases_l11(grid: Grid) -> Iterator[Case]:
                 yield ({"n": n, "k": k, "form": form}, lhs, p.shift(step) - p)
 
 
-def _umbral_weights(n: int, k: int) -> Polynomial:
-    # T12: sum over l,m of C(l,m)/C(k+l-m,k) S2(k+l-m,k) S1(n,l) y^m, over lcm_j C(k+j,k)
+def _umbral_weights(row: tuple[int, ...], k: int) -> Polynomial:
+    # T12: sum over l,m of C(l,m)/C(k+l-m,k) S2(k+l-m,k) S1(n,l) y^m, over lcm_j C(k+j,k),
+    # with row[l] = S1(n,l)
+    n = len(row) - 1
     den = lcm(*[comb(k + j, k) for j in range(n + 1)])
     weights = [0] * (n + 1)
-    for l in range(n + 1):
-        s1 = stirling1_signed(n, l)
+    for l, s1 in enumerate(row):
         if s1 == 0:
             continue
         for m in range(l + 1):
@@ -270,11 +273,12 @@ def _umbral_weights(n: int, k: int) -> Polynomial:
     return Polynomial.from_numerators(weights, den)
 
 
-def _operator_weights(n: int, k: int) -> Polynomial:
-    # EQ59-61: sum over l,m of k!/(k+m)! (l)_m S2(k+m,k) S1(n,l) y^(l-m), over (k+n)!/k!
+def _operator_weights(row: tuple[int, ...], k: int) -> Polynomial:
+    # EQ59-61: sum over l,m of k!/(k+m)! (l)_m S2(k+m,k) S1(n,l) y^(l-m), over (k+n)!/k!,
+    # with row[l] = S1(n,l)
+    n = len(row) - 1
     weights = [0] * (n + 1)
-    for l in range(n + 1):
-        s1 = stirling1_signed(n, l)
+    for l, s1 in enumerate(row):
         if s1 == 0:
             continue
         for m in range(l + 1):
@@ -282,17 +286,19 @@ def _operator_weights(n: int, k: int) -> Polynomial:
     return Polynomial.from_numerators(weights, perm(k + n, n))
 
 
-def _cases_umbral(grid: Grid, weights_of: Callable[[int, int], Polynomial]) -> Iterator[Case]:
+def _cases_umbral(grid: Grid, weights_of: Callable[[tuple, int], Polynomial]) -> Iterator[Case]:
     """T12: umbral closed forms of both polynomial kinds in the monomial/(x-k) bases.
 
     EQ59_61: operator expansions behind the umbral closed forms, as printed.
 
     The printed first-kind sign carries a stray (-1)^k; the corrected
-    reading drops it.
+    reading drops it.  The weights read S1(n,l) off the coefficients of
+    (x)_n, apart from the Stirling table that the right side reads.
     """
     for n in grid.ns():
+        row = falling_factorial(n).numerators
         for k in grid.ks():
-            weights = weights_of(n, k)
+            weights = weights_of(row, k)
             corrected = weights.reflect()
             yield ({"n": n, "k": k, "form": "first_kind"},
                    corrected * (-1) ** k, cauchy_hi_poly1(n, k), corrected)

@@ -13,7 +13,7 @@ from math import factorial
 import pytest
 
 import cauchykit
-from cauchykit import bernoulli, cauchy, cli, stirling
+from cauchykit import bernoulli, cauchy, cli, series, stirling
 from cauchykit.rational import format_rational
 from cauchykit.stirling import StirlingKind, StirlingTable, stirling_table
 from cauchykit.verifier import CheckId
@@ -574,29 +574,32 @@ def test_triangle_context_traps_rounding():
 
 
 @pytest.mark.parametrize("family, param, builder", [
-    ("bernoulli_hi", ("--alpha", "-2"), (bernoulli, "bernoulli_gf")),
-    ("bernoulli_hi", ("--alpha", "3"), (bernoulli, "bernoulli_gf")),
-    ("cauchy_hi1", ("--order", "3"), (cauchy, "cauchy1_gf")),
-    ("cauchy_hi1", ("--order", "0"), (cauchy, "cauchy1_gf")),
-    ("cauchy_hi2", ("--order", "2"), (cauchy, "cauchy2_gf")),
+    ("bernoulli_hi", ("--alpha", "-2"), (series, "_expm1_over_t")),
+    ("bernoulli_hi", ("--alpha", "3"), (series, "_expm1_over_t")),
+    ("cauchy_hi1", ("--order", "3"), (series, "_log1p_over_t")),
+    ("cauchy_hi1", ("--order", "0"), (series, "_log1p_over_t")),
+    ("cauchy_hi2", ("--order", "2"), (series, "_one_plus_t_log1p_over_t")),
 ])
 def test_number_table_builds_one_series(capsys, monkeypatch, family, param, builder):
-    module, name = builder
+    # builder names the unit's inverse f/t; the table reads one power of t/f
     cauchykit.clear_caches()
-    calls = []
-    original = getattr(module, name)
+    builds = []
+    original = series._unit_power
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted(over_t, e, order):
+        held = series._POWERS.get((over_t, e))
+        power = original(over_t, e, order)
+        if series._POWERS[over_t, e] is not held:
+            builds.append((over_t, e, order))
+        return power
 
-    monkeypatch.setattr(module, name, counted)
+    for module in (bernoulli, cauchy):
+        monkeypatch.setattr(module, "_unit_power", counted)
     code, out = run_cli(capsys, "table", "--family", family, *param,
                         "--n-max", "30", "--format", "json")
     assert code == 0
     order = int(param[1])
-    # at order 0 the table is read off the series 1, which needs no builder
-    assert len(calls) == (1 if order else 0)
+    assert builds == [(getattr(*builder), order, 31)]
     single = {"bernoulli_hi": cauchykit.bernoulli_hi_number,
               "cauchy_hi1": cauchykit.cauchy_hi1,
               "cauchy_hi2": cauchykit.cauchy_hi2}[family]

@@ -1,11 +1,12 @@
 """One ``clear_caches`` over every memo, and the integral-oracle ladder filled cold.
 
-The memos are found in the source: every ``lru_cache``, every ``_PrefixMemo``
-and the table of every module-level lock."""
+The memos are found in the source: every ``lru_cache`` and the table of every
+module-level lock."""
 
 import ast
 import importlib
 import pathlib
+import threading
 from fractions import Fraction
 
 import pytest
@@ -21,14 +22,13 @@ from cauchykit.cauchy import (
     clear_caches,
     poly_cauchy_poly,
 )
-from cauchykit.series import _PrefixMemo
 from cauchykit.stirling import StirlingKind, stirling1_unsigned, stirling_table
 
 SRC = pathlib.Path(cauchykit.__file__).parent
 
 
 def declared_memos():
-    """(module, name) of every ``lru_cache``-decorated function and ``_PrefixMemo`` in src/."""
+    """(module, name) of every ``lru_cache``-decorated function in src/."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         module = importlib.import_module(f"cauchykit.{path.stem}")
@@ -36,9 +36,6 @@ def declared_memos():
             if isinstance(node, ast.FunctionDef) and any(
                     "lru_cache" in ast.unparse(d) for d in node.decorator_list):
                 found.append((module, node.name))
-            elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
-                  and ast.unparse(node.value.func) == "_PrefixMemo"):
-                found += [(module, target.id) for target in node.targets]
     return found
 
 
@@ -59,10 +56,6 @@ def guarded_tables():
     return found
 
 
-def size(memo):
-    return memo.cache_info().currsize if hasattr(memo, "cache_info") else len(memo._held)
-
-
 def warm_every_memo():
     cauchykit.cauchy1(4)
     poly_cauchy_poly(CauchyKind.FIRST, 4, 2, Fraction(1, 3))
@@ -77,14 +70,12 @@ def warm_every_memo():
 def test_the_source_declares_the_memos_this_test_knows():
     # a memo the scan cannot see would slip past the next test
     names = {(module.__name__, name) for module, name in declared_memos()}
-    assert names >= {("cauchykit.bernoulli", "_GF"), ("cauchykit.cauchy", "_HI_GF"),
-                     ("cauchykit.cauchy", "_poly_cauchy_moments"),
+    assert names >= {("cauchykit.cauchy", "_poly_cauchy_moments"),
                      ("cauchykit.cauchy", "cauchy_hi_poly1")}
-    assert all(isinstance(getattr(module, name), _PrefixMemo) or
-               hasattr(getattr(module, name), "cache_clear")
-               for module, name in declared_memos())
+    assert all(hasattr(getattr(module, name), "cache_clear") for module, name in declared_memos())
     tables = {(module.__name__, name) for module, name in guarded_tables()}
-    assert tables >= {("cauchykit.cauchy", "_LADDER"), ("cauchykit.cauchy", "_VOLUMES")}
+    assert tables >= {("cauchykit.cauchy", "_LADDER"), ("cauchykit.cauchy", "_VOLUMES"),
+                      ("cauchykit.series", "_POWERS")}
     assert all(hasattr(module, name) for module, name in guarded_tables())
 
 
@@ -94,11 +85,24 @@ def test_clear_caches_empties_every_memo():
     memos = [getattr(module, name) for module, name in declared_memos()]
     guarded = [getattr(module, name) for module, name in guarded_tables()]
     tables = [stirling_table(kind) for kind in StirlingKind]
-    assert all(size(memo) > 0 for memo in memos)
+    assert all(memo.cache_info().currsize > 0 for memo in memos)
     assert all(guarded) and all(len(table.rows) > 1 for table in tables)
     clear_caches()
-    assert [size(memo) for memo in memos] == [0] * len(memos)
+    assert [memo.cache_info().currsize for memo in memos] == [0] * len(memos)
     assert not any(guarded) and all(table.rows == [[1]] for table in tables)
+
+
+@pytest.mark.parametrize("module, name", guarded_tables(),
+                         ids=[f"{module.__name__}.{name}" for module, name in guarded_tables()])
+def test_clear_caches_waits_for_each_table_lock(module, name):
+    # a clear between two steps of a fill would leave the fill reading a half-built table
+    cleared = threading.Event()
+    thread = threading.Thread(target=lambda: (clear_caches(), cleared.set()))
+    with getattr(module, f"{name}_LOCK"):
+        thread.start()
+        assert not cleared.wait(0.1)
+    thread.join(timeout=10)
+    assert cleared.is_set()
 
 
 def test_a_cleared_memo_gives_the_same_values():

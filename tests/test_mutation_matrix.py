@@ -5,23 +5,27 @@ import boundary.  A bug *inside* a kernel that both sides of a check may
 share (the arithmetic layer: products, quotients, shifts, the Stirling
 recurrence, ...) can make both sides wrong together and agree.  Each row
 corrupts one entry of what one kernel returns (a coefficient, a Stirling
-number, a cube volume; for ``evaluate`` and ``product_integrate``, one
-coefficient of the input polynomial), only past the size ``SIZE``, and pins
-the checks that then fail on ``GRID``.  A change that empties a row's set,
-or shrinks it, weakens the verifier.
+number, a cube volume, a power of a unit; for ``evaluate`` and
+``product_integrate``, one coefficient of the input polynomial), only past
+the size ``SIZE``, and pins the checks that then fail on ``GRID``.  A change
+that empties a row's set, or shrinks it, weakens the verifier.
 
 Every row patches the kernel in every module of the package that binds it,
 and starts and ends with every memo cleared, so no value built with a
 corrupted kernel outlives its row.
+
+README's table of kernels and the checks that catch them is ``readme_table()``;
+``python tests/test_mutation_matrix.py`` prints it.
 """
 
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
 
 import cauchykit
-from cauchykit import cauchy, polynomial, series, stirling, verifier
+from cauchykit import bernoulli, cauchy, polynomial, series, stirling, verifier
 from cauchykit.cauchy import clear_caches
 from cauchykit.polynomial import Polynomial, _Numerators
 from cauchykit.series import PowerSeries
@@ -91,9 +95,9 @@ def _undivided(kernel):
 #  bind it, the corruption, the checks that must fail on GRID in suite order)
 ROWS = [
     ("_convolve", polynomial, "_convolve", [series], _list_output,
-     "T1 T3 T4 T6 T7 T13 EQ6 EQ7 EQ19 EQ28 EQ52 EQ53 EQ58"),
+     "T1 T3 T4 T7 T13 EQ6 EQ7 EQ19 EQ28 EQ52 EQ53 EQ58"),
     ("next_row-signed-first", stirling, "next_row", [], _next_row_of(StirlingKind.SIGNED_FIRST),
-     "T2 T4 T5 T7 T8 T9 T10 L11 T13 EQ6 EQ52 EQ53 EQ58 POLYC_ORACLE"),
+     "T2 T4 T5 T7 T8 T9 T10 L11 T12 T13 EQ6 EQ52 EQ53 EQ58 EQ59_61 POLYC_ORACLE"),
     ("next_row-second", stirling, "next_row", [], _next_row_of(StirlingKind.SECOND),
      "T3 T5 T6 T8 T12 EQ7 EQ59_61"),
     ("revert", PowerSeries, "revert", [], _output, "T13 EQ52 EQ53"),
@@ -104,7 +108,7 @@ ROWS = [
     ("_divide_ints", series, "_divide_ints", [], _quotient,
      "T1 T3 T4 T6 T7 T13 EQ19 EQ28 EQ52 EQ53 EQ58"),
     ("_factorial_poly", polynomial, "_factorial_poly", [], _output,
-     "T2 T4 T7 EQ58 POLYC_ORACLE"),
+     "T2 T4 T7 T12 EQ58 EQ59_61 POLYC_ORACLE"),
     ("_sum_power_volume", cauchy, "_sum_power_volume", [], _volume,
      "T2 T4 T5 T7 T8 T12 T13 EQ52 EQ53 EQ58 EQ59_61"),
     ("antiderivative", Polynomial, "antiderivative", [], _output, "T2 T4 T7"),
@@ -116,6 +120,8 @@ ROWS = [
      "T1 T3 T4 T6 T7 T13 EQ19 EQ28 EQ52 EQ53 EQ58"),
     ("product_integrate", cauchy, "product_integrate", [cauchykit, verifier], _first_input,
      "POLYC_ORACLE"),
+    ("_unit_power", series, "_unit_power", [bernoulli, cauchy], _output,
+     "T1 T3 T4 T7 T13 EQ19 EQ28"),
 ]
 
 
@@ -148,3 +154,19 @@ def test_each_row_patches_every_binding(owner, name, others):
     bound = [module for module in MODULES if module is not owner and
              any(value is kernel for value in vars(module).values())]
     assert bound == others
+
+
+def readme_table() -> str:
+    """The README's markdown table: each row's kernel and the checks that catch it."""
+    lines = ["| corrupted kernel | checks that fail on `Grid(8, 3, 2)` |", "| --- | --- |"]
+    lines += [f"| `{row[0]}` | {row[5]} |" for row in ROWS]
+    return "\n".join(lines) + "\n"
+
+
+def test_the_readme_table_is_generated_from_the_rows():
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    assert readme_table() in readme.read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    print(readme_table(), end="")

@@ -1,17 +1,25 @@
-"""The memos grown under a lock: the generating-function memos (one series per
-key, read by prefix, built from a held neighbour when they can be), the
-integral-oracle ladder (one list of rounds per key) and the cube-volume table
-(one int row per k)."""
+"""The memos grown under a lock: the table of unit powers (one series per
+(unit, exponent), read by prefix, built from a held neighbour when it can be),
+the integral-oracle ladder (one list of rounds per key) and the cube-volume
+table (one int row per k).
+
+Bernoulli and both Cauchy kinds read their generating functions as powers of
+a unit t/f through one rule, ``series._unit_power``, so each memo test runs
+over the three units of ``UNITS``."""
 
 import random
 import sys
 import threading
 import time
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import Callable
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cauchykit import bernoulli, cauchy, series
 from cauchykit.bernoulli import bernoulli_hi_number, bernoulli_hi_numbers, bernoulli_hi_poly
@@ -27,10 +35,48 @@ from cauchykit.cauchy import (
     poly_cauchy_poly,
 )
 from cauchykit.polynomial import Polynomial
-from cauchykit.series import bernoulli_gf, cauchy1_gf, cauchy2_gf, egf_coeff, one_series
+from cauchykit.series import (PowerSeries, bernoulli_gf, cauchy1_gf, cauchy2_gf, egf_coeff,
+                              one_series)
 
-ALPHAS = (-2, 0, 1, 3)
-KS = (0, 1, 3)
+
+def bernoulli_numbers(n: int, alpha: int) -> list[Fraction]:
+    """B_j^(alpha), j <= n, read three ways that must agree: the list, B_n and B_n(x)."""
+    numbers = bernoulli_hi_numbers(n, alpha)
+    assert bernoulli_hi_number(n, alpha) == numbers[n]
+    assert bernoulli_hi_poly(n, alpha) == Polynomial(
+        [comb(n, j) * numbers[j] for j in reversed(range(n + 1))])
+    return numbers
+
+
+@dataclass(frozen=True)
+class Unit:
+    """A unit t/f whose powers one public family reads."""
+
+    name: str
+    over_t: Callable[[int], PowerSeries]             # f/t at an order
+    numbers: Callable[[int, int], list]              # the family's values 0..n at exponent e
+    exact: Callable[[int, int], PowerSeries]         # (t/f)^e at an order, built from scratch
+    exponents: tuple[int, ...]                       # exponents the public family accepts
+    wide: range                                      # a wider sweep of them
+
+
+UNITS = [
+    Unit("bernoulli", series._expm1_over_t, bernoulli_numbers, bernoulli_gf,
+         (-2, 0, 1, 3), range(-6, 31)),
+    Unit("cauchy1", series._log1p_over_t,
+         lambda n, k: cauchy_hi_numbers(CauchyKind.FIRST, n, k),
+         lambda k, order: cauchy1_gf(order) ** k, (0, 1, 3), range(7)),
+    Unit("cauchy2", series._one_plus_t_log1p_over_t,
+         lambda n, k: cauchy_hi_numbers(CauchyKind.SECOND, n, k),
+         lambda k, order: cauchy2_gf(order) ** k, (0, 1, 3), range(7)),
+]
+BERNOULLI, CAUCHY1, CAUCHY2 = UNITS
+BY_KIND = {CauchyKind.FIRST: CAUCHY1, CauchyKind.SECOND: CAUCHY2}
+
+
+def exact_numbers(unit: Unit, n: int, e: int) -> list[Fraction]:
+    exact = unit.exact(e, n + 1)
+    return [egf_coeff(exact, j) for j in range(n + 1)]
 
 
 @pytest.fixture
@@ -40,102 +86,107 @@ def cold_memos():
     clear_caches()
 
 
-def counting(monkeypatch, module, name, key_of):
-    """Patch module.name to count its calls per key; returns the Counter."""
-    calls = Counter()
-    original = getattr(module, name)
+class RecordingPowers(dict):
+    """A table of unit powers that lists each build as (over_t, e, order).
 
-    def counted(*args):
-        calls[key_of(args)] += 1
-        return original(*args)
+    ``_unit_power`` stores each series it builds under its lock, so the list
+    is exact when threads race.
+    """
 
-    monkeypatch.setattr(module, name, counted)
-    return calls
+    def __init__(self):
+        super().__init__()
+        self.builds = []
 
-
-def test_a_sweep_builds_few_series_per_key(monkeypatch, cold_memos):
-    bernoulli_builds = counting(monkeypatch, bernoulli, "bernoulli_gf", lambda args: args[0])
-    cauchy_builds = counting(monkeypatch, cauchy, "cauchy1_gf", lambda args: None)
-    for alpha in ALPHAS:
-        for n in range(64):
-            bernoulli_hi_poly(n, alpha)
-    for k in KS:
-        before = sum(cauchy_builds.values())
-        for n in range(64):
-            cauchy_hi1(n, k)
-        assert sum(cauchy_builds.values()) - before <= 7
-    assert set(bernoulli_builds) == set(ALPHAS)
-    assert max(bernoulli_builds.values()) <= 7
+    def __setitem__(self, key, value):
+        self.builds.append((*key, value.order))
+        super().__setitem__(key, value)
 
 
-def test_first_fill_is_built_at_the_order_asked_for(monkeypatch, cold_memos):
-    orders = counting(monkeypatch, bernoulli, "bernoulli_gf", lambda args: args[1])
-    bernoulli_hi_numbers(60, 2)
-    assert orders == {61: 1}
+@pytest.fixture
+def builds(monkeypatch, cold_memos):
+    """The builds of a table that starts empty, in every module that binds it."""
+    table = RecordingPowers()
+    for module in (series, cauchy):
+        monkeypatch.setattr(module, "_POWERS", table)
+    return table.builds
 
 
-@pytest.mark.parametrize("alpha", ALPHAS)
-def test_bernoulli_values_across_a_growth_step_equal_an_exact_build(cold_memos, alpha):
-    bernoulli_hi_poly(4, alpha)      # held at order 5
-    grown = bernoulli_hi_poly(5, alpha)  # a miss: built at order 10
-    assert bernoulli._GF.series(1, alpha).order == 10
-    for n in (3, 5, 6, 9):
-        exact = bernoulli_gf(alpha, n + 1)
-        numbers = [egf_coeff(exact, j) for j in range(n + 1)]
-        assert bernoulli_hi_numbers(n, alpha) == numbers
-        assert bernoulli_hi_number(n, alpha) == numbers[n]
-        assert bernoulli_hi_poly(n, alpha) == Polynomial(
-            [comb(n, j) * numbers[j] for j in reversed(range(n + 1))])
-    assert grown.degree == 5
+def test_a_sweep_builds_few_series_per_key(builds):
+    for unit in UNITS:
+        for e in unit.exponents:
+            before = len(builds)
+            for n in range(64):
+                unit.numbers(n, e)
+            assert 1 <= len(builds) - before <= 7
+            assert {key[:2] for key in builds[before:]} == {(unit.over_t, e)}
 
 
-@pytest.mark.parametrize("kind, gf", [(CauchyKind.FIRST, cauchy1_gf),
-                                      (CauchyKind.SECOND, cauchy2_gf)])
-@pytest.mark.parametrize("k", KS)
-def test_cauchy_values_across_a_growth_step_equal_an_exact_build(cold_memos, kind, gf, k):
-    cauchy_hi_numbers(kind, 6, k)    # held at order 7
-    cauchy_hi_numbers(kind, 7, k)    # a miss: built at order 14
+def test_first_fill_is_built_at_the_order_asked_for(builds):
+    for unit in UNITS:
+        unit.numbers(60, 2)
+    assert builds == [(unit.over_t, 2, 61) for unit in UNITS]
+
+
+def assert_a_growth_step_equals_an_exact_build(unit: Unit, e: int) -> None:
+    unit.numbers(6, e)      # held at order 7
+    unit.numbers(7, e)      # a miss: built at order 14
+    assert series._POWERS[unit.over_t, e].order == 14
     for n in (4, 7, 8, 13):
-        exact = gf(n + 1) ** k
-        assert cauchy_hi_numbers(kind, n, k) == [egf_coeff(exact, j) for j in range(n + 1)]
+        assert unit.numbers(n, e) == exact_numbers(unit, n, e)
 
 
-def test_neighbour_builds_equal_exact_builds(monkeypatch, cold_memos):
-    # every order alpha read in a shuffled order, so some are built from a
-    # held neighbour and some from scratch, at orders the doubling rule picks
-    by_neighbour = counting(monkeypatch, bernoulli, "_expm1_over_t", lambda args: None)
-    cases = [(n, alpha) for alpha in range(-6, 31) for n in range(36)]
-    random.Random(24).shuffle(cases)
-    for n, alpha in cases:
-        exact = bernoulli_gf(alpha, n + 1)
-        assert bernoulli_hi_poly(n, alpha) == Polynomial(
-            [comb(n, j) * egf_coeff(exact, j) for j in reversed(range(n + 1))]), (n, alpha)
-    assert sum(by_neighbour.values()) > 0
-    cases = [(kind, n, k) for kind in CauchyKind for k in range(7) for n in range(36)]
-    random.Random(24).shuffle(cases)
-    for kind, n, k in cases:
-        exact = (cauchy1_gf if kind is CauchyKind.FIRST else cauchy2_gf)(n + 1) ** k
-        assert cauchy_hi_numbers(kind, n, k) == [egf_coeff(exact, j) for j in range(n + 1)]
+@pytest.mark.parametrize("alpha", BERNOULLI.exponents)
+def test_bernoulli_values_across_a_growth_step_equal_an_exact_build(cold_memos, alpha):
+    assert_a_growth_step_equals_an_exact_build(BERNOULLI, alpha)
+
+
+@pytest.mark.parametrize("kind", list(CauchyKind))
+@pytest.mark.parametrize("k", CAUCHY1.exponents)
+def test_cauchy_values_across_a_growth_step_equal_an_exact_build(cold_memos, kind, k):
+    assert_a_growth_step_equals_an_exact_build(BY_KIND[kind], k)
+
+
+def test_neighbour_builds_equal_exact_builds(builds):
+    # every exponent read in a shuffled order, so some are built from a held
+    # neighbour and some from scratch, at orders the doubling rule picks
+    for unit in UNITS:
+        cases = [(n, e) for e in unit.wide for n in range(36)]
+        random.Random(24).shuffle(cases)
+        for n, e in cases:
+            assert unit.numbers(n, e) == exact_numbers(unit, n, e), (unit.name, n, e)
+    by_neighbour = Counter()
+    table = {}
+    for over_t, e, order in builds:
+        step = (e > 1) - (e < -1)
+        near = table.get((over_t, e - step), 0) if step else 0
+        by_neighbour[over_t, near >= order] += 1
+        table[over_t, e] = order
+    assert all(by_neighbour[unit.over_t, True] and by_neighbour[unit.over_t, False]
+               for unit in UNITS)
 
 
 def test_a_held_neighbour_builds_without_the_builder(monkeypatch, cold_memos):
-    for alpha in (2, -2):
-        bernoulli_hi_numbers(9, alpha)             # held at order 10
-    for kind in CauchyKind:
+    # a neighbour held far enough gives one division or product by f/t, no power
+    powers = []
+    original = PowerSeries.__pow__
+    monkeypatch.setattr(PowerSeries, "__pow__",
+                        lambda self, e: powers.append((self.order, e)) or original(self, e))
+    for unit in UNITS:
+        for e in (2, -2):
+            series._unit_power(unit.over_t, e, 10)               # held at order 10
+        powers.clear()
+        for e, order in ((3, 10), (-3, 10), (4, 6)):             # 4 from 3, held at 10 >= 6
+            series._unit_power(unit.over_t, e, order)
+        assert not powers, unit.name
+        series._unit_power(unit.over_t, 5, 21)                   # 4 is held only to order 6
+        assert powers[0] == (21, -5)
+        assert series._POWERS[unit.over_t, 4].order == 6
+    for kind in CauchyKind:                                      # through the public path
         cauchy_hi_numbers(kind, 9, 1)
         cauchy_hi_numbers(kind, 9, 2)
-    builds = counting(monkeypatch, bernoulli, "bernoulli_gf", lambda args: args)
-    cauchy_builds = [counting(monkeypatch, cauchy, name, lambda args: args)
-                     for name in ("cauchy1_gf", "cauchy2_gf")]
-    bernoulli_hi_numbers(9, 3)
-    bernoulli_hi_numbers(9, -3)
-    bernoulli_hi_numbers(5, 4)                     # from 3, held at order 10 >= 6
-    for kind in CauchyKind:
+        powers.clear()
         cauchy_hi_numbers(kind, 9, 3)
-    assert not builds and not any(cauchy_builds)
-    bernoulli_hi_numbers(20, 5)                    # 4 is held only to order 6
-    assert builds == {(5, 21): 1}
-    assert bernoulli._GF.series(1, 4).order == 6
+        assert not powers
 
 
 def test_order_zero_takes_no_division(monkeypatch, cold_memos):
@@ -146,10 +197,12 @@ def test_order_zero_takes_no_division(monkeypatch, cold_memos):
     for alpha in (0, -1, -4):                      # ((e^t-1)/t)^(-alpha), closed form
         assert bernoulli_gf(alpha, 12).order == 12
     assert bernoulli_gf(0, 12).numerators == one_series(12).numerators
-    for kind in CauchyKind:
-        gf = cauchy._build_hi_gf(kind, 0, 12)
+    for unit in UNITS:
+        for e in (0, -1, -4):
+            assert series._unit_power(unit.over_t, e, 12).order == 12
+        gf = series._unit_power(unit.over_t, 0, 12)
         assert (gf.order, gf.numerators, gf.denominator) == (12, (1,) + (0,) * 11, 1)
-        assert cauchy_hi_numbers(kind, 11, 0) == [1] + [0] * 11
+        assert unit.numbers(11, 0) == [1] + [0] * 11
 
 
 def test_the_volume_table_builds_only_the_entries_asked_for(cold_memos):
@@ -169,6 +222,24 @@ def test_an_inexact_key_raises_before_the_memo_is_read(cold_memos):
         bernoulli._gf(Fraction(2), 3)
     with pytest.raises(TypeError):
         cauchy._hi_gf(CauchyKind.FIRST, 2.0, 3)
+    for unit in UNITS:
+        with pytest.raises(TypeError):
+            series._unit_power(unit.over_t, Fraction(2), 3)
+
+
+@pytest.mark.parametrize("unit", UNITS, ids=[unit.name for unit in UNITS])
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 40)), min_size=1, max_size=12))
+def test_any_request_sequence_reads_the_exact_power(unit, requests):
+    # whatever is held, and whichever neighbour a build reads, a request at
+    # order N reads (f/t)^-e to N terms
+    clear_caches()
+    for e, order in requests:
+        power = series._unit_power(unit.over_t, e, order)
+        exact = unit.over_t(order) ** -e
+        assert power.order >= order
+        prefix = power.truncate(order)
+        assert (prefix.numerators, prefix.denominator) == (exact.numerators, exact.denominator)
 
 
 def sweep():
@@ -201,18 +272,15 @@ def run_in_eight_threads(work):
     return [results[i] for i in range(8)]
 
 
-def test_concurrent_first_use_reads_the_same_values(monkeypatch, cold_memos):
+def test_concurrent_first_use_reads_the_same_values(builds):
     reference = sweep()
-    builds = []  # list.append is atomic, a Counter update is not
-    original = bernoulli.bernoulli_gf
-    monkeypatch.setattr(bernoulli, "bernoulli_gf",
-                        lambda alpha, order: builds.append(alpha) or original(alpha, order))
     for _ in range(3):
         clear_caches()
         builds.clear()
         assert run_in_eight_threads(sweep) == [reference] * 8
         # growth under the lock: no thread rebuilds an order another has built
-        assert max(Counter(builds).values()) <= 7
+        per_key = Counter((over_t, e) for over_t, e, _ in builds)
+        assert len(per_key) == 6 and max(per_key.values()) <= 7
 
 
 NS, KS, ZS = range(14), (4, 2, 1, 3), (Fraction(0), Fraction(1, 2), Fraction(-3, 7))
