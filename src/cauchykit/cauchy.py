@@ -44,13 +44,14 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
 from operator import mul
+from typing import Sequence
 
 from .bernoulli import bernoulli_hi_poly
 from .polynomial import Polynomial, _over_common_denominator, falling_factorial
 from .rational import _as_fraction
 from .series import (_POWERS, _POWERS_LOCK, PowerSeries, _log1p_over_t, _one_plus_t_log1p_over_t,
                      _unit_power, egf_coeff)
-from .stirling import StirlingKind, stirling1_signed, stirling_table
+from .stirling import StirlingKind, stirling_table
 
 
 class CauchyKind(enum.Enum):
@@ -74,10 +75,10 @@ def _integrand(kind: CauchyKind, n: int) -> Polynomial:
     return ff if kind is CauchyKind.FIRST else ff.reflect()
 
 
-def _stirling_row(kind: CauchyKind, n: int) -> list[int]:
-    """The x^m coefficients of the integrand: s(n,m), or (-1)^m s(n,m)."""
-    sign = 1 if kind is CauchyKind.FIRST else -1
-    return [sign ** m * stirling1_signed(n, m) for m in range(n + 1)]
+def _stirling_row(kind: CauchyKind, n: int) -> Sequence[int]:
+    """The x^m coefficients of the integrand: s(n,m), or (-1)^m s(n,m); one table row."""
+    row = stirling_table(StirlingKind.SIGNED_FIRST).row(n)
+    return row if kind is CauchyKind.FIRST else [-c if m % 2 else c for m, c in enumerate(row)]
 
 
 # -- integration oracles -------------------------------------------------------
@@ -184,7 +185,7 @@ def poly_cauchy(kind: CauchyKind, n: int, k: int) -> Fraction:
     """sum_m row(n,m)/(m+1)^k, the k-fold product integral, on ints over lcm(1..n+1)^k."""
     _check_poly_args(kind, n, k)
     weights, den = _power_weights(n, k)
-    return Fraction(sum(c * w for c, w in zip(_stirling_row(kind, n), weights)), den)
+    return Fraction(sum(map(mul, _stirling_row(kind, n), weights)), den)
 
 
 def poly_cauchy_poly(kind: CauchyKind, n: int, k: int, z: Fraction) -> Fraction:

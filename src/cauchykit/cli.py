@@ -21,13 +21,13 @@ deterministic; JSON uses compact separators so re-serialising a parsed
 document is byte-identical.
 
 Stirling triangles are streamed: each row is built from the one before by
-the exact recurrence on ``decimal.Decimal`` integers and written as soon as
-it is built, so a triangle needs memory for one row, and its entries go
-through neither the memo tables nor int-to-str conversion, which is
-quadratic in the number of digits.  Python's limit on that conversion
-(4300 digits by default) therefore matters only for ``Fraction``, ``poly``
-and ``series`` output; it is lifted while those render, so large values
-print in full.
+the exact recurrence on ``decimal.Decimal`` integers, rendered by one
+``%``-format call and written as soon as it is built, so a triangle needs
+memory for one row and its text, and its entries go through neither the
+memo tables nor int-to-str conversion, which is quadratic in the number of
+digits.  Python's limit on that conversion (4300 digits by default)
+therefore matters only for ``Fraction``, ``poly`` and ``series`` output; it
+is lifted while those render, so large values print in full.
 """
 
 from __future__ import annotations
@@ -151,20 +151,24 @@ def _family_option(args, parser, need, size: int, size_flag: str):
 # -- commands -----------------------------------------------------------------
 
 def _stream_triangle(kind: StirlingKind, n_max: int, fmt: str) -> None:
-    """Write rows 0..n_max of the triangle of `kind` to stdout as each is built."""
+    """Write rows 0..n_max of the triangle of `kind` to stdout as each is built.
+
+    Each row is one ``%``-format call on a template with one ``%s`` per
+    cell, so the row's text is built once and written once.
+    """
     write = sys.stdout.write
     with decimal.localcontext(EXACT_INTEGERS):
         rows = enumerate(stirling_rows(kind, n_max, decimal.Decimal(1)))
         if fmt == "json":
             lead = "["
             for n, row in rows:
-                write(f'{lead}{{"n":{n},"row":["' + '","'.join(map(str, row)) + '"]}')
+                write(('%s{"n":%s,"row":["' + '%s","' * n + '%s"]}') % (lead, n, *row))
                 lead = ","
             write("]\n")
         else:
-            sep = "," if fmt == "csv" else " "
+            cell = "%s," if fmt == "csv" else "%s "
             for n, row in rows:
-                write(str(n) + sep + sep.join(map(str, row)) + "\n")
+                write((cell * (n + 1) + "%s\n") % (n, *row))
 
 
 def _cmd_table(args, parser) -> int:

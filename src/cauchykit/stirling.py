@@ -4,7 +4,8 @@ Each kind has one recurrence, ``next_row``, which builds row n from row
 n-1 in any ring that holds the integers: Python ints for the memo tables,
 exact ``decimal.Decimal`` integers for the CLI, which renders them in
 linear time.  ``stirling_rows`` walks the recurrence and keeps only the
-current row.
+current row; it builds the ring's small integers once, so no entry
+converts an int into the ring.
 
 Triangles are filled row by row and memoised, one table per kind, so dense
 sweeps cost amortised O(1) per query.  Indices outside the triangle
@@ -12,9 +13,9 @@ sweeps cost amortised O(1) per query.  Indices outside the triangle
 ranges of the identities verified elsewhere.
 
 Tables mutate only while growing, and they grow under a per-table lock:
-a ``value`` read whose row already exists takes no lock, and rows are
-built in full before they are appended, so concurrent first use from
-several threads yields the same triangle as a single-threaded fill.
+a ``value`` or ``row`` read whose row already exists takes no lock, and
+rows are built in full before they are appended, so concurrent first use
+from several threads yields the same triangle as a single-threaded fill.
 ``clear`` swaps in a fresh row list, so a reader keeps the rows it holds.
 """
 
@@ -31,8 +32,12 @@ class StirlingKind(enum.Enum):
     SECOND = "second"
 
 
-def next_row(kind: StirlingKind, prev: Sequence) -> list:
+def next_row(kind: StirlingKind, prev: Sequence, ints: Sequence) -> list:
     """Row n of the triangle of `kind` from row n-1 (`prev`, length n >= 1).
+
+    `ints` holds the ring's integers, ``ints[j] == j`` for 0 <= j < n: a
+    ``range`` for ints, or the ring's own elements, so that no product
+    converts an int.
 
     Each kind has its own recurrence (no kind is derived from another, so
     cross-kind identities stay genuine checks):
@@ -41,14 +46,14 @@ def next_row(kind: StirlingKind, prev: Sequence) -> list:
         unsigned  u(n,l) = u(n-1,l-1) + (n-1)u(n-1,l)
         second    S(n,l) = S(n-1,l-1) + l*S(n-1,l)
 
-    Only additions and products by small ints are used, so the entries
-    stay in the ring of `prev`.
+    Only additions and products by `ints` are used, so the entries stay
+    in the ring of `prev`.
     """
     shifted = [0, *prev]
     if kind is StirlingKind.SECOND:
-        row = [a + l * b for l, (a, b) in enumerate(zip(shifted, prev))]
+        row = [a + l * b for l, a, b in zip(ints, shifted, prev)]
     else:
-        c = len(prev) - 1
+        c = ints[len(prev) - 1]
         if kind is StirlingKind.SIGNED_FIRST:
             c = -c
         row = [a + c * b for a, b in zip(shifted, prev)]
@@ -61,10 +66,11 @@ def stirling_rows(kind: StirlingKind, n_max: int, one=1) -> Iterator[list]:
 
     Only the current row is kept, and the memo tables are not touched.
     """
+    ints = [one * j for j in range(n_max)]
     row = [one]
     yield row
     for _ in range(n_max):
-        row = next_row(kind, row)
+        row = next_row(kind, row, ints)
         yield row
 
 
@@ -82,7 +88,7 @@ class StirlingTable:
             while len(rows) <= n:
                 # [:] drops the spare capacity a built list carries, which
                 # would otherwise stay for the life of the table
-                rows.append(next_row(self.kind, rows[-1])[:])
+                rows.append(next_row(self.kind, rows[-1], range(len(rows)))[:])
             return rows
 
     def value(self, n: int, l: int) -> int:
@@ -96,7 +102,10 @@ class StirlingTable:
     def row(self, n: int) -> Sequence[int]:
         if n < 0:
             raise ValueError("n must be nonnegative")
-        return tuple(self._grow(n)[n])
+        rows = self.rows
+        if n >= len(rows):
+            rows = self._grow(n)
+        return tuple(rows[n])
 
     def clear(self) -> None:
         with self._lock:

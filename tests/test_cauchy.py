@@ -284,7 +284,8 @@ def test_product_integrate_needs_no_stirling_numbers(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the product integral reached a path it is meant to check")
 
-    monkeypatch.setattr(cauchy, "stirling1_signed", forbidden)
+    for name in ("value", "row", "_grow"):
+        monkeypatch.setattr(stirling.StirlingTable, name, forbidden)
     monkeypatch.setattr(cauchy, "_stirling_row", forbidden)
     monkeypatch.setattr(cauchy, "poly_cauchy_poly", forbidden)
     ff = falling_factorial(4)
@@ -611,7 +612,8 @@ def test_polynomial_oracle_needs_no_stirling_series_or_interpolation(monkeypatch
     def forbidden(*args):
         raise AssertionError("the oracle reached a path it is meant to check")
 
-    monkeypatch.setattr(cauchy, "stirling1_signed", forbidden)
+    for name in ("value", "row", "_grow"):
+        monkeypatch.setattr(stirling.StirlingTable, name, forbidden)
     monkeypatch.setattr(cauchy, "bernoulli_hi_poly", forbidden)
     monkeypatch.setattr(cauchy, "egf_coeff", forbidden)
     monkeypatch.setattr(cauchy, "interpolate", forbidden, raising=False)

@@ -477,6 +477,8 @@ class HashingStdout:
     ("stirling1", "json", "1ec51343d261e6b70ba8d9c4b07986cfd34ca6f2030dae8c7f24e801d2db9619"),
     ("stirling2", "csv", "d83020aaf48aeffc03c74ae3ecfb5abc61917a1e639f58407d8be6780276eb81"),
     ("stirling2", "json", "75e56e637f8aa95fd30560726a562904acce743f48d6ea6ac560ca3e5fdc83f1"),
+    ("stirling1", "text", "64b65db842f9785b3eed098fd72587ed071724ccf4e95bdb777c4a5cae7bf97e"),
+    ("stirling2", "text", "ffa47cd3f4eec3de1f5f3b537a87aac60c96fe9caf55e6f04f5a51cf1b68164f"),
 ])
 def test_large_triangle_output_is_pinned(monkeypatch, family, fmt, sha256):
     # digests of the int-based renderer's output at n-max 600
@@ -607,15 +609,27 @@ def test_number_table_builds_one_series(capsys, monkeypatch, family, param, buil
                                for n in range(31)]
 
 
-def test_closed_pipe_exits_141_without_traceback():
+def assert_closed_pipe_exits_141(fmt, head):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cauchykit.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.Popen(
         [sys.executable, "-m", "cauchykit.cli", "table", "--family", "stirling1",
-         "--n-max", "300"],
+         "--n-max", "300", "--format", fmt],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert proc.stdout.read(100).startswith(b"0 1\n1 0 1\n")
+    assert proc.stdout.read(100).startswith(head)
     proc.stdout.close()  # the reader leaves long before the table ends
     stderr = proc.stderr.read()
     assert proc.wait(timeout=60) == 141
     assert stderr == b""
+
+
+def test_closed_pipe_exits_141_without_traceback():
+    assert_closed_pipe_exits_141("text", b"0 1\n1 0 1\n")
+
+
+@pytest.mark.parametrize("fmt, head", [
+    ("csv", b"0,1\n1,0,1\n"),
+    ("json", b'[{"n":0,"row":["1"]},{"n":1,"row":["0","1"]},'),
+])
+def test_closed_pipe_exits_141_in_every_format(fmt, head):
+    assert_closed_pipe_exits_141(fmt, head)

@@ -66,7 +66,8 @@ def _first_input(kernel):
 
 def _next_row_of(kind):
     def corrupt(kernel):
-        return lambda k, prev: _bump(kernel(k, prev)) if k is kind else kernel(k, prev)
+        return lambda k, prev, ints: (_bump(kernel(k, prev, ints)) if k is kind
+                                      else kernel(k, prev, ints))
     return corrupt
 
 

@@ -1,11 +1,14 @@
 """Stirling triangles, and the composition/multinomial test references."""
 
+import decimal
 import sys
 import threading
+from decimal import Decimal
 from math import comb, factorial
 
 import pytest
 
+from cauchykit.cli import EXACT_INTEGERS
 from cauchykit.polynomial import falling_factorial, rising_factorial
 from cauchykit.stirling import (
     StirlingKind,
@@ -176,16 +179,19 @@ def test_concurrent_first_use_builds_the_same_triangle():
     sys.setswitchinterval(1e-6)  # switch threads as often as possible
     errors = []
 
-    def fill(table):
+    def fill(table, i):
         try:
-            table.value(60, 0)
+            if i % 2:
+                assert table.row(60) == tuple(reference.rows[60])
+            else:
+                table.value(60, 0)
         except Exception as exc:  # a race shows up as IndexError
             errors.append(exc)
 
     try:
         for _ in range(30):
             table = StirlingTable(StirlingKind.SIGNED_FIRST)
-            threads = [threading.Thread(target=fill, args=(table,)) for _ in range(4)]
+            threads = [threading.Thread(target=fill, args=(table, i)) for i in range(4)]
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -195,6 +201,18 @@ def test_concurrent_first_use_builds_the_same_triangle():
             assert table.rows == reference.rows
     finally:
         sys.setswitchinterval(previous)
+
+
+def test_a_held_row_is_read_without_the_lock():
+    table = StirlingTable(StirlingKind.SECOND)
+    table.value(5, 0)
+    read = []
+    with table._lock:  # a read that waited for the lock would hang here
+        thread = threading.Thread(target=lambda: read.append((table.row(5), table.value(5, 2))))
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert read == [((0, 1, 15, 25, 10, 1), 15)]
 
 
 def old_grow_loop(kind, n_max):
@@ -221,9 +239,17 @@ def old_grow_loop(kind, n_max):
 def test_next_row_matches_the_old_grow_loop(kind):
     reference = old_grow_loop(kind, 300)
     for n in range(1, 301):
-        assert next_row(kind, reference[n - 1]) == reference[n]
+        assert next_row(kind, reference[n - 1], range(n)) == reference[n]
     assert list(stirling_rows(kind, 300)) == reference
     table = StirlingTable(kind)
     table.value(300, 0)
     assert table.rows == reference
     assert all(type(v) is int for row in table.rows for v in row)
+
+
+@pytest.mark.parametrize("kind", list(StirlingKind))
+def test_decimal_rows_equal_the_int_rows(kind):
+    with decimal.localcontext(EXACT_INTEGERS):
+        rows = list(stirling_rows(kind, 200, Decimal(1)))
+    assert rows == list(stirling_rows(kind, 200))
+    assert all(type(v) is Decimal for row in rows for v in row)
