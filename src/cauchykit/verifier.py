@@ -264,12 +264,13 @@ def _umbral_weights(row: tuple[int, ...], k: int) -> Polynomial:
     # with row[l] = S1(n,l)
     n = len(row) - 1
     den = lcm(*[comb(k + j, k) for j in range(n + 1)])
+    col = [stirling2(k + j, k) for j in range(n + 1)]
     weights = [0] * (n + 1)
     for l, s1 in enumerate(row):
         if s1 == 0:
             continue
         for m in range(l + 1):
-            weights[m] += comb(l, m) * (den // comb(k + l - m, k)) * stirling2(k + l - m, k) * s1
+            weights[m] += comb(l, m) * (den // comb(k + l - m, k)) * col[l - m] * s1
     return Polynomial.from_numerators(weights, den)
 
 
@@ -277,12 +278,13 @@ def _operator_weights(row: tuple[int, ...], k: int) -> Polynomial:
     # EQ59-61: sum over l,m of k!/(k+m)! (l)_m S2(k+m,k) S1(n,l) y^(l-m), over (k+n)!/k!,
     # with row[l] = S1(n,l)
     n = len(row) - 1
+    col = [stirling2(k + j, k) for j in range(n + 1)]
     weights = [0] * (n + 1)
     for l, s1 in enumerate(row):
         if s1 == 0:
             continue
         for m in range(l + 1):
-            weights[l - m] += perm(k + n, n - m) * perm(l, m) * stirling2(k + m, k) * s1
+            weights[l - m] += perm(k + n, n - m) * perm(l, m) * col[m] * s1
     return Polynomial.from_numerators(weights, perm(k + n, n))
 
 

@@ -1,6 +1,7 @@
 """Stirling triangles, and the composition/multinomial test references."""
 
 import decimal
+import random
 import sys
 import threading
 from decimal import Decimal
@@ -8,6 +9,8 @@ from math import comb, factorial
 
 import pytest
 
+from cauchykit import stirling
+from cauchykit.cauchy import clear_caches
 from cauchykit.cli import EXACT_INTEGERS
 from cauchykit.polynomial import falling_factorial, rising_factorial
 from cauchykit.stirling import (
@@ -173,34 +176,61 @@ def test_compositions_with_many_parts_need_no_deep_recursion():
 
 
 def test_concurrent_first_use_builds_the_same_triangle():
-    reference = StirlingTable(StirlingKind.SIGNED_FIRST)
-    reference.value(60, 0)
+    # at n = 300, reads of rows that are not held walk or rebuild from a
+    # checkpoint while other threads append past it
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as possible
     errors = []
 
-    def fill(table, i):
+    def fill(table, i, reference):
+        n_max = len(reference) - 1
         try:
-            if i % 2:
-                assert table.row(60) == tuple(reference.rows[60])
-            else:
-                table.value(60, 0)
-        except Exception as exc:  # a race shows up as IndexError
+            if i % 2:  # read the newest row while other threads append past it
+                while len(table.rows) <= n_max:
+                    n = len(table.rows) - 1
+                    assert table.rows[n] is not None or (n >= 128 and n % 4)
+                    assert table.value(n, n // 3) == reference[n][n // 3]
+                    assert table.row(n) == tuple(reference[n])
+            for n in [*range(i, n_max, 5), n_max]:
+                if (i + n) % 4:
+                    assert table.value(n, n // 3) == reference[n][n // 3]
+                else:
+                    assert table.row(n) == tuple(reference[n])
+        except Exception as exc:  # a race shows up as IndexError, or TypeError on a None row
             errors.append(exc)
 
     try:
-        for _ in range(30):
-            table = StirlingTable(StirlingKind.SIGNED_FIRST)
-            threads = [threading.Thread(target=fill, args=(table, i)) for i in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-                assert not thread.is_alive()
-            assert not errors
-            assert table.rows == reference.rows
+        for n_max in (60, 300):
+            reference = old_grow_loop(StirlingKind.SIGNED_FIRST, n_max)
+            for _ in range(30):
+                table = StirlingTable(StirlingKind.SIGNED_FIRST)
+                threads = [threading.Thread(target=fill, args=(table, i, reference))
+                           for i in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+                assert not errors
+                assert table.rows == held_layout(reference)
     finally:
         sys.setswitchinterval(previous)
+
+
+@pytest.mark.parametrize("kind", list(StirlingKind))
+@pytest.mark.parametrize("clear_all", [False, True], ids=["clear", "clear_caches"])
+def test_a_cleared_table_grows_again_from_row_0(kind, clear_all):
+    reference = old_grow_loop(kind, 303)
+    table = stirling_table(kind)
+    assert table.row(303) == tuple(reference[303])  # the last row built is 303
+    if clear_all:
+        clear_caches()
+    else:
+        table.clear()
+    assert table.rows == [[1]]
+    assert table.row(131) == tuple(reference[131])
+    assert [table.value(130, l) for l in range(131)] == reference[130]
+    assert table.rows == held_layout(reference[:132])
 
 
 def test_a_held_row_is_read_without_the_lock():
@@ -235,16 +265,39 @@ def old_grow_loop(kind, n_max):
     return rows
 
 
+def held_layout(reference):
+    """The rows a table holds once grown to the last row of `reference`."""
+    return [row if n < 128 or n % 4 == 0 else None for n, row in enumerate(reference)]
+
+
 @pytest.mark.parametrize("kind", list(StirlingKind))
 def test_next_row_matches_the_old_grow_loop(kind):
     reference = old_grow_loop(kind, 300)
     for n in range(1, 301):
         assert next_row(kind, reference[n - 1], range(n)) == reference[n]
     assert list(stirling_rows(kind, 300)) == reference
+    reads = [(n, l) for n in range(301) for l in range(-1, n + 2)]
+    random.Random(0).shuffle(reads)
     table = StirlingTable(kind)
-    table.value(300, 0)
-    assert table.rows == reference
-    assert all(type(v) is int for row in table.rows for v in row)
+    assert all(table.value(n, l) == (reference[n][l] if 0 <= l <= n else 0) for n, l in reads)
+    order = [*range(301), *random.Random(1).sample(range(301), 301)]
+    assert all(table.row(n) == tuple(reference[n]) for n in order)
+    assert len(table.rows) == 301 and table.rows == held_layout(reference)
+    assert all(type(v) is int for row in table.rows if row is not None for v in row)
+
+
+@pytest.mark.parametrize("kind", list(StirlingKind))
+def test_a_walk_reads_the_one_recurrence(monkeypatch, kind):
+    # patched as the mutation matrix patches it, stirling.next_row must reach
+    # a value walked on a row that is not held: the walk keeps no copy of it
+    reference = old_grow_loop(kind, 301)
+    table = StirlingTable(kind)
+    table.value(301, 0)
+    sound = stirling.next_row
+    monkeypatch.setattr(stirling, "next_row",
+                        lambda k, prev, ints: [v + 1 for v in sound(k, prev, ints)])
+    assert all(table.value(301, l) != reference[301][l] for l in range(302))
+    assert [table.value(300, l) for l in range(301)] == reference[300]
 
 
 @pytest.mark.parametrize("kind", list(StirlingKind))
