@@ -21,10 +21,11 @@ deterministic; JSON uses compact separators so re-serialising a parsed
 document is byte-identical.
 
 Stirling triangles are streamed: each row is built from the one before by
-the exact recurrence on ``decimal.Decimal`` integers, rendered by one
-``%``-format call and written as soon as it is built, so a triangle needs
-memory for one row and its text, and its entries go through neither the
-memo tables nor int-to-str conversion, which is quadratic in the number of
+the exact recurrence on ``decimal.Decimal`` integers and written as soon as
+it is built, in pieces of about 32 KiB, each rendered by one ``%``-format
+call and none written longer than 64 KiB.  So a triangle needs memory for
+one row and one bounded write, and its entries go through neither the memo
+tables nor int-to-str conversion, which is quadratic in the number of
 digits.  Python's limit on that conversion (4300 digits by default)
 therefore matters only for ``Fraction``, ``poly`` and ``series`` output; it
 is lifted while those render, so large values print in full.
@@ -92,6 +93,12 @@ _BERNOULLI_GF_RE = re.compile(r"bernoulli_gf\((-?[0-9]+)\)")
 _ASCII_INT_RE = re.compile(r"-?[0-9]+")
 _FORMATS = ("csv", "json", "text")
 
+# A streamed triangle row goes out in pieces of about half this size and
+# never in a longer write.  A longer string, and the encoded copy that a piped
+# or hashing stdout makes of it, would pass glibc's 128 KiB mmap threshold, so
+# row after row the top of the heap would be trimmed on free and faulted back in.
+_WRITE_BYTES = 1 << 16
+
 # Exact integer arithmetic for the triangles: any result that would have to
 # be rounded raises instead of printing a wrong digit.
 EXACT_INTEGERS = decimal.Context(
@@ -150,25 +157,48 @@ def _family_option(args, parser, need, size: int, size_flag: str):
 
 # -- commands -----------------------------------------------------------------
 
+def _write_row(write, head: str, row, cell: str, tail: str, per_write: int) -> float:
+    """Write `head`, then the entries of `row` by the `cell` template, the last by `tail`.
+
+    Each ``%``-format call renders `per_write` entries, and each write is at
+    most ``_WRITE_BYTES`` long, even for a single entry wider than that.
+    Returns the bytes per entry of the densest piece.
+    """
+    densest = 0.0
+    full = cell * per_write
+    for i in range(0, len(row), per_write):
+        cells = row[i:i + per_write]
+        template = full if i + per_write < len(row) else cell * (len(cells) - 1) + tail
+        piece = (head + template) % tuple(cells)
+        head = ""
+        densest = max(densest, len(piece) / len(cells))
+        for j in range(0, len(piece), _WRITE_BYTES):
+            write(piece[j:j + _WRITE_BYTES])
+    return densest
+
+
 def _stream_triangle(kind: StirlingKind, n_max: int, fmt: str) -> None:
     """Write rows 0..n_max of the triangle of `kind` to stdout as each is built.
 
-    Each row is one ``%``-format call on a template with one ``%s`` per
-    cell, so the row's text is built once and written once.
+    A row is written in pieces of about half ``_WRITE_BYTES``, each rendered
+    by one ``%``-format call, so the triangle needs memory for one row and
+    one bounded write.  The number of entries in a piece comes from the densest
+    piece of the row before, as a row's entries are at most a few digits
+    wider than those of the row before it.
     """
     write = sys.stdout.write
+    if fmt == "json":
+        cell, tail = '%s","', '%s"]}'
+    else:
+        cell, tail = ("%s," if fmt == "csv" else "%s "), "%s\n"
+    per_write = 1
     with decimal.localcontext(EXACT_INTEGERS):
-        rows = enumerate(stirling_rows(kind, n_max, decimal.Decimal(1)))
+        for n, row in enumerate(stirling_rows(kind, n_max, decimal.Decimal(1))):
+            head = '%s{"n":%s,"row":["' % ("," if n else "[", n) if fmt == "json" else cell % n
+            densest = _write_row(write, head, row, cell, tail, per_write)
+            per_write = max(1, int(_WRITE_BYTES / 2 // densest))
         if fmt == "json":
-            lead = "["
-            for n, row in rows:
-                write(('%s{"n":%s,"row":["' + '%s","' * n + '%s"]}') % (lead, n, *row))
-                lead = ","
             write("]\n")
-        else:
-            cell = "%s," if fmt == "csv" else "%s "
-            for n, row in rows:
-                write((cell * (n + 1) + "%s\n") % (n, *row))
 
 
 def _cmd_table(args, parser) -> int:

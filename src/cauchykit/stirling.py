@@ -4,8 +4,8 @@ Each kind has one recurrence, ``next_row``, which builds row n from row
 n-1 in any ring that holds the integers: Python ints for the memo tables,
 exact ``decimal.Decimal`` integers for the CLI, which renders them in
 linear time.  ``stirling_rows`` walks the recurrence and keeps only the
-current row; it builds the ring's small integers once, so no entry
-converts an int into the ring.
+current row; it builds each of the ring's small integers once, one per
+row, so no entry converts an int into the ring.
 
 Triangles are filled row by row and memoised, one table per kind, so dense
 sweeps cost amortised O(1) per query.  Indices outside the triangle
@@ -80,13 +80,16 @@ def stirling_rows(kind: StirlingKind, n_max: int, one=1) -> Iterator[list]:
     """Rows 0..n_max of the triangle of `kind`, with entries in the ring of `one`.
 
     Only the current row is kept, and the memo tables are not touched.
+    The ring's integers grow by one per row, so the first rows cost the
+    same whatever `n_max` is.
     """
-    ints = [one * j for j in range(n_max)]
+    ints = [one - one]
     row = [one]
     yield row
     for _ in range(n_max):
         row = next_row(kind, row, ints)
         yield row
+        ints.append(ints[-1] + one)
 
 
 # Every row below this is held: the verifier reads S(n, l) term by term at

@@ -448,7 +448,11 @@ def old_triangle_output(family, n_max, fmt):
     return "\n".join(sep.join(row) for row in rows) + "\n"
 
 
-@pytest.mark.parametrize("n_max", [0, 1, 2, 37, 150])
+# Rows 170 of stirling1 and 188 of stirling2 (169 and 187 in json) are the
+# first written in more than one piece; the n_max values around them cover
+# the last row before that edge, the edge itself and the rows after it.
+@pytest.mark.parametrize("n_max", [0, 1, 2, 37, 150, 168, 169, 170, 171,
+                                   186, 187, 188, 189])
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 @pytest.mark.parametrize("family", ["stirling1", "stirling2"])
 def test_streamed_triangle_matches_int_rendering(capsys, family, fmt, n_max):
@@ -456,6 +460,83 @@ def test_streamed_triangle_matches_int_rendering(capsys, family, fmt, n_max):
                         "--n-max", str(n_max), "--format", fmt)
     assert code == 0
     assert out == old_triangle_output(family, n_max, fmt)
+
+
+class RecordingStdout:
+    """Stands in for stdout and keeps every write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def row_ends(writes):
+    """The indices of the writes that end a streamed triangle row."""
+    return [i for i, w in enumerate(writes) if w.endswith(("\n", "}"))]
+
+
+@pytest.mark.parametrize("family, fmt, first_split", [
+    ("stirling1", "text", 170), ("stirling1", "csv", 170), ("stirling1", "json", 169),
+    ("stirling2", "text", 188), ("stirling2", "csv", 188), ("stirling2", "json", 187),
+])
+def test_chunk_edges_are_where_rows_first_split(monkeypatch, family, fmt, first_split):
+    # keeps the n_max values around the edge in the matching test meaningful
+    sink = RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert cli.main(["table", "--family", family, "--n-max", "190", "--format", fmt]) == 0
+    ends = row_ends(sink.writes)
+    pieces = [b - a for a, b in zip([-1, *ends], ends)]
+    assert pieces[first_split] > 1 and set(pieces[:first_split]) == {1}
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("family", ["stirling1", "stirling2"])
+def test_large_triangle_is_written_in_bounded_pieces(monkeypatch, family, fmt):
+    # a write over 128 KiB, or its encoded copy, is an mmap that glibc
+    # unmaps on free, so the heap would be refaulted row after row
+    sink = RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert cli.main(["table", "--family", family, "--n-max", "600", "--format", fmt]) == 0
+    assert max(map(len, sink.writes)) <= 1 << 16
+    assert len(row_ends(sink.writes)) == 601 + (fmt == "json")
+
+
+def synthetic_rows(widths):
+    """Rows 0..len(widths)-1 of n+1 entries each, every entry of row n `widths[n]` digits."""
+    def rows(kind, n_max, one):
+        assert n_max == len(widths) - 1
+        for n, width in enumerate(widths):
+            yield [Decimal("9" * width) * one] * (n + 1)
+    return rows
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("widths", [[5000] * 40, [5000 + 25 * n for n in range(40)],
+                                    [70_000] * 3],
+                         ids=["5000 digits", "growing from 5000 digits", "70000 digits"])
+def test_wide_rows_are_written_in_bounded_pieces(monkeypatch, fmt, widths):
+    sink = RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", sink)
+    monkeypatch.setattr(cli, "stirling_rows", synthetic_rows(widths))
+    cli._stream_triangle(StirlingKind.SECOND, len(widths) - 1, fmt)
+    assert max(map(len, sink.writes)) <= 1 << 16
+    rows = [["9" * width] * (n + 1) for n, width in enumerate(widths)]
+    if fmt == "json":
+        expected = json.dumps([{"n": n, "row": row} for n, row in enumerate(rows)],
+                              separators=(",", ":")) + "\n"
+    else:
+        sep = "," if fmt == "csv" else " "
+        expected = "".join(sep.join([str(n), *row]) + "\n" for n, row in enumerate(rows))
+    assert "".join(sink.writes) == expected
+    if widths[0] < 1 << 16:
+        # each piece is sized from the row before, so none splits an entry
+        assert not any(w[-1].isdigit() for w in sink.writes)
 
 
 class HashingStdout:

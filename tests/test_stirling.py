@@ -4,6 +4,7 @@ import decimal
 import random
 import sys
 import threading
+import tracemalloc
 from decimal import Decimal
 from math import comb, factorial
 
@@ -298,6 +299,22 @@ def test_a_walk_reads_the_one_recurrence(monkeypatch, kind):
                         lambda k, prev, ints: [v + 1 for v in sound(k, prev, ints)])
     assert all(table.value(301, l) != reference[301][l] for l in range(302))
     assert [table.value(300, l) for l in range(301)] == reference[300]
+
+
+@pytest.mark.parametrize("kind", list(StirlingKind))
+def test_first_rows_cost_the_same_whatever_n_max(kind):
+    # the ring's integers grow with the rows, so a triangle streamed to a
+    # reader that stops early never holds n_max of them
+    with decimal.localcontext(EXACT_INTEGERS):
+        tracemalloc.start()
+        try:
+            rows = stirling_rows(kind, 200_000, Decimal(1))
+            first = [next(rows) for _ in range(3)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert first == list(stirling_rows(kind, 2))
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("kind", list(StirlingKind))
