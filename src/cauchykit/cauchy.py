@@ -40,11 +40,11 @@ from __future__ import annotations
 
 import enum
 import threading
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
 from operator import mul
-from typing import Sequence
 
 from .bernoulli import bernoulli_hi_poly
 from .polynomial import Polynomial, _over_common_denominator, falling_factorial

@@ -34,7 +34,6 @@ is lifted while those render, so large values print in full.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import decimal
 import json
 import os
@@ -257,7 +256,7 @@ def _parse_grid(text: str | None, values: dict, parser):
                 values[_GRID_KEYS[key]] = _ascii_int(raw)
             except argparse.ArgumentTypeError:
                 parser.error(f"bad --grid value {raw!r}")
-    return dataclasses.replace(DEFAULT_GRID, **values)
+    return DEFAULT_GRID._replace(**values)
 
 
 def _unique_keys(pairs: list) -> dict:

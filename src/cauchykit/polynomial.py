@@ -36,14 +36,14 @@ the first kind.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
 
 from .rational import _as_fraction
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 
 def _over_common_denominator(cs: Sequence[Fraction]) -> tuple[list[int], int]:

@@ -45,10 +45,10 @@ number sequences throughout the package.
 from __future__ import annotations
 
 import threading
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import mul
-from typing import Callable, Iterable, Sequence
 
 from .polynomial import (Polynomial, _Numerators, _as_ratio, _convolve, _lowest_terms,
                          _over_common_denominator)

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import enum
 import threading
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 
 class StirlingKind(enum.Enum):

@@ -13,8 +13,11 @@ holds on every case (the report keeps the printed-form counterexamples),
 "true under the obvious fix" and to hide neither outcome.
 
 Reports are plain data: deterministic, JSON-serialisable, byte-stable
-across runs for a fixed grid.  Checks are independent of each other and of
-execution order.  The registry's keys define the check ids, ``CheckId``.
+across runs for a fixed grid.  ``Grid``, ``Counterexample`` and
+``TheoremReport`` are immutable ``collections.namedtuple`` subclasses, so
+each compares, hashes and unpacks as the plain tuple of its fields: a
+``Grid`` equals ``(n_max, k_max, alpha_max, x_samples)``.  Checks are
+independent of each other and of execution order.  The registry's keys define the check ids, ``CheckId``.
 Every check sweeps n = 0..n_max, so a grid with n_max < 0 is vacuous: each
 check reports zero cases.  Both sides of a check may share the arithmetic
 layer and nothing above it: the sums of T5, T8, T9, T10, T13 and EQ58 all
@@ -27,11 +30,11 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, fields
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from functools import partial
 from math import comb, factorial, lcm, perm
-from typing import Callable, Iterable, Iterator
 
 from .bernoulli import bernoulli_hi_poly
 from .cauchy import (
@@ -76,15 +79,14 @@ TAG_SIGN_FIRST_KIND = "first-kind umbral expansion sign (-1)^(k-m) read as (-1)^
 TAG_POLYC_INDEX = "defining-integral index m read as n"
 
 
-@dataclass(frozen=True)
-class Grid:
-    """Parameter ranges swept by a check; negative bounds give empty ranges."""
+class Grid(namedtuple("Grid", "n_max k_max alpha_max x_samples", defaults=(
+        15, 4, 3, (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3, 7))))):
+    """Parameter ranges swept by a check; negative bounds give empty ranges.
 
-    n_max: int = 15
-    k_max: int = 4
-    alpha_max: int = 3
-    x_samples: tuple[Fraction, ...] = (
-        Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3, 7))
+    ``x_samples`` is a tuple of ``Fraction`` points.
+    """
+
+    __slots__ = ()
 
     def ns(self) -> range:
         return range(0, self.n_max + 1)
@@ -99,21 +101,22 @@ class Grid:
 DEFAULT_GRID = Grid()
 
 
-@dataclass(frozen=True)
-class Counterexample:
-    params: dict
-    lhs: str
-    rhs: str
+class Counterexample(namedtuple("Counterexample", "params lhs rhs")):
+    """One failing case: its parameter dict and both sides as canonical text."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TheoremReport:
-    id: CheckId
-    grid: Grid
-    status: str
-    cases_checked: int
-    counterexamples: tuple[Counterexample, ...] = ()
-    corrected_reading: str | None = None
+class TheoremReport(namedtuple("TheoremReport", "id grid status cases_checked "
+                               "counterexamples corrected_reading", defaults=((), None))):
+    """One check's outcome: its ``CheckId``, ``Grid``, status and case count.
+
+    ``counterexamples`` is a tuple of at most five ``Counterexample``s of the
+    printed form; ``corrected_reading`` is the tag of the reading that made
+    the check pass, or ``None``.
+    """
+
+    __slots__ = ()
 
     @property
     def vacuous(self) -> bool:
@@ -464,21 +467,18 @@ def _cases_polyc(grid: Grid) -> Iterator[Case]:
                        poly_cauchy_poly2(n, k, z), product_integrate(second, k))
 
 
-@dataclass(frozen=True)
-class _Check:
+class _Check(namedtuple("_Check", "cases correction structural", defaults=(None, None))):
     """One registry entry: how a check's cases are built, and its readings.
 
-    The statement checked is the docstring of ``cases``.  ``correction``
-    tags the corrected reading that the 4-tuple cases carry; it is reported
-    only when the printed form fails.  ``structural`` tags a reading
-    applied before anything can run, because the printed form is not
-    executable (an unbound index); such a check never reports a plain
-    pass.  Each reading is an evident-typo fix, never a silent repair.
+    ``cases(grid)`` yields the check's cases; the statement checked is its
+    docstring.  ``correction`` tags the corrected reading that the 4-tuple
+    cases carry; it is reported only when the printed form fails.
+    ``structural`` tags a reading applied before anything can run, because
+    the printed form is not executable (an unbound index); such a check
+    never reports a plain pass.  Each reading is an evident-typo fix, never a silent repair.
     """
 
-    cases: Callable[[Grid], Iterator[Case]]
-    correction: str | None = None
-    structural: str | None = None
+    __slots__ = ()
 
 
 _REGISTRY: dict[str, _Check] = {
@@ -554,22 +554,27 @@ def suite_exit_code(reports: Iterable[TheoremReport]) -> int:
     return 1 if any(r.status == FAIL for r in reports) else 0
 
 
-def _json_field(value):
-    """The JSON form of a value that ``json`` cannot write itself.
+def _report_json(report: TheoremReport) -> dict:
+    """A report as JSON data, its fields in declaration order.
 
-    A report, grid or counterexample is its fields in declaration order,
-    ``None`` ones left out; a ``CheckId`` is its value and a ``Fraction``
-    its canonical text.
+    A ``None`` field is left out, the ``CheckId`` is its value and each
+    ``Fraction`` its canonical text.
     """
-    if isinstance(value, CheckId):
-        return value.value
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    return {f.name: v for f in fields(value) if (v := getattr(value, f.name)) is not None}
+    grid = report.grid
+    obj = {"id": report.id.value,
+           "grid": {"n_max": grid.n_max, "k_max": grid.k_max, "alpha_max": grid.alpha_max,
+                    "x_samples": [format_rational(x) for x in grid.x_samples]},
+           "status": report.status,
+           "cases_checked": report.cases_checked,
+           "counterexamples": [{"params": ce.params, "lhs": ce.lhs, "rhs": ce.rhs}
+                               for ce in report.counterexamples]}
+    if report.corrected_reading is not None:
+        obj["corrected_reading"] = report.corrected_reading
+    return obj
 
 
 def reports_to_json(reports: Iterable[TheoremReport]) -> str:
-    return json.dumps(list(reports), default=_json_field, separators=(",", ":"))
+    return json.dumps([_report_json(r) for r in reports], separators=(",", ":"))
 
 
 def reports_to_text(reports: Iterable[TheoremReport]) -> str:

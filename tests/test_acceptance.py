@@ -5,7 +5,6 @@ criterion with timings.  All tolerances are exact rational equality; grids
 are the stated ones, pinned here.
 """
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -262,7 +261,7 @@ def test_criterion_7_cli_contract():
 
         original = verifier_module._CHECKS[CheckId.T1]
         try:
-            verifier_module._CHECKS[CheckId.T1] = dataclasses.replace(original, cases=broken)
+            verifier_module._CHECKS[CheckId.T1] = original._replace(cases=broken)
             sink = io.StringIO()
             with contextlib.redirect_stdout(sink):
                 code = cli_module.main(["verify", "--checks", "T1"])

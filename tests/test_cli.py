@@ -1,7 +1,6 @@
 """CLI contract: exact output strings, formats, exit codes."""
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -210,7 +209,7 @@ def test_verify_exit_one_on_failure(capsys, monkeypatch):
         yield {"n": 0}, 0, 1
 
     monkeypatch.setitem(verifier._CHECKS, CheckId.T1,
-                        dataclasses.replace(verifier._CHECKS[CheckId.T1], cases=broken))
+                        verifier._CHECKS[CheckId.T1]._replace(cases=broken))
     code, out = run_cli(capsys, "verify", "--checks", "T1")
     assert code == 1
     assert "FAIL" in out

@@ -1,6 +1,5 @@
 """Verifier behaviour: statuses, corrected readings, reports, determinism."""
 
-import dataclasses
 import json
 import pickle
 import sys
@@ -242,7 +241,7 @@ def test_a_counterexample_past_the_int_text_limit_is_reported_in_full(monkeypatc
         yield {"n": 0}, Fraction(10 ** 5000), Fraction(0)
 
     monkeypatch.setitem(verifier._CHECKS, CheckId.T1,
-                        dataclasses.replace(verifier._CHECKS[CheckId.T1], cases=huge))
+                        verifier._CHECKS[CheckId.T1]._replace(cases=huge))
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     report = verify(CheckId.T1, SMALL)
     assert report.status == FAIL
