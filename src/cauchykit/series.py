@@ -337,11 +337,9 @@ def _unit_power(over_t: Callable[[int], PowerSeries], e: int, order: int) -> Pow
     request at or below the held order returns the held series.  A miss
     builds at max(order, twice the held order), so a sweep up to order N
     builds O(log N) series per e, and a first fill is built at exactly the
-    order asked for.  It builds one division (e >= 2) or product (e <= -2)
-    by f/t when the power next towards e = 0 is held that far, and
-    (f/t)^-e otherwise.  ``_POWERS`` grows under its lock, as the Stirling
-    tables do; a reader whose order is held takes no lock.  A non-int e
-    raises ``TypeError``.
+    order asked for.  Every build is (f/t)^-e from a fresh f/t.  ``_POWERS``
+    grows under its lock, as the Stirling tables do; a reader whose order is
+    held takes no lock.  A non-int e raises ``TypeError``.
     """
     if not isinstance(e, int):
         raise TypeError(f"the exponent must be an int: {e!r}")
@@ -351,14 +349,7 @@ def _unit_power(over_t: Callable[[int], PowerSeries], e: int, order: int) -> Pow
             held = _POWERS.get((over_t, e))
             if held is None or held.order < order:
                 order = order if held is None else max(order, 2 * held.order)
-                step = (e > 1) - (e < -1)  # +-1 when |e| >= 2; -1, 0, 1 are built directly
-                near = _POWERS.get((over_t, e - step)) if step else None
-                if near is None or near.order < order:
-                    held = over_t(order) ** -e
-                elif step > 0:
-                    held = near / over_t(order)
-                else:
-                    held = near * over_t(order)
+                held = over_t(order) ** -e
                 _POWERS[over_t, e] = held
     return held
 

@@ -1,6 +1,6 @@
 """The memos grown under a lock: the table of unit powers (one series per
-(unit, exponent), read by prefix, built from a held neighbour when it can be),
-the integral-oracle ladder (one list of rounds per key) and the cube-volume
+(unit, exponent), read by prefix, each built as one power of f/t), the
+integral-oracle ladder (one list of rounds per key) and the cube-volume
 table (one int row per k).
 
 Bernoulli and both Cauchy kinds read their generating functions as powers of
@@ -37,6 +37,7 @@ from cauchykit.cauchy import (
 from cauchykit.polynomial import Polynomial
 from cauchykit.series import (PowerSeries, bernoulli_gf, cauchy1_gf, cauchy2_gf, egf_coeff,
                               one_series)
+from cauchykit.verifier import run_suite
 
 
 def bernoulli_numbers(n: int, alpha: int) -> list[Fraction]:
@@ -121,6 +122,15 @@ def test_a_sweep_builds_few_series_per_key(builds):
             assert {key[:2] for key in builds[before:]} == {(unit.over_t, e)}
 
 
+def test_a_cold_default_verify_builds_83_powers(builds):
+    # the unit-power traffic of the headline run: a change that moves it says so
+    run_suite()
+    assert Counter(over_t for over_t, _, _ in builds) == {
+        series._expm1_over_t: 43, series._log1p_over_t: 20,
+        series._one_plus_t_log1p_over_t: 20}
+    assert max(order for _, _, order in builds) <= 30
+
+
 def test_first_fill_is_built_at_the_order_asked_for(builds):
     for unit in UNITS:
         unit.numbers(60, 2)
@@ -146,47 +156,32 @@ def test_cauchy_values_across_a_growth_step_equal_an_exact_build(cold_memos, kin
     assert_a_growth_step_equals_an_exact_build(BY_KIND[kind], k)
 
 
-def test_neighbour_builds_equal_exact_builds(builds):
-    # every exponent read in a shuffled order, so some are built from a held
-    # neighbour and some from scratch, at orders the doubling rule picks
+def test_shuffled_reads_equal_exact_builds(cold_memos):
+    # every exponent read in a shuffled order, so each key is grown at the
+    # orders the doubling rule picks, among other keys held at other orders
     for unit in UNITS:
         cases = [(n, e) for e in unit.wide for n in range(36)]
         random.Random(24).shuffle(cases)
         for n, e in cases:
             assert unit.numbers(n, e) == exact_numbers(unit, n, e), (unit.name, n, e)
-    by_neighbour = Counter()
-    table = {}
-    for over_t, e, order in builds:
-        step = (e > 1) - (e < -1)
-        near = table.get((over_t, e - step), 0) if step else 0
-        by_neighbour[over_t, near >= order] += 1
-        table[over_t, e] = order
-    assert all(by_neighbour[unit.over_t, True] and by_neighbour[unit.over_t, False]
-               for unit in UNITS)
 
 
-def test_a_held_neighbour_builds_without_the_builder(monkeypatch, cold_memos):
-    # a neighbour held far enough gives one division or product by f/t, no power
+def test_a_miss_builds_one_power_of_a_fresh_unit(monkeypatch, cold_memos):
+    # a miss at held order h raises f/t at max(order, 2h) to -e, whatever
+    # else is held; a negative power inverts first and then raises to e
     powers = []
     original = PowerSeries.__pow__
     monkeypatch.setattr(PowerSeries, "__pow__",
                         lambda self, e: powers.append((self.order, e)) or original(self, e))
     for unit in UNITS:
-        for e in (2, -2):
-            series._unit_power(unit.over_t, e, 10)               # held at order 10
-        powers.clear()
-        for e, order in ((3, 10), (-3, 10), (4, 6)):             # 4 from 3, held at 10 >= 6
+        for e in (2, 3, -2, -3):
+            series._unit_power(unit.over_t, e, 10)                # held at order 10
+        for e, order, built in ((3, 12, 20), (-3, 12, 20), (4, 6, 6), (4, 21, 21), (4, 30, 42)):
+            powers.clear()
             series._unit_power(unit.over_t, e, order)
-        assert not powers, unit.name
-        series._unit_power(unit.over_t, 5, 21)                   # 4 is held only to order 6
-        assert powers[0] == (21, -5)
-        assert series._POWERS[unit.over_t, 4].order == 6
-    for kind in CauchyKind:                                      # through the public path
-        cauchy_hi_numbers(kind, 9, 1)
-        cauchy_hi_numbers(kind, 9, 2)
-        powers.clear()
-        cauchy_hi_numbers(kind, 9, 3)
-        assert not powers
+            assert powers[0] == (built, -e), (unit.name, e, order)
+            assert powers[1:] == ([(built, e)] if e > 0 else []), (unit.name, e, order)
+            assert series._POWERS[unit.over_t, e].order == built
 
 
 def test_order_zero_takes_no_division(monkeypatch, cold_memos):
@@ -231,8 +226,8 @@ def test_an_inexact_key_raises_before_the_memo_is_read(cold_memos):
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 40)), min_size=1, max_size=12))
 def test_any_request_sequence_reads_the_exact_power(unit, requests):
-    # whatever is held, and whichever neighbour a build reads, a request at
-    # order N reads (f/t)^-e to N terms
+    # whatever is held, and at whatever order the doubling rule builds, a
+    # request at order N reads (f/t)^-e to N terms
     clear_caches()
     for e, order in requests:
         power = series._unit_power(unit.over_t, e, order)

@@ -202,6 +202,24 @@ def test_reports_are_deterministic():
     assert first == second
 
 
+def test_a_check_reads_the_same_alone_as_in_the_suite():
+    # checks are independent of each other and of execution order: from cold
+    # memos, each check run alone and the suite run backwards report what the
+    # suite reports, although each fills the memos in its own order
+    grid = Grid(n_max=8, k_max=3, alpha_max=2)
+    clear_caches()
+    suite = reports_to_json(run_suite(grid))
+    alone = []
+    for cid in CheckId:
+        clear_caches()
+        alone.append(verify(cid, grid))
+    clear_caches()
+    backwards = [verify(cid, grid) for cid in reversed(CheckId)]
+    clear_caches()
+    assert reports_to_json(alone) == suite
+    assert reports_to_json(reversed(backwards)) == suite
+
+
 def test_t13_reading_stable_across_alpha_ranges():
     for alpha_max in (1, 2, 3):
         report = verify(CheckId.T13, Grid(n_max=5, k_max=2, alpha_max=alpha_max))
