@@ -33,7 +33,7 @@ The GF_COEFF path reads the kind's EGF to the power k from the table of unit
 powers, ``series._unit_power``, as ``bernoulli`` reads its orders alpha.  The
 oracles climb one ladder per (kind, n), ``_LADDER``; ``_poly_cauchy_moments``
 holds one z-polynomial per (kind, n, k); ``_VOLUMES`` holds the cube volumes,
-one int row per k; ``clear_caches`` empties every memo.
+one row per k of S2-sized ints over C(l+k, l); ``clear_caches`` empties every memo.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import threading
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, lcm
 from operator import mul
 
 from .bernoulli import bernoulli_hi_poly
@@ -236,7 +236,7 @@ def poly_cauchy_poly2(n: int, k: int, z: Fraction) -> Fraction:
 
 # -- higher-order numbers ----------------------------------------------------------
 
-# row j holds E(0,j), E(1,j), ...: the cube volumes V(m,j) scaled by (m+j)!/m!
+# row j holds E(0,j), E(1,j), ...: the cube volumes V(m,j) scaled by C(m+j, m)
 _VOLUMES: list[list[int]] = []
 _VOLUMES_LOCK = threading.Lock()
 
@@ -249,10 +249,10 @@ def _sum_power_volume(l: int, k: int) -> Fraction:
     sum_{l_1+...+l_k = l} multinomial(l; parts) / ((l_1+1)...(l_k+1)),
     a k-fold binomial convolution: split off the last part,
     V(l,k) = sum_j C(l,j) V(j,k-1) / (l-j+1), with V(l,0) = [l = 0].
-    Scaled by (l+k)!/l! every V is an integer E(l,k) = sum_j C(l+k, l-j+1)
-    E(j,k-1).  Row k of ``_VOLUMES`` needs only row k-1, so one table
-    serves every k: a miss extends rows 0..k to width l+1 under the lock,
-    O(k l) entries of O(l) int steps, and a read of a built entry takes no lock.
+    Scaled by C(l+k, l) every V is an int E(l,k) = S2(l+k, k), O(l log k) bits:
+    E(l,k) = sum_j C(l+k, l-j+1) E(j,k-1) / k, exactly.  Row k of ``_VOLUMES``
+    needs only row k-1, so one table serves every k: a miss extends rows 0..k
+    to width l+1 under the lock, O(k l) entries of O(l) int steps; a built entry reads lock-free.
     """
     try:
         volume = _VOLUMES[k][l]
@@ -261,11 +261,11 @@ def _sum_power_volume(l: int, k: int) -> Fraction:
             _VOLUMES.extend([] for _ in range(k + 1 - len(_VOLUMES)))
             for j, row in enumerate(_VOLUMES[:k + 1]):
                 for m in range(len(row), l + 1):
-                    row.append(sum(comb(m + j, m - i + 1) * prev[i] for i in range(m + 1))
+                    row.append(sum(comb(m + j, m - i + 1) * prev[i] for i in range(m + 1)) // j
                                if j else int(m == 0))
                 prev = row
         volume = row[l]
-    return Fraction(volume * factorial(l), factorial(l + k))
+    return Fraction(volume, comb(l + k, l))
 
 
 def _hi_gf(kind: CauchyKind, k: int, order: int) -> PowerSeries:

@@ -373,8 +373,8 @@ def connection_coeffs(base: PowerSeries, step: PowerSeries, n_max: int) -> list[
 
     Expanding the (g, f) Sheffer sequence in the (h, l) one, s_n(x) =
     sum_m C[n][m] q_m(x), takes base = h(fbar)/g(fbar) and step = l(fbar),
-    with fbar the compositional inverse of f.  The caller composes, so one
-    that connects several pairs sharing f reverts f once.
+    with fbar the compositional inverse of f.  The caller composes, a ring
+    homomorphism of truncated series: pairs sharing f revert it once and compose u, not u^k.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")

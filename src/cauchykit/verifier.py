@@ -64,7 +64,6 @@ from .series import (
     log1p_series,
     one_minus_exp_neg_series,
     one_series,
-    sheffer_polys,
     t_series,
 )
 from .stirling import StirlingKind, stirling1_signed, stirling2
@@ -311,18 +310,21 @@ def _cases_umbral(grid: Grid, weights_of: Callable[[tuple, int], Polynomial]) ->
                    weights.shift(-k), cauchy_hi_poly2(n, k))
 
 
-def _sheffer_pair(kind: CauchyKind, order: int, k: int) -> tuple[PowerSeries, PowerSeries]:
-    """The printed Sheffer pair (g, f) of the kind's polynomials, f at `order`.
+def _sheffer_frame(kind: CauchyKind, order: int) -> tuple[PowerSeries, PowerSeries]:
+    """(1/u(fbar), fbar) for the kind's printed Sheffer pair (u^k, f), f at `order`.
 
-    ((t/(1-e^-t))^k, e^-t - 1) for the first kind (EQ52; EQ58 applies its
-    g as an operator) and ((te^t/(e^t-1))^k, e^t - 1) for the second (EQ53;
-    T13 connects it to the Bernoulli polynomials).
+    ((t/(1-e^-t))^k, e^-t - 1) for the first kind (EQ52) and ((te^t/(e^t-1))^k,
+    e^t - 1) for the second (EQ53, T13).  f is reverted once and u composed
+    once for every k: composing with fbar is a ring homomorphism of truncated
+    series, so 1/g(fbar) = (1/u(fbar))^k exactly, at the same order.
     """
     if kind is CauchyKind.FIRST:
         unit = t_series(order + 1) / one_minus_exp_neg_series(order + 1)
-        return unit ** k, -one_minus_exp_neg_series(order)
-    unit = (t_series(order) * (expm1_series(order) + 1)) / expm1_series(order + 1)
-    return unit ** k, expm1_series(order)
+        fbar = (-one_minus_exp_neg_series(order)).revert()
+    else:
+        unit = (t_series(order) * (expm1_series(order) + 1)) / expm1_series(order + 1)
+        fbar = expm1_series(order).revert()
+    return 1 / unit.compose(fbar), fbar
 
 
 def _t13_coefficients(n_max: int, k: int, alpha: int,
@@ -348,18 +350,14 @@ def _cases_t13(grid: Grid) -> Iterator[Case]:
     resums with B_n^(alpha), the corrected one with B_m^(alpha).
     """
     order = grid.n_max + 2
-    # Every second-kind pair has f = e^t - 1, so f is reverted once per grid,
-    # each g and each Bernoulli h is composed with fbar once, and the
-    # Bernoulli delta series l = t composes to fbar itself.
-    fbar = expm1_series(order).revert()
-    g_of_fbar = {k: _sheffer_pair(CauchyKind.SECOND, order, k)[0].compose(fbar)
-                 for k in grid.ks()}
+    inverse, fbar = _sheffer_frame(CauchyKind.SECOND, order)
+    h_of_fbar = (expm1_series(order + 1) / t_series(order + 1)).compose(fbar)
     s1 = [[stirling1_signed(j, m) for m in range(j + 1)] for j in grid.ns()]
     for alpha in grid.alphas():
         bases = [bernoulli_hi_poly(m, alpha) for m in grid.ns()]
-        h_of_fbar = ((expm1_series(order + 1) / t_series(order + 1)) ** alpha).compose(fbar)
+        h_alpha = h_of_fbar ** alpha
         for k in grid.ks():
-            matrix = connection_coeffs(h_of_fbar / g_of_fbar[k], fbar, grid.n_max)
+            matrix = connection_coeffs(h_alpha * inverse ** k, fbar, grid.n_max)
             coefficients = _t13_coefficients(grid.n_max, k, alpha, s1)
             for n in grid.ns():
                 row = coefficients[n]
@@ -418,10 +416,11 @@ def _cases_sheffer(grid: Grid, kind: CauchyKind) -> Iterator[Case]:
     EQ53: second-kind polynomials are the Sheffer sequence for ((te^t/(e^t-1))^k, e^t-1).
     """
     poly = cauchy_hi_poly1 if kind is CauchyKind.FIRST else cauchy_hi_poly2
+    inverse, fbar = _sheffer_frame(kind, grid.n_max + 2)
     for k in grid.ks():
-        polys = sheffer_polys(*_sheffer_pair(kind, grid.n_max + 2, k), grid.n_max)
+        rows = connection_coeffs(inverse ** k, fbar, grid.n_max)
         for n in grid.ns():
-            yield ({"k": k, "n": n}, polys[n], poly(n, k))
+            yield ({"k": k, "n": n}, Polynomial(rows[n]), poly(n, k))
 
 
 def _apply_series_operator(op: PowerSeries, p: Polynomial) -> Polynomial:
@@ -434,8 +433,9 @@ def _apply_series_operator(op: PowerSeries, p: Polynomial) -> Polynomial:
 
 def _cases_eq58(grid: Grid) -> Iterator[Case]:
     """EQ58: (t/(1-e^-t))^k maps C_n^(k)(x) to the signed rising factorial."""
+    unit = t_series(grid.n_max + 2) / one_minus_exp_neg_series(grid.n_max + 2)
     for k in grid.ks():
-        op, _ = _sheffer_pair(CauchyKind.FIRST, grid.n_max + 1, k)
+        op = unit ** k
         for n in grid.ns():
             signed_rising = rising_factorial(n) * (-1) ** n
             yield ({"k": k, "n": n, "form": "operator"},

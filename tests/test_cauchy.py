@@ -436,6 +436,40 @@ def test_the_volume_table_agrees_with_the_composition_sum_in_any_order():
     assert [len(row) for row in cauchy._VOLUMES] == [9] * 6
 
 
+def test_volumes_equal_the_factorial_scaled_table():
+    # reference: the factorial-scaled table E(l,k) = V(l,k) (l+k)!/l!, from
+    # E(l,k) = sum_j C(l+k, l-j+1) E(j,k-1), which holds k! times each entry
+    cauchy.clear_caches()
+    scaled = [[int(l == 0) for l in range(40)]]
+    for k in range(1, 40):
+        scaled.append([sum(comb(l + k, l - j + 1) * scaled[-1][j] for j in range(l + 1))
+                       for l in range(40)])
+    for k in range(40):
+        for l in range(40):
+            assert cauchy._sum_power_volume(l, k) == F(scaled[k][l] * factorial(l),
+                                                       factorial(l + k)), (l, k)
+    cauchy.clear_caches()
+
+
+def test_each_volume_entry_is_a_second_kind_stirling_number():
+    # V(l,k) C(l+k, l) = S2(l+k, k), though the table never reads a Stirling number
+    cauchy.clear_caches()
+    cauchy._sum_power_volume(15, 15)
+    assert cauchy._VOLUMES == [[stirling.stirling2(l + k, k) for l in range(16)]
+                               for k in range(16)]
+
+
+def test_the_volume_table_grows_linearly_in_k():
+    # rows 0..k at width 4 hold O(k log k) bits: doubling k far less than triples them
+    bits = []
+    for k in (1000, 2000):
+        cauchy.clear_caches()
+        cauchy._sum_power_volume(3, k)
+        bits.append(sum(v.bit_length() for row in cauchy._VOLUMES for v in row))
+    cauchy.clear_caches()
+    assert bits[1] < 3 * bits[0]
+
+
 def test_large_order_needs_no_deep_recursion():
     # the folds, the volume table and the oracle ladder are iterative in k, so
     # k far beyond the recursion limit works

@@ -324,5 +324,7 @@ def test_concurrent_first_use_builds_each_volume_entry_once(monkeypatch, cold_me
         clear_caches()
         combs.clear()
         assert run_in_eight_threads(volume_sweep) == [reference] * 8
-        # entry (m, j), j >= 1, sums m + 1 terms: built once, it reads m + 1 binomials
-        assert len(combs) == sum(m + 1 for m in range(25) for _ in range(1, 6))
+        # entry (m, j), j >= 1, sums m + 1 terms: built once, it reads m + 1 binomials;
+        # each read of a cell by each of the eight sweeps divides by one more
+        assert len(combs) == (sum(m + 1 for m in range(25) for _ in range(1, 6))
+                              + 8 * len(VOLUME_CELLS))

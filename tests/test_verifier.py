@@ -3,6 +3,7 @@
 import json
 import pickle
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -10,9 +11,10 @@ from pathlib import Path
 import pytest
 
 from cauchykit import cauchy, series, verifier
-from cauchykit.cauchy import cauchy_hi_poly1, cauchy_hi_poly2, clear_caches
+from cauchykit.cauchy import CauchyKind, cauchy_hi_poly1, cauchy_hi_poly2, clear_caches
 from cauchykit.polynomial import Polynomial
-from cauchykit.series import PowerSeries
+from cauchykit.series import (PowerSeries, connection_coeffs, expm1_series,
+                              one_minus_exp_neg_series, sheffer_polys, t_series)
 from cauchykit.verifier import (
     FAIL,
     PASS,
@@ -291,6 +293,36 @@ def test_t13_builds_each_connection_matrix_once(monkeypatch):
     assert report.status == PASS_WITH_CORRECTION
     assert len(calls) == DEFAULT_GRID.k_max * DEFAULT_GRID.alpha_max == 12
     assert len(reverts) == 1
+
+
+def test_a_cold_default_verify_reverts_three_times_and_composes_four(monkeypatch):
+    # one reversion per Sheffer frame (EQ52, EQ53, T13) and one composition per
+    # unit: the Cauchy unit in each frame and T13's Bernoulli unit, never one per power
+    calls = []
+    for name in ("revert", "compose"):
+        original = getattr(PowerSeries, name)
+        monkeypatch.setattr(PowerSeries, name, lambda self, *args, _name=name, _original=original:
+                            calls.append(_name) or _original(self, *args))
+    clear_caches()
+    run_suite()
+    assert Counter(calls) == {"revert": 3, "compose": 4}
+
+
+@pytest.mark.parametrize("kind", list(CauchyKind))
+def test_the_sheffer_frame_gives_the_printed_pairs_sequence(kind):
+    # EQ52, EQ53 and T13 read powers of one frame; the public route builds each
+    # printed pair (u^k, f) and reverts and composes it whole
+    order = 14
+    if kind is CauchyKind.FIRST:
+        unit = t_series(order + 1) / one_minus_exp_neg_series(order + 1)
+        f = -one_minus_exp_neg_series(order)
+    else:
+        unit = (t_series(order) * (expm1_series(order) + 1)) / expm1_series(order + 1)
+        f = expm1_series(order)
+    inverse, fbar = verifier._sheffer_frame(kind, order)
+    for k in range(1, 5):
+        rows = connection_coeffs(inverse ** k, fbar, 12)
+        assert [Polynomial(row) for row in rows] == sheffer_polys(unit ** k, f, 12), k
 
 
 def test_verifier_imports_no_private_series_name():
