@@ -21,9 +21,8 @@ so they never walk.  A ``value`` read on a dropped row n walks columns
 l-d..l of the checkpoint n-d (d = n % 4) forward through ``next_row`` on a
 zero-padded band: at most 3 calls on 5 entries, whatever n and l are.  A
 ``row`` read on a dropped row rebuilds it from its checkpoint, or from the
-last row built when that is nearer, and keeps it as the last row built, so
-sequential row reads cost one ``next_row`` step each, and none for the row
-that growth has just built.
+last row that growth built when that is nearer, so reading the row that
+growth has just built takes no ``next_row`` step.  A read stores nothing.
 
 Tables mutate only while growing, and they grow under a per-table lock:
 a ``value`` or ``row`` read whose row already exists takes no lock, and
@@ -110,7 +109,7 @@ class StirlingTable:
     def __init__(self, kind: StirlingKind):
         self.kind = kind
         self.rows: list[list[int] | None] = [[1]]
-        self._last = (0, [1])  # (n, row n): the last row built, held or not
+        self._last = (0, [1])  # (n, row n): the last row growth built, held or not
         self._lock = threading.Lock()
 
     def _grow(self, n: int) -> list[list[int] | None]:
@@ -137,7 +136,6 @@ class StirlingTable:
                 row = rows[m]
             for j in range(m, n):
                 row = next_row(self.kind, row, range(j + 1))
-            self._last = (n, row)
         return row
 
     def _walk(self, rows: list, n: int, l: int) -> int:

@@ -41,12 +41,11 @@ from .cauchy import (
     CauchyKind,
     CauchyMethod,
     cauchy_hi1,
-    cauchy_hi2,
+    cauchy_hi_numbers,
     cauchy_hi_poly1,
     cauchy_hi_poly2,
     cauchy_hi_poly_bridge,
     cauchy_hi_poly_oracle,
-    cauchy_hi_poly_sum,
     poly_cauchy1,
     poly_cauchy2,
     poly_cauchy_poly1,
@@ -162,8 +161,7 @@ def _cases_t2(grid: Grid) -> Iterator[Case]:
 
 def _cases_t3(grid: Grid) -> Iterator[Case]:
     """T3: S2(m+k,k) from binomially weighted first-kind numbers (both displays)."""
-    columns = {k: (_over_common_denominator([cauchy_hi1(n, k, CauchyMethod.GF_COEFF)
-                                             for n in grid.ns()]),
+    columns = {k: (_over_common_denominator(cauchy_hi_numbers(CauchyKind.FIRST, grid.n_max, k)),
                    _over_common_denominator([bernoulli_hi_poly(n, n - k + 1).evaluate(1)
                                              for n in grid.ns()]))
                for k in grid.ks()}
@@ -181,9 +179,10 @@ def _cases_poly_paths(grid: Grid, kind: CauchyKind) -> Iterator[Case]:
 
     T7: second-kind polynomials: triple sum and B_n^(n-k+1)(x-k+1) and the integral.
     """
+    poly = cauchy_hi_poly1 if kind is CauchyKind.FIRST else cauchy_hi_poly2
     for n in grid.ns():
         for k in grid.ks():
-            by_sum = cauchy_hi_poly_sum(kind, n, k)
+            by_sum = poly(n, k)
             yield ({"n": n, "k": k, "form": "bernoulli_bridge"},
                    by_sum, cauchy_hi_poly_bridge(kind, n, k))
             yield ({"n": n, "k": k, "form": "integral_oracle"},
@@ -214,8 +213,7 @@ def _cases_t5(grid: Grid) -> Iterator[Case]:
 
 def _cases_t6(grid: Grid) -> Iterator[Case]:
     """T6: second-kind numbers / S2 resummation identity with (-k) powers."""
-    numbers = {k: _over_common_denominator([cauchy_hi2(m, k, CauchyMethod.GF_COEFF)
-                                            for m in grid.ns()])
+    numbers = {k: _over_common_denominator(cauchy_hi_numbers(CauchyKind.SECOND, grid.n_max, k))
                for k in grid.ks()}
     for n in grid.ns():
         for k in grid.ks():

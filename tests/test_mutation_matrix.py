@@ -118,11 +118,11 @@ ROWS = [
     ("_lowest_terms", polynomial, "_lowest_terms", [series], _undivided,
      " ".join(c.value for c in CheckId)),
     ("_power", _Numerators, "_power", [], _output,
-     "T1 T3 T4 T7 T13 EQ19 EQ28 EQ52 EQ53 EQ58"),
+     "T1 T3 T4 T6 T7 T13 EQ19 EQ28 EQ52 EQ53 EQ58"),
     ("product_integrate", cauchy, "product_integrate", [cauchykit, verifier], _first_input,
      "POLYC_ORACLE"),
     ("_unit_power", series, "_unit_power", [bernoulli, cauchy], _output,
-     "T1 T3 T4 T7 T13 EQ19 EQ28"),
+     "T1 T3 T4 T6 T7 T13 EQ19 EQ28"),
 ]
 
 

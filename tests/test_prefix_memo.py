@@ -122,12 +122,12 @@ def test_a_sweep_builds_few_series_per_key(builds):
             assert {key[:2] for key in builds[before:]} == {(unit.over_t, e)}
 
 
-def test_a_cold_default_verify_builds_83_powers(builds):
+def test_a_cold_default_verify_builds_67_powers(builds):
     # the unit-power traffic of the headline run: a change that moves it says so
     run_suite()
     assert Counter(over_t for over_t, _, _ in builds) == {
         series._expm1_over_t: 43, series._log1p_over_t: 20,
-        series._one_plus_t_log1p_over_t: 20}
+        series._one_plus_t_log1p_over_t: 4}
     assert max(order for _, _, order in builds) <= 30
 
 

@@ -246,6 +246,22 @@ def test_a_held_row_is_read_without_the_lock():
     assert read == [((0, 1, 15, 25, 10, 1), 15)]
 
 
+@pytest.mark.parametrize("kind", list(StirlingKind))
+def test_a_row_read_leaves_the_last_row_where_growth_put_it(kind):
+    # only growth writes the table, under its lock; a read rebuilds a
+    # dropped row and stores nothing
+    reference = old_grow_loop(kind, 303)
+    table = StirlingTable(kind)
+    assert table.row(303) == tuple(reference[303])
+    last = table._last
+    assert last[0] == 303
+    for n in (301, 302, 131, 133):
+        assert table.rows[n] is None
+        assert table.row(n) == tuple(reference[n])
+        assert table._last is last
+    assert table.row(303) == tuple(reference[303])
+
+
 def old_grow_loop(kind, n_max):
     """The int-only table fill that `next_row` replaced, kept as a reference."""
     rows = [[1]]

@@ -409,6 +409,22 @@ def test_oracles_build_each_value_once(monkeypatch):
     assert len(rounds) == cells == 128
 
 
+def test_a_cold_default_verify_sums_each_triple_sum_once(monkeypatch):
+    # every check reads the memoised polynomials, so each (kind, n, k) triple
+    # sum is summed once: 64 per kind, and T13's 48 second-kind ones at
+    # k + alpha > k_max; POLYC's 128 z-polynomials make up the rest
+    clear_caches()
+    moments, sums = [], []
+    original_moments, original_sum = cauchy._shifted_moments, cauchy.cauchy_hi_poly_sum
+    monkeypatch.setattr(cauchy, "_shifted_moments",
+                        lambda *args: moments.append(args[:2]) or original_moments(*args))
+    monkeypatch.setattr(cauchy, "cauchy_hi_poly_sum",
+                        lambda *args: sums.append(args) or original_sum(*args))
+    run_suite()
+    assert len(sums) == len(set(sums)) == 2 * 64 + 48 == 176
+    assert len(moments) == 176 + 128 == 304
+
+
 def test_no_reading_hides_a_bug(monkeypatch):
     # at n <= 2 a second-kind formula with S2 in place of the signed S1
     # agrees with the true one, so a fallback reading of that kind would
@@ -424,15 +440,19 @@ def _plus_one(fn):
     return lambda *args: fn(*args) + 1
 
 
+def _each_plus_one(fn):
+    return lambda *args: [value + 1 for value in fn(*args)]
+
+
 def _off_by_one_at_3_2(fn):
     return lambda n, l: fn(n, l) + ((n, l) == (3, 2))
 
 
 @pytest.mark.parametrize("name, corrupt, failing", [
     ("cauchy_hi_poly1", _plus_one,
-     {"T5", "T9", "T10", "L11", "T12", "EQ52", "EQ58", "EQ59_61"}),
+     {"T4", "T5", "T9", "T10", "L11", "T12", "EQ52", "EQ58", "EQ59_61"}),
     ("cauchy_hi_poly2", _plus_one,
-     {"T8", "T9", "T10", "L11", "T12", "T13", "EQ53", "EQ59_61"}),
+     {"T7", "T8", "T9", "T10", "L11", "T12", "T13", "EQ53", "EQ59_61"}),
     ("stirling2", _off_by_one_at_3_2,
      {"T3", "T5", "T6", "T8", "T12", "EQ7", "EQ59_61"}),
     ("stirling1_signed", _off_by_one_at_3_2, {"T13", "EQ6", "EQ58"}),
@@ -444,9 +464,11 @@ def _off_by_one_at_3_2(fn):
     ("_linear_combination", _plus_one, {"T5", "T8", "T9", "T10", "T13", "EQ58"}),
     ("cauchy1_gf", _plus_one, {"EQ19", "EQ28"}),
     ("bernoulli_hi_poly", _plus_one, {"T1", "T3", "T13", "EQ19", "EQ28"}),
+    ("cauchy_hi_numbers", _each_plus_one, {"T3", "T6"}),
 ], ids=["cauchy_hi_poly1", "cauchy_hi_poly2", "stirling2", "stirling1_signed",
         "falling_factorial", "cauchy_hi_poly_bridge", "poly_cauchy_poly1", "poly_cauchy_poly2",
-        "product_integrate", "_linear_combination", "cauchy1_gf", "bernoulli_hi_poly"])
+        "product_integrate", "_linear_combination", "cauchy1_gf", "bernoulli_hi_poly",
+        "cauchy_hi_numbers"])
 def test_each_check_reads_both_of_its_sides(monkeypatch, name, corrupt, failing):
     # a corrupted input must fail every check that reads it on either side;
     # a check whose two sides both came from one path would stay green
