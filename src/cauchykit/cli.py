@@ -29,6 +29,19 @@ tables nor int-to-str conversion, which is quadratic in the number of
 digits.  Python's limit on that conversion (4300 digits by default)
 therefore matters only for ``Fraction``, ``poly`` and ``series`` output; it
 is lifted while those render, so large values print in full.
+
+``verify`` shares its checks among this process and up to one forked worker
+per further CPU it may run on.  The indices of the selected checks fill one
+pipe before the fork, and each process takes the next index from it, so a
+faster process takes more checks.  A worker sends each report back as plain
+``marshal`` data and leaves by ``os._exit``, so it never flushes what it
+inherited; the parent rebuilds the reports, runs itself any check whose
+report did not arrive, and prints them in ``CheckId`` order, so the output
+and exit code are those of ``run_suite``.  A check's memo fills stay in the
+process that ran it.  The suite runs in this process alone when ``os.fork``
+is missing, when there is one CPU or one check, when another thread is alive
+(the fork could copy a memo lock that thread holds), or when a profiler,
+tracer or debugger is attached (it would not see the workers).
 """
 
 from __future__ import annotations
@@ -36,11 +49,14 @@ from __future__ import annotations
 import argparse
 import decimal
 import json
+import marshal
 import os
 import re
 import sys
+import threading
 from functools import partial
 
+from . import verifier
 from .bernoulli import bernoulli_hi_numbers, bernoulli_hi_poly
 from .cauchy import (
     CauchyKind,
@@ -58,6 +74,8 @@ from .stirling import StirlingKind, stirling_rows
 from .verifier import (
     DEFAULT_GRID,
     CheckId,
+    Counterexample,
+    TheoremReport,
     reports_to_json,
     reports_to_text,
     run_suite,
@@ -300,9 +318,113 @@ def _cmd_verify(args, parser) -> int:
             except ValueError:
                 parser.error(f"unknown check id {token!r}; valid: "
                              + ",".join(cid.value for cid in CheckId))
-    reports = run_suite(grid, checks)
+    reports = _run_checks(grid, checks)
     _emit((reports_to_json if args.format == "json" else reports_to_text)(reports))
     return suite_exit_code(reports)
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _watched() -> bool:
+    """Whether a profiler, tracer or debugger is attached; it would not see a forked worker."""
+    monitoring = getattr(sys, "monitoring", None)  # from 3.12 cProfile and coverage may use it
+    return bool(sys.getprofile() or sys.gettrace()
+                or monitoring and any(monitoring.get_tool(i) for i in range(6)))
+
+
+def _take_checks(tasks: int, selected: list, grid) -> dict:
+    """Run each check whose index this process reads from the `tasks` pipe, until it is empty.
+
+    A one-byte read from a pipe is atomic, so each index goes to one process.
+    A check that raises is left out: ``_run_checks`` runs it again in order,
+    so the exception surfaces as it does from ``run_suite``.
+    """
+    reports = {}
+    while index := os.read(tasks, 1):
+        try:
+            reports[index[0]] = verifier.verify(selected[index[0]], grid)
+        except Exception:  # raised again by the rerun
+            pass
+    return reports
+
+
+def _send_reports(tasks: int, out: int, selected: list, grid) -> None:
+    """A worker's work: its reports written to the `out` pipe as ``marshal`` data."""
+    data = marshal.dumps([
+        (i, r.status, r.cases_checked, tuple(map(tuple, r.counterexamples)), r.corrected_reading)
+        for i, r in _take_checks(tasks, selected, grid).items()])
+    view = memoryview(data)
+    while view:
+        view = view[os.write(out, view):]
+
+
+def _read_reports(data: bytes, selected: list, grid) -> dict:
+    """The reports a worker sent as `data`; none if the data is cut short or garbled."""
+    try:
+        return {i: TheoremReport(selected[i], grid, status, cases,
+                                 tuple(Counterexample(*ce) for ce in counterexamples), reading)
+                for i, status, cases, counterexamples, reading in marshal.loads(data)}
+    except (EOFError, ValueError, TypeError, IndexError):
+        return {}
+
+
+def _run_checks(grid, checks) -> list:
+    """``run_suite(grid, checks)``, shared among this process and forked workers.
+
+    One process per CPU takes checks, unless the suite must run here alone
+    (see the module docstring).  Every worker is reaped before this returns;
+    if this process raises or is interrupted, it kills the workers first.
+    """
+    selected = [cid for cid in CheckId if checks is None or cid in checks]
+    workers = min(_cpu_count(), len(selected)) - 1
+    if workers < 1 or not hasattr(os, "fork") or threading.active_count() > 1 or _watched():
+        return run_suite(grid, checks)
+    tasks, fill = os.pipe()
+    os.write(fill, bytes(range(len(selected))))  # one byte per index: the registry has 22 checks
+    os.close(fill)
+    children = {}  # pid -> read end of the pipe its reports come back on
+    received = {}  # pid -> all it sent, read to the end of its pipe
+    try:
+        for _ in range(workers):
+            out_r, out_w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # out of processes: the processes already running take the rest
+                os.close(out_r)
+                os.close(out_w)
+                break
+            if pid == 0:
+                code = 1
+                try:
+                    _send_reports(tasks, out_w, selected, grid)
+                    code = 0
+                finally:
+                    os._exit(code)
+            children[pid] = out_r
+            os.close(out_w)
+        reports = _take_checks(tasks, selected, grid)
+        for pid, fd in children.items():
+            chunks = []
+            while chunk := os.read(fd, 1 << 16):
+                chunks.append(chunk)
+            received[pid] = b"".join(chunks)
+    finally:
+        os.close(tasks)
+        for pid, fd in children.items():
+            os.close(fd)
+            if pid not in received:  # this process raised or was interrupted
+                os.kill(pid, 9)  # SIGKILL; the signal module is not loaded on the CLI path
+            if os.waitpid(pid, 0)[1] != 0:  # it died: whatever it sent may be cut short
+                received.pop(pid, None)
+    for data in received.values():
+        reports.update(_read_reports(data, selected, grid))
+    return [reports[i] if i in reports else verifier.verify(cid, grid)
+            for i, cid in enumerate(selected)]
 
 
 # -- wiring ---------------------------------------------------------------------

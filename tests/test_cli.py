@@ -1,21 +1,25 @@
 """CLI contract: exact output strings, formats, exit codes."""
 
 import argparse
+import cProfile
 import hashlib
 import json
+import marshal
 import os
 import subprocess
 import sys
+import threading
+import time
 from decimal import Decimal, Inexact, Rounded
 from math import factorial
 
 import pytest
 
 import cauchykit
-from cauchykit import bernoulli, cauchy, cli, series, stirling
+from cauchykit import bernoulli, cauchy, cli, series, stirling, verifier
 from cauchykit.rational import format_rational
 from cauchykit.stirling import StirlingKind, StirlingTable, stirling_table
-from cauchykit.verifier import CheckId
+from cauchykit.verifier import CheckId, Grid
 
 
 def run_cli(capsys, *argv):
@@ -231,6 +235,137 @@ def test_verify_grid_overrides_config(tmp_path, capsys):
                         "--grid", "n=5", "--format", "json")
     assert code == 0
     assert json.loads(out)[0]["grid"]["n_max"] == 5
+
+
+# -- verify shares its checks among forked workers ------------------------------------
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids `os.fork` returns while the CLI may run on two CPUs."""
+    pids = []
+    fork = os.fork
+
+    def counting_fork():
+        pids.append(fork())
+        return pids[-1]
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return pids
+
+
+def run_verify(capsys, grid=None, checks=None):
+    """`verify --format json` and `run_suite` on one grid: (exit code, output, expected output).
+
+    Every worker must have been reaped when ``main`` returns.
+    """
+    argv = ["verify", "--format", "json"]
+    argv += [] if grid is None else ["--grid", grid]
+    argv += [] if checks is None else ["--checks", checks]
+    code, out = run_cli(capsys, *argv)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    reports = verifier.run_suite(cli._parse_grid(grid, {}, None),
+                                 None if checks is None else [CheckId(checks)])
+    assert code == verifier.suite_exit_code(reports)
+    return code, out, verifier.reports_to_json(reports) + "\n"
+
+
+@pytest.mark.parametrize("grid", [None, "n=25", "n=2,k=2,alpha=1", "n=0,k=1,alpha=1",
+                                  "n=-1", "n=6,k=0", "n=9,k=3,alpha=2"])
+def test_forked_verify_reports_as_run_suite_does(capsys, forks, grid):
+    code, out, expected = run_verify(capsys, grid)
+    assert len(forks) == 1
+    assert code == 0
+    assert out == expected
+
+
+@pytest.mark.parametrize("fault", ["exits", "sends bad data"])
+def test_checks_a_worker_does_not_report_run_in_the_parent(capsys, monkeypatch, forks, fault):
+    parent = os.getpid()
+    if fault == "exits":
+        verify = verifier.verify
+
+        def exiting_verify(check_id, grid=None):
+            if os.getpid() != parent:
+                os._exit(3)
+            return verify(check_id, grid)
+
+        monkeypatch.setattr(verifier, "verify", exiting_verify)
+    else:
+        def bad_send(tasks, out, selected, grid):
+            cli._take_checks(tasks, selected, grid)
+            os.write(out, marshal.dumps([(0, "pass")]))
+
+        monkeypatch.setattr(cli, "_send_reports", bad_send)
+    code, out, expected = run_verify(capsys, "n=6")
+    assert len(forks) == 1
+    assert (code, out) == (0, expected)
+
+
+def test_a_kernel_corrupted_before_the_fork_fails_alike(capsys, monkeypatch, forks):
+    linear_combination = verifier._linear_combination
+    monkeypatch.setattr(verifier, "_linear_combination",
+                        lambda *args: linear_combination(*args) + 1)
+    code, out, expected = run_verify(capsys, "n=6,k=2,alpha=2")
+    assert len(forks) == 1
+    assert code == 1
+    assert out == expected
+    assert {obj["id"] for obj in json.loads(out) if obj["counterexamples"]} >= {"T5", "T8"}
+
+
+def test_the_first_check_that_raises_raises_from_main(monkeypatch, forks):
+    # as from run_suite, though the worker takes T1 and the CLI process POLYC_ORACLE
+    fork = os.fork
+
+    def fork_then_wait():
+        pid = fork()
+        if pid:
+            time.sleep(0.2)
+        return pid
+
+    def raising(check_id):
+        def cases(grid):
+            raise RuntimeError(f"broken {check_id.value}")
+            yield  # a generator, as every check's `cases` is
+        return cases
+
+    for check_id in (CheckId.T1, CheckId.POLYC_ORACLE):
+        monkeypatch.setitem(verifier._CHECKS, check_id,
+                            verifier._CHECKS[check_id]._replace(cases=raising(check_id)))
+    with pytest.raises(RuntimeError, match="broken T1"):
+        verifier.run_suite(Grid(4))
+    monkeypatch.setattr(os, "fork", fork_then_wait)
+    with pytest.raises(RuntimeError, match="broken T1"):
+        cli.main(["verify", "--grid", "n=4"])
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("why", ["one CPU", "another thread", "cProfile", "one check"])
+def test_verify_runs_in_this_process_alone(capsys, monkeypatch, forks, why):
+    # a forked copy of a thread's held memo lock would never be released, and
+    # a profiler would not see the checks that a worker runs
+    checks = "T1" if why == "one check" else None
+    if why == "one CPU":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    if why == "another thread":
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait, args=(60,))
+        thread.start()
+        try:
+            code, out, expected = run_verify(capsys, "n=4")
+        finally:
+            stop.set()
+            thread.join(10)
+        assert not thread.is_alive()
+    elif why == "cProfile":
+        code, out, expected = cProfile.Profile().runcall(run_verify, capsys, "n=4")
+    else:
+        code, out, expected = run_verify(capsys, "n=4", checks)
+    assert forks == []
+    assert (code, out) == (0, expected)
 
 
 # -- usage errors exit 2 -------------------------------------------------------------
