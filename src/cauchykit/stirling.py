@@ -12,25 +12,26 @@ sweeps cost amortised O(1) per query.  Indices outside the triangle
 (l < 0 or l > n, or n < 0) return 0, matching the over-wide summation
 ranges of the identities verified elsewhere.
 
-A table builds every row but holds row n whole only when n < 128 or n is a
-multiple of 4, its checkpoints; it holds ``None`` for every other row.
-That keeps about a quarter of the full triangle: ``stirling2(1000, 5)``
-peaks at about 66 MB in place of 212 MB.  The prefix of 128 covers the
-verifier's term-by-term reads, which stay at n <= 104 on grids to n = 100,
-so they never walk.  A ``value`` read on a dropped row n walks columns
-l-d..l of the checkpoint n-d (d = n % 4) forward through ``next_row`` on a
-zero-padded band: at most 3 calls on 5 entries, whatever n and l are.  A
-``row`` read on a dropped row rebuilds it from its checkpoint, or from the
-last row that growth built when that is nearer, so reading the row that
-growth has just built takes no ``next_row`` step.  A read stores nothing.
+A table builds every row but holds row n whole only when n < 128, n is a
+multiple of 4 (its checkpoints) or n is the last row built; it holds
+``None`` for every other row.  That keeps about a quarter of the full
+triangle: ``stirling2(1000, 5)`` peaks at about 66 MB in place of 212 MB.
+The prefix of 128 covers the verifier's term-by-term reads, which stay at
+n <= 104 on grids to n = 100, so they never walk.  A read of a dropped row
+n has one walk: columns lo..hi of row n come from columns lo-d..hi of the
+checkpoint n-d (d = n % 4) through ``next_row`` on a zero-padded band.  A
+``value`` read walks the one column l, at most 3 calls on 5 entries
+whatever n and l are; a ``row`` read walks columns 0..n.  A read stores
+nothing.
 
 Tables mutate only while growing, and they grow under a per-table lock:
 a ``value`` or ``row`` read whose row already exists takes no lock, and
 rows are built in full before they are appended, so concurrent first use
 from several threads yields the same triangle as a single-threaded fill.
-A reader that sees ``None`` walks from a checkpoint, which was appended
-before that row.  ``clear`` swaps in a fresh row list and resets the last
-row built to row 0, so a reader keeps the rows it holds.
+Growth drops row m-1 only after it has appended row m, so a reader never
+finds the newest row missing, and a reader that sees ``None`` walks from a
+checkpoint, which was appended before that row and is never dropped.
+``clear`` swaps in a fresh row list, so a reader keeps the rows it holds.
 """
 
 from __future__ import annotations
@@ -103,84 +104,77 @@ _STRIDE = 4
 class StirlingTable:
     """Memoised triangle of Stirling numbers of one kind, grown by `next_row`.
 
-    ``rows[n]`` is row n, or ``None`` for a row that is built but not held.
+    ``rows[n]`` is row n when n < 128, n is a multiple of 4 or n is the last
+    row built, and ``None`` for any other row.  Non-int indices raise
+    ``TypeError``.
     """
 
     def __init__(self, kind: StirlingKind):
         self.kind = kind
         self.rows: list[list[int] | None] = [[1]]
-        self._last = (0, [1])  # (n, row n): the last row growth built, held or not
         self._lock = threading.Lock()
 
     def _grow(self, n: int) -> list[list[int] | None]:
         with self._lock:
             rows = self.rows
-            if len(rows) <= n:
-                row = self._whole(rows, len(rows) - 1)
-                while len(rows) <= n:
-                    m = len(rows)
-                    row = next_row(self.kind, row, range(m))
-                    # [:] drops the spare capacity a built list carries, which
-                    # would otherwise stay for the life of the table
-                    rows.append(row[:] if m < _PREFIX or m % _STRIDE == 0 else None)
-                self._last = (n, row)
+            while len(rows) <= n:
+                m = len(rows)
+                # [:] drops the spare capacity a built list carries, which
+                # would otherwise stay for the life of the table
+                rows.append(next_row(self.kind, rows[-1], range(m))[:])
+                # row m - 1 goes only once row m is in place, so a reader
+                # without the lock never finds the newest row missing
+                if m - 1 >= _PREFIX and (m - 1) % _STRIDE:
+                    rows[m - 1] = None
             return rows
 
-    def _whole(self, rows: list, n: int) -> list[int]:
-        """Row n of `rows`, rebuilt from the nearest row before it when it is not held."""
-        row = rows[n]
-        if row is None:
-            m, row = self._last
-            if not n - n % _STRIDE < m <= n:
-                m = n - n % _STRIDE
-                row = rows[m]
-            for j in range(m, n):
-                row = next_row(self.kind, row, range(j + 1))
-        return row
-
-    def _walk(self, rows: list, n: int, l: int) -> int:
-        """Entry (n, l) of a row that is not held, from columns l-d..l of row n-d."""
+    def _walk(self, rows: list, n: int, lo: int, hi: int) -> list[int]:
+        """Columns lo..hi of row n, from columns lo-d..hi of the checkpoint n-d."""
         d = n % _STRIDE
         m = n - d
-        if d <= l <= m:
-            band = rows[m][l - d:l + 1]
-        else:  # columns outside row m are zero
-            band = [rows[m][j] if 0 <= j <= m else 0 for j in range(l - d, l + 1)]
+        if d <= lo and hi <= m:
+            band = rows[m][lo - d:hi + 1]
+        else:  # columns outside row m are zero ([0] * -j is [])
+            band = [0] * (d - lo) + rows[m][max(lo - d, 0):hi + 1] + [0] * (hi - m)
         # A zero pad ends the band, so `ints` can end in the multiplier r that
         # the first kinds read while the second kind's column multiplier meets
         # the pad.  Each step's row has one entry more: the pad's place holds
         # junk and goes, and the new last entry is a zero pad again.  Entry 0
         # lacks its left neighbour, so after step i entries < i are junk and
-        # the band's last column, l, stays exact.
+        # columns lo..hi stay exact.
         band.append(0)
-        ints = [*range(l - d, l + 1), m]
+        ints = [*range(lo - d, hi + 1), m]
         for r in range(m, n):
             ints[-1] = r
             band = next_row(self.kind, band, ints)
             del band[-2]
-        return band[-2]
+        return band[d:-1]
 
     def value(self, n: int, l: int) -> int:
+        if not (isinstance(n, int) and isinstance(l, int)):
+            raise TypeError(f"n and l must be ints: {n!r}, {l!r}")
         if n < 0 or l < 0 or l > n:
             return 0
         rows = self.rows
         if n >= len(rows):
             rows = self._grow(n)
         row = rows[n]
-        return self._walk(rows, n, l) if row is None else row[l]
+        return self._walk(rows, n, l, l)[0] if row is None else row[l]
 
     def row(self, n: int) -> Sequence[int]:
+        if not isinstance(n, int):
+            raise TypeError(f"n must be an int: {n!r}")
         if n < 0:
             raise ValueError("n must be nonnegative")
         rows = self.rows
         if n >= len(rows):
             rows = self._grow(n)
-        return tuple(self._whole(rows, n))
+        row = rows[n]
+        return tuple(self._walk(rows, n, 0, n) if row is None else row)
 
     def clear(self) -> None:
         with self._lock:
             self.rows = [[1]]
-            self._last = (0, [1])
 
 
 _TABLES = {kind: StirlingTable(kind) for kind in StirlingKind}

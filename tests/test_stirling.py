@@ -6,6 +6,7 @@ import sys
 import threading
 import tracemalloc
 from decimal import Decimal
+from fractions import Fraction
 from math import comb, factorial
 
 import pytest
@@ -177,8 +178,8 @@ def test_compositions_with_many_parts_need_no_deep_recursion():
 
 
 def test_concurrent_first_use_builds_the_same_triangle():
-    # at n = 300, reads of rows that are not held walk or rebuild from a
-    # checkpoint while other threads append past it
+    # at n = 300, reads of rows that are not held walk from a checkpoint
+    # while other threads append past it
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as possible
     errors = []
@@ -247,19 +248,40 @@ def test_a_held_row_is_read_without_the_lock():
 
 
 @pytest.mark.parametrize("kind", list(StirlingKind))
-def test_a_row_read_leaves_the_last_row_where_growth_put_it(kind):
-    # only growth writes the table, under its lock; a read rebuilds a
-    # dropped row and stores nothing
+def test_a_read_stores_nothing(kind):
+    # only growth writes the table, under its lock; a read walks a dropped
+    # row from its checkpoint and keeps nothing it built
     reference = old_grow_loop(kind, 303)
     table = StirlingTable(kind)
     assert table.row(303) == tuple(reference[303])
-    last = table._last
-    assert last[0] == 303
-    for n in (301, 302, 131, 133):
+    held = list(table.rows)
+    for n in (131, 133, 301, 302):
         assert table.rows[n] is None
         assert table.row(n) == tuple(reference[n])
-        assert table._last is last
-    assert table.row(303) == tuple(reference[303])
+        assert [table.value(n, l) for l in range(-1, n + 2)] == [0, *reference[n], 0]
+    assert len(table.rows) == len(held)
+    assert all(now is then for now, then in zip(table.rows, held))
+    assert table.rows == held_layout(reference)
+
+
+@pytest.mark.parametrize("kind", list(StirlingKind))
+def test_a_non_int_index_raises_before_the_table_grows(kind):
+    table = StirlingTable(kind)
+    table.value(5, 0)
+    for n, l in ((3000.0, 2), (3.0, 5), (-1.5, 0), (2, -0.5), (Fraction(3), 5), (4, 2.0)):
+        with pytest.raises(TypeError):
+            table.value(n, l)
+        assert len(table.rows) == 6
+    for n in (3000.0, 3.0, -1.5, Fraction(3)):
+        with pytest.raises(TypeError):
+            table.row(n)
+        assert len(table.rows) == 6
+    for read, n, l in ((stirling2, 3000.0, 2), (stirling2, 3.0, 5), (stirling2, -1.5, 0),
+                       (stirling1_unsigned, 2, -0.5), (stirling2, Fraction(3), 5)):
+        held = [len(stirling_table(k).rows) for k in StirlingKind]
+        with pytest.raises(TypeError):
+            read(n, l)
+        assert [len(stirling_table(k).rows) for k in StirlingKind] == held
 
 
 def old_grow_loop(kind, n_max):
@@ -284,7 +306,9 @@ def old_grow_loop(kind, n_max):
 
 def held_layout(reference):
     """The rows a table holds once grown to the last row of `reference`."""
-    return [row if n < 128 or n % 4 == 0 else None for n, row in enumerate(reference)]
+    last = len(reference) - 1
+    return [row if n < 128 or n % 4 == 0 or n == last else None
+            for n, row in enumerate(reference)]
 
 
 @pytest.mark.parametrize("kind", list(StirlingKind))
@@ -306,15 +330,38 @@ def test_next_row_matches_the_old_grow_loop(kind):
 @pytest.mark.parametrize("kind", list(StirlingKind))
 def test_a_walk_reads_the_one_recurrence(monkeypatch, kind):
     # patched as the mutation matrix patches it, stirling.next_row must reach
-    # a value walked on a row that is not held: the walk keeps no copy of it
-    reference = old_grow_loop(kind, 301)
+    # a value or row walked on a row that is not held: the walk keeps no copy
+    # of it.  Row 301 is dropped once row 302 is built.
+    reference = old_grow_loop(kind, 302)
     table = StirlingTable(kind)
-    table.value(301, 0)
+    table.value(302, 0)
+    assert table.rows[301] is None
     sound = stirling.next_row
     monkeypatch.setattr(stirling, "next_row",
                         lambda k, prev, ints: [v + 1 for v in sound(k, prev, ints)])
     assert all(table.value(301, l) != reference[301][l] for l in range(302))
+    assert all(a != b for a, b in zip(table.row(301), reference[301]))
     assert [table.value(300, l) for l in range(301)] == reference[300]
+    assert table.row(302) == tuple(reference[302])
+
+
+@pytest.mark.parametrize("kind", list(StirlingKind))
+def test_a_band_walk_equals_the_triangle(kind):
+    # columns lo..hi of a dropped row n = m + d walk from columns lo-d..hi of
+    # checkpoint m: bands reaching left of column 0 and right of row m's
+    # width, and the first dropped rows past the prefix
+    reference = old_grow_loop(kind, 263)
+    table = StirlingTable(kind)
+    table.value(263, 0)
+    rows = table.rows
+    for n in (129, 130, 131, 257, 258, 259, 261, 262):
+        d = n % 4
+        assert d and rows[n] is None
+        bands = [(l, l) for l in (0, 1, d - 1, d, d + 1, n // 2, n - d, n - d + 1, n)]
+        bands += [(0, n), (0, d), (d, n), (n - d - 1, n), (2, n - d), (n - d, n - 1), (n, n)]
+        for lo, hi in bands:
+            if 0 <= lo <= hi <= n:
+                assert table._walk(rows, n, lo, hi) == reference[n][lo:hi + 1], (n, lo, hi)
 
 
 @pytest.mark.parametrize("kind", list(StirlingKind))
