@@ -105,8 +105,6 @@ _LADDER_LOCK = threading.Lock()
 
 def _integrand_mean(kind: CauchyKind, n: int, k: int) -> Polynomial:
     """``_cube_mean(_integrand(kind, n), k)``: q_k, each round built once under the lock."""
-    if not (isinstance(n, int) and isinstance(k, int)):
-        raise TypeError(f"n and k must be ints: {n!r}, {k!r}")
     ladder = _LADDER.get((kind, n))
     if ladder is None or len(ladder) <= k:
         with _LADDER_LOCK:
@@ -130,8 +128,10 @@ def product_integrate(p: Polynomial, k: int) -> Fraction:
     of v^m to itself divided by m+1, so k rounds read at v = 1 give the
     closed form sum_m c_m/(m+1)^k.  It is summed over lcm(1..deg+1)^k on
     p's own int numerators, with one ``Fraction`` at the end: no Stirling
-    numbers are read.
+    numbers are read.  A non-int k raises ``TypeError`` before any work.
     """
+    if not isinstance(k, int):
+        raise TypeError(f"k must be an int: {k!r}")
     if k < 1:
         raise ValueError("k must be positive")
     nums, den = p.numerators, p.denominator
@@ -141,18 +141,19 @@ def product_integrate(p: Polynomial, k: int) -> Fraction:
 
 # -- poly-Cauchy family and the classical numbers ------------------------------------
 
-def _check_kind(kind: CauchyKind) -> None:
-    """Reject a kind that is not a ``CauchyKind``, which the branches would read as SECOND."""
+def _check_args(kind: CauchyKind, n: int, k: int, least_k: int) -> None:
+    """Reject a bad kind, a non-int n or k, n < 0 and k < `least_k`, before any work.
+
+    The branches would read a kind that is not a ``CauchyKind`` as SECOND.
+    """
     if not isinstance(kind, CauchyKind):
         raise ValueError(f"unknown kind: {kind!r}")
-
-
-def _check_poly_args(kind: CauchyKind, n: int, k: int) -> None:
-    _check_kind(kind)
+    if not (isinstance(n, int) and isinstance(k, int)):
+        raise TypeError(f"n and k must be ints: {n!r}, {k!r}")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if k < 1:
-        raise ValueError("k must be positive")
+    if k < least_k:
+        raise ValueError("k must be positive" if least_k else "k must be nonnegative")
 
 
 def _power_weights(n: int, k: int) -> tuple[list[int], int]:
@@ -183,7 +184,7 @@ def _poly_cauchy_moments(kind: CauchyKind, n: int, k: int) -> Polynomial:
 
 def poly_cauchy(kind: CauchyKind, n: int, k: int) -> Fraction:
     """sum_m row(n,m)/(m+1)^k, the k-fold product integral, on ints over lcm(1..n+1)^k."""
-    _check_poly_args(kind, n, k)
+    _check_args(kind, n, k, 1)
     weights, den = _power_weights(n, k)
     return Fraction(sum(map(mul, _stirling_row(kind, n), weights)), den)
 
@@ -193,7 +194,7 @@ def poly_cauchy_poly(kind: CauchyKind, n: int, k: int, z: Fraction) -> Fraction:
 
     The (-z)^i coefficients, held once per (kind, n, k), are read at -z by Horner.
     """
-    _check_poly_args(kind, n, k)
+    _check_args(kind, n, k, 1)
     z = _as_fraction(z)
     return _poly_cauchy_moments(kind, n, k).evaluate(-z)
 
@@ -303,13 +304,9 @@ def cauchy_hi_numbers(kind: CauchyKind, n_max: int, k: int) -> list[Fraction]:
 
 
 def _check_hi_args(kind: CauchyKind, n: int, k: int, method: CauchyMethod) -> None:
-    _check_kind(kind)
+    _check_args(kind, n, k, 0)
     if not isinstance(method, CauchyMethod):
         raise ValueError(f"unknown method: {method!r}")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
     if k == 0 and method is CauchyMethod.INTEGRAL_ORACLE:
         raise ValueError("the integral oracle needs k >= 1")
 
@@ -362,14 +359,14 @@ def cauchy_hi_poly_sum(kind: CauchyKind, n: int, k: int) -> Polynomial:
     volumes go over one denominator; ``_shifted_moments`` sums the
     polynomial in -x on ints and ``reflect`` reads it at x.
     """
-    _check_poly_args(kind, n, k)
+    _check_args(kind, n, k, 1)
     volumes = _over_common_denominator([_sum_power_volume(j, k) for j in range(n + 1)])
     return _shifted_moments(kind, n, *volumes).reflect()
 
 
 def cauchy_hi_poly_bridge(kind: CauchyKind, n: int, k: int) -> Polynomial:
     """C_n^(k)(x) = B_n^(n-k+1)(1-x), or Chat_n^(k)(x) = B_n^(n-k+1)(x-k+1), k >= 1."""
-    _check_poly_args(kind, n, k)
+    _check_args(kind, n, k, 1)
     bernoulli = bernoulli_hi_poly(n, n - k + 1)
     return bernoulli.reflect().shift(-1) if kind is CauchyKind.FIRST else bernoulli.shift(1 - k)
 
@@ -381,7 +378,7 @@ def cauchy_hi_poly_oracle(kind: CauchyKind, n: int, k: int) -> Polynomial:
     coordinate sum; ``_cube_mean`` commutes with shifts, so the polynomial
     is the cube mean of I read at -x.
     """
-    _check_poly_args(kind, n, k)
+    _check_args(kind, n, k, 1)
     return _integrand_mean(kind, n, k).reflect()
 
 

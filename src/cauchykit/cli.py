@@ -31,15 +31,17 @@ therefore matters only for ``Fraction``, ``poly`` and ``series`` output; it
 is lifted while those render, so large values print in full.
 
 ``verify`` shares its checks among this process and up to one forked worker
-per further CPU it may run on.  The indices of the selected checks fill one
-pipe before the fork, and each process takes the next index from it, so a
-faster process takes more checks.  A worker sends each report back as plain
-``marshal`` data and leaves by ``os._exit``, so it never flushes what it
-inherited; the parent rebuilds the reports, runs itself any check whose
-report did not arrive, and prints them in ``CheckId`` order, so the output
-and exit code are those of ``run_suite``.  A check's memo fills stay in the
-process that ran it.  The suite runs in this process alone when ``os.fork``
-is missing, when there is one CPU or one check, when another thread is alive
+per further CPU it may run on; every run takes this path.  The indices of
+the selected checks fill one pipe before any fork, and each process takes
+the next index from it, so a faster process takes more checks.  A worker
+writes its reports to a pipe file as plain ``marshal`` data and leaves by
+``os._exit``, so it never flushes what it inherited.  The parent reads them,
+runs itself any check that raised or whose report did not arrive, and
+prints the reports in ``CheckId`` order, so the output, exit code and first
+exception are those of ``run_suite``, the exception once the other checks
+have run.  A check's memo fills stay in the process that ran it.  This
+process takes every check itself, forking no worker, when ``os.fork`` is
+missing, when there is one CPU or one check, when another thread is alive
 (the fork could copy a memo lock that thread holds), or when a profiler,
 tracer or debugger is attached (it would not see the workers).
 """
@@ -78,7 +80,6 @@ from .verifier import (
     TheoremReport,
     reports_to_json,
     reports_to_text,
-    run_suite,
     suite_exit_code,
 )
 
@@ -355,12 +356,10 @@ def _take_checks(tasks: int, selected: list, grid) -> dict:
 
 def _send_reports(tasks: int, out: int, selected: list, grid) -> None:
     """A worker's work: its reports written to the `out` pipe as ``marshal`` data."""
-    data = marshal.dumps([
-        (i, r.status, r.cases_checked, tuple(map(tuple, r.counterexamples)), r.corrected_reading)
-        for i, r in _take_checks(tasks, selected, grid).items()])
-    view = memoryview(data)
-    while view:
-        view = view[os.write(out, view):]
+    with open(out, "wb") as pipe:
+        marshal.dump([(i, r.status, r.cases_checked, tuple(map(tuple, r.counterexamples)),
+                       r.corrected_reading)
+                      for i, r in _take_checks(tasks, selected, grid).items()], pipe)
 
 
 def _read_reports(data: bytes, selected: list, grid) -> dict:
@@ -376,18 +375,19 @@ def _read_reports(data: bytes, selected: list, grid) -> dict:
 def _run_checks(grid, checks) -> list:
     """``run_suite(grid, checks)``, shared among this process and forked workers.
 
-    One process per CPU takes checks, unless the suite must run here alone
-    (see the module docstring).  Every worker is reaped before this returns;
-    if this process raises or is interrupted, it kills the workers first.
+    Every run fills the task pipe and takes checks from it here; one worker
+    per further CPU takes them too, or none in the cases the module
+    docstring lists.  Every worker is reaped before this returns; if this
+    process raises or is interrupted, it kills the workers first.
     """
     selected = [cid for cid in CheckId if checks is None or cid in checks]
     workers = min(_cpu_count(), len(selected)) - 1
-    if workers < 1 or not hasattr(os, "fork") or threading.active_count() > 1 or _watched():
-        return run_suite(grid, checks)
+    if not hasattr(os, "fork") or threading.active_count() > 1 or _watched():
+        workers = 0
     tasks, fill = os.pipe()
     os.write(fill, bytes(range(len(selected))))  # one byte per index: the registry has 22 checks
     os.close(fill)
-    children = {}  # pid -> read end of the pipe its reports come back on
+    children = {}  # pid -> the pipe file its reports come back on
     received = {}  # pid -> all it sent, read to the end of its pipe
     try:
         for _ in range(workers):
@@ -405,18 +405,15 @@ def _run_checks(grid, checks) -> list:
                     code = 0
                 finally:
                     os._exit(code)
-            children[pid] = out_r
+            children[pid] = open(out_r, "rb")
             os.close(out_w)
         reports = _take_checks(tasks, selected, grid)
-        for pid, fd in children.items():
-            chunks = []
-            while chunk := os.read(fd, 1 << 16):
-                chunks.append(chunk)
-            received[pid] = b"".join(chunks)
+        for pid, pipe in children.items():
+            received[pid] = pipe.read()
     finally:
         os.close(tasks)
-        for pid, fd in children.items():
-            os.close(fd)
+        for pid, pipe in children.items():
+            pipe.close()
             if pid not in received:  # this process raised or was interrupted
                 os.kill(pid, 9)  # SIGKILL; the signal module is not loaded on the CLI path
             if os.waitpid(pid, 0)[1] != 0:  # it died: whatever it sent may be cut short

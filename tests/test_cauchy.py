@@ -155,12 +155,23 @@ def test_poly_cauchy_polynomials_reject_float_argument():
     (poly_cauchy_poly2, (3, 2, F(1, 3)), (3, 2.0, F(1, 3))),
     (cauchy_hi1, (5, 2, CauchyMethod.INTEGRAL_ORACLE), (5, 2.0, CauchyMethod.INTEGRAL_ORACLE)),
     (cauchy_hi_poly_oracle, (CauchyKind.SECOND, 5, 2), (CauchyKind.SECOND, 5.0, 2)),
+    (poly_cauchy1, (5, 2), (5, 2.0)),
+    (poly_cauchy1, (5, 2), (5, F(2))),
+    (poly_cauchy2, (4, 2), (4, F(2))),
+    (poly_cauchy2, (3, 2), (3000, 2.0)),
+    (poly_cauchy_poly1, (3, 2, F(1, 3)), (3000, 2.0, F(1, 3))),
+    (product_integrate, (falling_factorial(300), 2), (falling_factorial(300), 2.0)),
+    (product_integrate, (falling_factorial(5), 2), (falling_factorial(5), F(2))),
 ], ids=["cauchy1-float", "cauchy1-fraction", "hi_poly1", "hi_poly2", "hi_gf",
         "convolution", "bernoulli_gf", "poly_cauchy_poly1", "poly_cauchy_poly2",
-        "integral_oracle", "hi_poly_oracle"])
+        "integral_oracle", "hi_poly_oracle", "poly_cauchy1-float", "poly_cauchy1-fraction",
+        "poly_cauchy2-fraction", "poly_cauchy2-large-n", "poly_cauchy_poly1-large-n",
+        "product_integrate-float", "product_integrate-fraction"])
 def test_memo_hit_does_not_admit_an_inexact_index(entry, ints, inexact):
     # 3.0 and Fraction(3) hash like 3, so an untyped memo would answer them
-    # from the int entry once that is cached, and reject them only when cold
+    # from the int entry once that is cached, and reject them only when cold.
+    # An uncached entry rejects them too, before any work: lcm(1..3001) ** 2.0
+    # would raise OverflowError, and ** Fraction(2) would return a value
     entry(*ints)
     with pytest.raises(TypeError):
         entry(*inexact)

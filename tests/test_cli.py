@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from decimal import Decimal, Inexact, Rounded
 from math import factorial
 
@@ -341,15 +342,23 @@ def test_the_first_check_that_raises_raises_from_main(monkeypatch, forks):
     assert len(forks) == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    # on one CPU this process takes every check, and T1 still raises first
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    with pytest.raises(RuntimeError, match="broken T1"):
+        cli.main(["verify", "--grid", "n=4"])
+    assert len(forks) == 1
 
 
-@pytest.mark.parametrize("why", ["one CPU", "another thread", "cProfile", "one check"])
+@pytest.mark.parametrize("why", ["one CPU", "another thread", "cProfile", "one check", "no fork"])
 def test_verify_runs_in_this_process_alone(capsys, monkeypatch, forks, why):
     # a forked copy of a thread's held memo lock would never be released, and
-    # a profiler would not see the checks that a worker runs
+    # a profiler would not see the checks that a worker runs; in each case no
+    # worker is forked, and this process takes every check from the pipe
     checks = "T1" if why == "one check" else None
     if why == "one CPU":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    if why == "no fork":
+        monkeypatch.delattr(os, "fork")
     if why == "another thread":
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait, args=(60,))
@@ -365,6 +374,23 @@ def test_verify_runs_in_this_process_alone(capsys, monkeypatch, forks, why):
     else:
         code, out, expected = run_verify(capsys, "n=4", checks)
     assert forks == []
+    assert (code, out) == (0, expected)
+
+
+@pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["two CPUs", "one CPU"])
+def test_verify_leaves_the_open_file_descriptors_as_it_found_them(capsys, monkeypatch, forks,
+                                                                   cpus):
+    # every pipe end and pipe file is closed, none by the garbage collector
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no /proc/self/fd to list this process's descriptors")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    before = sorted(os.listdir("/proc/self/fd"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        code, out, expected = run_verify(capsys, "n=4")
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    assert len(forks) == len(cpus) - 1
     assert (code, out) == (0, expected)
 
 
