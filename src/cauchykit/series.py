@@ -294,10 +294,12 @@ def _log1p_over_t(order: int) -> PowerSeries:
 
 
 def _one_plus_t_log1p_over_t(order: int) -> PowerSeries:
-    """(1+t)log(1+t)/t = 1 + sum_(j>=1) (-1)^(j+1) t^j/(j(j+1)), over lcm(1..order)."""
-    top = lcm(*range(1, order + 1))
-    return PowerSeries.from_numerators(
-        [top] + [(-1) ** (j + 1) * top // (j * (j + 1)) for j in range(1, order)], top)
+    """(1+t)log(1+t)/t = (1+t) * log(1+t)/t, the inverse of t/((1+t)log(1+t)).
+
+    The second kind's f/t is the first kind's times 1 + t.  1 + t is the left
+    factor, so the product skips its zero terms: O(order) products.
+    """
+    return PowerSeries([1, 1], order=order) * _log1p_over_t(order)
 
 
 def _expm1_over_t(order: int) -> PowerSeries:

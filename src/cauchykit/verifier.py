@@ -196,19 +196,25 @@ def _cases_poly_paths(grid: Grid, kind: CauchyKind) -> Iterator[Case]:
 # numbers are that display at x = 0, w(-k).
 
 def _s2_weights(m: int, k: int) -> Polynomial:
-    # T5/T6/T8: sum over n of C(m,n)/C(n+k,n) S2(n+k,k) y^(m-n), over the lcm of the C(n+k,n)
+    # _cases_s2_resummation (T5/T8), T6: sum_n C(m,n)/C(n+k,n) S2(n+k,k) y^(m-n), over lcm C(n+k,n)
     den = lcm(*[comb(n + k, n) for n in range(m + 1)])
     return Polynomial.from_numerators([comb(m, n) * (den // comb(n + k, n)) * stirling2(n + k, k)
                                        for n in range(m, -1, -1)], den)
 
 
-def _cases_t5(grid: Grid) -> Iterator[Case]:
-    """T5: first-kind polynomial / S2 resummation identity."""
+def _cases_s2_resummation(grid: Grid, kind: CauchyKind) -> Iterator[Case]:
+    """T5: first-kind polynomial / S2 resummation identity.
+
+    T8: second-kind polynomial / S2 resummation identity with (x-k) powers.
+    """
+    poly = cauchy_hi_poly1 if kind is CauchyKind.FIRST else cauchy_hi_poly2
     for m in grid.ns():
         for k in grid.ks():
-            rhs = _linear_combination((cauchy_hi_poly1(n, k), stirling2(m, n))
-                                      for n in range(m + 1))
-            yield ({"m": m, "k": k}, _s2_weights(m, k).reflect(), rhs)
+            total = _linear_combination((poly(n, k), stirling2(m, n)) for n in range(m + 1))
+            if kind is CauchyKind.FIRST:
+                yield ({"m": m, "k": k}, _s2_weights(m, k).reflect(), total)
+            else:
+                yield ({"m": m, "k": k}, total, _s2_weights(m, k).shift(-k))
 
 
 def _cases_t6(grid: Grid) -> Iterator[Case]:
@@ -220,15 +226,6 @@ def _cases_t6(grid: Grid) -> Iterator[Case]:
             nums, den = numbers[k]
             rhs = Fraction(sum(nums[m] * stirling2(n, m) for m in range(n + 1)), den)
             yield ({"n": n, "k": k}, _s2_weights(n, k).evaluate(-k), rhs)
-
-
-def _cases_t8(grid: Grid) -> Iterator[Case]:
-    """T8: second-kind polynomial / S2 resummation identity with (x-k) powers."""
-    for m in grid.ns():
-        for k in grid.ks():
-            lhs = _linear_combination((cauchy_hi_poly2(n, k), stirling2(m, n))
-                                      for n in range(m + 1))
-            yield ({"m": m, "k": k}, lhs, _s2_weights(m, k).shift(-k))
 
 
 def _cases_reciprocity(grid: Grid, kind: CauchyKind) -> Iterator[Case]:
@@ -484,10 +481,10 @@ _REGISTRY: dict[str, _Check] = {
     "T2": _Check(_cases_t2),
     "T3": _Check(_cases_t3),
     "T4": _Check(partial(_cases_poly_paths, kind=CauchyKind.FIRST)),
-    "T5": _Check(_cases_t5),
+    "T5": _Check(partial(_cases_s2_resummation, kind=CauchyKind.FIRST)),
     "T6": _Check(_cases_t6),
     "T7": _Check(partial(_cases_poly_paths, kind=CauchyKind.SECOND)),
-    "T8": _Check(_cases_t8),
+    "T8": _Check(partial(_cases_s2_resummation, kind=CauchyKind.SECOND)),
     "T9": _Check(partial(_cases_reciprocity, kind=CauchyKind.FIRST)),
     "T10": _Check(partial(_cases_reciprocity, kind=CauchyKind.SECOND)),
     "L11": _Check(_cases_l11),

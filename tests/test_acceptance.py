@@ -81,6 +81,14 @@ EDGE_GRID_VERIFY_JSON_SHA256 = {
 # default grid the sums run over wider denominators
 WIDE_GRID_JSON_SHA256 = "220ad6cc8629b164ed84c2a75dcd7284ad9793ff5d38a89aec6eebe3b4e805ac"
 
+# ... and on a wide k/alpha grid at small n: k <= 25 and alpha <= 37 at n <= 12,
+# with 25 x samples, the default five first
+WIDE_K_ALPHA_GRID = Grid(12, 25, 37, tuple(Fraction(*z) for z in (
+    (0,), (1,), (-1,), (1, 2), (-3, 7), (2,), (-2,), (1, 3), (-1, 3), (3, 2), (-5, 2), (2, 5),
+    (-4, 5), (3,), (-3,), (1, 4), (-7, 4), (5, 3), (-2, 3), (4,), (-4,), (1, 5), (-6, 5), (7, 2),
+    (-9, 7))))
+WIDE_K_ALPHA_JSON_SHA256 = "5cbea63218f0029608699c8a584d4dd125f3bd2b6c00d3fb1af5820593cd512e"
+
 _SUITE_CACHE: dict = {}
 
 
@@ -293,6 +301,14 @@ def test_verify_json_pinned_on_edge_grids(grid):
 def test_verify_json_pinned_past_the_default_grid():
     reports = run_suite(Grid(n_max=25, k_max=4, alpha_max=3))
     assert hashlib.sha256(reports_to_json(reports).encode()).hexdigest() == WIDE_GRID_JSON_SHA256
+
+
+def test_verify_json_pinned_on_a_wide_k_alpha_grid():
+    reports = run_suite(WIDE_K_ALPHA_GRID)
+    corrected = {CheckId.T12, CheckId.T13, CheckId.EQ59_61, CheckId.POLYC_ORACLE}
+    assert {r.id: r.status for r in reports} == {
+        cid: PASS_WITH_CORRECTION if cid in corrected else PASS for cid in CheckId}
+    assert hashlib.sha256(reports_to_json(reports).encode()).hexdigest() == WIDE_K_ALPHA_JSON_SHA256
 
 
 def test_readme_library_examples_print_what_their_comments_say():

@@ -853,14 +853,14 @@ def test_number_table_builds_one_series(capsys, monkeypatch, family, param, buil
 def assert_closed_pipe_exits_141(fmt, head):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cauchykit.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "cauchykit.cli", "table", "--family", "stirling1",
-         "--n-max", "300", "--format", fmt],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert proc.stdout.read(100).startswith(head)
-    proc.stdout.close()  # the reader leaves long before the table ends
-    stderr = proc.stderr.read()
-    assert proc.wait(timeout=60) == 141
+    with subprocess.Popen(
+            [sys.executable, "-m", "cauchykit.cli", "table", "--family", "stirling1",
+             "--n-max", "300", "--format", fmt],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.read(100).startswith(head)
+        proc.stdout.close()  # the reader leaves long before the table ends
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
     assert stderr == b""
 
 
