@@ -136,22 +136,16 @@ def _ascii_int(text: str) -> int:
     return int(text)
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
-
-
 def _render(values, fmt: str, indexed: bool = False) -> None:
     """Write exact values as JSON, csv or text: one row, or with `indexed` one row per n."""
     with _unlimited_int_text():
         cells = [format_rational(v) for v in values]
         if fmt == "json":
             rows = [{"n": n, "value": c} for n, c in enumerate(cells)] if indexed else cells
-            _emit(json.dumps(rows, separators=(",", ":")))
+            print(json.dumps(rows, separators=(",", ":")))
             return
         sep = "," if fmt == "csv" else " "
-        _emit("\n".join(f"{n}{sep}{c}" for n, c in enumerate(cells)) if indexed
+        print("\n".join(f"{n}{sep}{c}" for n, c in enumerate(cells)) if indexed
               else sep.join(cells))
 
 
@@ -320,7 +314,7 @@ def _cmd_verify(args, parser) -> int:
                 parser.error(f"unknown check id {token!r}; valid: "
                              + ",".join(cid.value for cid in CheckId))
     reports = _run_checks(grid, checks)
-    _emit((reports_to_json if args.format == "json" else reports_to_text)(reports))
+    print((reports_to_json if args.format == "json" else reports_to_text)(reports))
     return suite_exit_code(reports)
 
 

@@ -7,14 +7,14 @@ gcd(D, N_0, ..., N_d) = 1 and N_d != 0, with the zero polynomial stored as
 Every operation runs on the ints, and each that returns a polynomial ends
 in the one normalising constructor, ``from_numerators``, which strips
 trailing zeros and divides out one gcd.  Equality is a plain tuple
-comparison, and a constant hashes as the scalar it equals.  ``coeffs``
-builds the coefficients as ``Fraction`` values on each read.  Instances
+comparison, and a constant hashes as the scalar it equals.  Instances
 are immutable, so values can be shared freely between threads.
 
 ``series.PowerSeries`` keeps the same layout, so what the two types do alike
 is written once, in their private base class ``_Numerators``:
 ``from_numerators`` (the one place that checks the denominator),
-immutability and pickling, negation and subtraction, the sum over
+immutability and pickling, ``coeffs`` (the coefficients as ``Fraction``
+values, built on each read), negation and subtraction, the sum over
 lcm(Da, Db), scaling by and division by an exact scalar, square-and-multiply
 powers and ``repr``.  ``_convolve`` is the one product loop and ``_as_ratio``
 the one scalar reader.  Each type keeps its ``_store`` (a polynomial strips
@@ -134,6 +134,12 @@ class _Numerators:
     def __reduce__(self):
         return type(self).from_numerators, (self.numerators, self.denominator)
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients, lowest degree first, as ``Fraction`` values built on each read."""
+        den = self.denominator
+        return tuple([Fraction(v, den) for v in self.numerators])
+
     def _sum(self, nb, db: int):
         """self + nb/db over lcm(Da, Db), the shorter numerator sequence padded with zeros."""
         da = self.denominator
@@ -222,12 +228,6 @@ class Polynomial(_Numerators):
         if exponent < 0:
             raise ValueError("exponent must be nonnegative")
         return cls((0,) * exponent + (coefficient,))
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficients, lowest degree first, as ``Fraction`` values built on each read."""
-        den = self.denominator
-        return tuple([Fraction(v, den) for v in self.numerators])
 
     @property
     def degree(self) -> int:

@@ -12,12 +12,11 @@ else (a float, a polynomial) raises ``TypeError``.
 
 A series is stored in the polynomials' layout: a tuple ``numerators`` of
 ``order`` ints over one positive int ``denominator``, in lowest terms.
-The code the two types share (``from_numerators``, sums, scalar
-products and quotients, powers, ``_convolve``) is in their base class
+The code the two types share (``from_numerators``, ``coeffs``, sums,
+scalar products and quotients, powers, ``_convolve``) is in their base class
 ``polynomial._Numerators``.  This module keeps the series' own: ``_store``
 (``order`` terms, trailing zeros kept), equality at the common precision,
-coefficient reads, division by a series, ``compose`` and ``revert``.
-``coeffs`` builds the coefficients on each read.
+single-coefficient reads, division by a series, ``compose`` and ``revert``.
 
 The module provides the arithmetic needed to realise the generating
 functions of the Cauchy/Bernoulli families,
@@ -30,6 +29,7 @@ compositional inversion, plus the Sheffer-sequence and connection-coefficient
 extractors built on top of them.  Each of these generating functions is a
 power of a unit t/f; ``_unit_power`` holds every power that ``bernoulli`` and
 ``cauchy`` read in one table, ``_POWERS``, and grows it by one rule.
+log(1+t) and e^t - 1 are written once, each as t times its int unit f/t.
 
 Costs at order n, in coefficient operations: multiplication and division
 are O(n^2); ``compose`` (Horner from the outer series' highest nonzero
@@ -102,11 +102,6 @@ class PowerSeries(_Numerators):
     @property
     def order(self) -> int:
         return len(self.numerators)
-
-    @property
-    def coeffs(self) -> tuple:
-        """The coefficients, as ``Fraction`` values built on each read."""
-        return tuple([self.coefficient(j) for j in range(len(self.numerators))])
 
     def coefficient(self, n: int) -> Fraction:
         """[t^n]; raises if the series is not known that far."""
@@ -270,15 +265,13 @@ def t_series(order: int) -> PowerSeries:
 
 
 def log1p_series(order: int) -> PowerSeries:
-    """log(1+t) = t - t^2/2 + t^3/3 - ..."""
-    return PowerSeries(
-        [Fraction(0)] + [Fraction((-1) ** (j - 1), j) for j in range(1, order)], order=order)
+    """log(1+t) = t - t^2/2 + t^3/3 - ..., as t times log(1+t)/t."""
+    return t_series(order) * _log1p_over_t(order)
 
 
 def expm1_series(order: int) -> PowerSeries:
-    """e^t - 1 = t + t^2/2! + ..."""
-    return PowerSeries(
-        [Fraction(0)] + [Fraction(1, factorial(j)) for j in range(1, order)], order=order)
+    """e^t - 1 = t + t^2/2! + ..., as t times (e^t-1)/t."""
+    return t_series(order) * _expm1_over_t(order)
 
 
 def one_minus_exp_neg_series(order: int) -> PowerSeries:

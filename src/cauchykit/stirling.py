@@ -83,6 +83,8 @@ def stirling_rows(kind: StirlingKind, n_max: int, one=1) -> Iterator[list]:
     The ring's integers grow by one per row, so the first rows cost the
     same whatever `n_max` is.
     """
+    if not isinstance(kind, StirlingKind):
+        raise ValueError(f"unknown kind: {kind!r}")
     ints = [one - one]
     row = [one]
     yield row
@@ -110,6 +112,8 @@ class StirlingTable:
     """
 
     def __init__(self, kind: StirlingKind):
+        if not isinstance(kind, StirlingKind):
+            raise ValueError(f"unknown kind: {kind!r}")
         self.kind = kind
         self.rows: list[list[int] | None] = [[1]]
         self._lock = threading.Lock()
@@ -132,16 +136,14 @@ class StirlingTable:
         """Columns lo..hi of row n, from columns lo-d..hi of the checkpoint n-d."""
         d = n % _STRIDE
         m = n - d
-        if d <= lo and hi <= m:
-            band = rows[m][lo - d:hi + 1]
-        else:  # columns outside row m are zero ([0] * -j is [])
-            band = [0] * (d - lo) + rows[m][max(lo - d, 0):hi + 1] + [0] * (hi - m)
-        # A zero pad ends the band, so `ints` can end in the multiplier r that
-        # the first kinds read while the second kind's column multiplier meets
-        # the pad.  Each step's row has one entry more: the pad's place holds
-        # junk and goes, and the new last entry is a zero pad again.  Entry 0
-        # lacks its left neighbour, so after step i entries < i are junk and
-        # columns lo..hi stay exact.
+        band = [0] * (d - lo) + rows[m][max(lo - d, 0):hi + 1] + [0] * (hi - m)
+        # Columns outside row m are zero pads ([0] * -j is []).  A zero pad
+        # ends the band, so `ints` can end in the multiplier r that the first
+        # kinds read while the second kind's column multiplier meets the pad.
+        # Each step's row has one entry more: the pad's place holds junk and
+        # goes, and the new last entry is a zero pad again.  Entry 0 lacks its
+        # left neighbour, so after step i entries < i are junk and columns
+        # lo..hi stay exact.
         band.append(0)
         ints = [*range(lo - d, hi + 1), m]
         for r in range(m, n):

@@ -193,6 +193,17 @@ def test_log1p_mercator():
     assert log1p_series(4).coeffs == (F(0), F(1), F(-1, 2), F(1, 3))
 
 
+@pytest.mark.parametrize("stock, term", [(log1p_series, lambda j: F((-1) ** (j - 1), j)),
+                                         (expm1_series, lambda j: F(1, factorial(j)))],
+                         ids=["log1p", "expm1"])
+def test_stock_series_equal_their_closed_forms(stock, term):
+    for order in range(1, 61):
+        expected = series(0, *[term(j) for j in range(1, order)], order=order)
+        got = stock(order)
+        assert (got.numerators, got.denominator) == (expected.numerators, expected.denominator)
+        assert got.coeffs == (F(0), *[term(j) for j in range(1, order)])
+
+
 def test_log1p_linear_coefficient():
     assert log1p_series(2).coefficient(1) == 1
 

@@ -284,6 +284,17 @@ def test_a_non_int_index_raises_before_the_table_grows(kind):
         assert [len(stirling_table(k).rows) for k in StirlingKind] == held
 
 
+@pytest.mark.parametrize("kind", ["second", "signed_first", "unsigned_first", None, 2])
+def test_a_kind_that_is_not_a_stirling_kind_raises(kind):
+    # next_row reads every kind but SECOND and SIGNED_FIRST as the unsigned first kind,
+    # so StirlingTable("second").value(5, 2) would be c(5, 2) = 50, not S(5, 2) = 15
+    with pytest.raises(ValueError, match="unknown kind"):
+        StirlingTable(kind)
+    rows = stirling_rows(kind, 3)
+    with pytest.raises(ValueError, match="unknown kind"):
+        next(rows)
+
+
 def old_grow_loop(kind, n_max):
     """The int-only table fill that `next_row` replaced, kept as a reference."""
     rows = [[1]]
