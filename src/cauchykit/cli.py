@@ -23,33 +23,47 @@ document is byte-identical.
 Stirling triangles are streamed: each row is built from the one before by
 the exact recurrence on ``decimal.Decimal`` integers and written as soon as
 it is built, in pieces of about 32 KiB, each rendered by one ``%``-format
-call and none written longer than 64 KiB.  So a triangle needs memory for
-one row and one bounded write, and its entries go through neither the memo
-tables nor int-to-str conversion, which is quadratic in the number of
-digits.  Python's limit on that conversion (4300 digits by default)
-therefore matters only for ``Fraction``, ``poly`` and ``series`` output; it
-is lifted while those render, so large values print in full.
+call and none written longer than 64 KiB.  The rows are cut into blocks
+that each fit a pipe's buffer, raised to the system's limit (1 MiB by
+default on Linux), by a bound on their length read off their entries' digit
+counts.  This process and up to one forked worker per further CPU each
+build every row and render the rows of their own blocks; a worker sends
+each of its blocks whole through its pipe, and this process writes its own
+blocks and forwards the workers' in order.  So a triangle needs memory for
+one row per process and one pipe-sized block per worker, and its entries go
+through neither the memo tables nor int-to-str conversion, which is
+quadratic in the number of digits.  Python's limit on that conversion (4300
+digits by default) therefore matters only for ``Fraction``, ``poly`` and
+``series`` output; it is lifted while those render, so large values print
+in full.
 
 ``verify`` shares its checks among this process and up to one forked worker
 per further CPU it may run on; every run takes this path.  The indices of
 the selected checks fill one pipe before any fork, and each process takes
 the next index from it, so a faster process takes more checks.  A worker
-writes its reports to a pipe file as plain ``marshal`` data and leaves by
-``os._exit``, so it never flushes what it inherited.  The parent reads them,
-runs itself any check that raised or whose report did not arrive, and
-prints the reports in ``CheckId`` order, so the output, exit code and first
-exception are those of ``run_suite``, the exception once the other checks
-have run.  A check's memo fills stay in the process that ran it.  This
-process takes every check itself, forking no worker, when ``os.fork`` is
-missing, when there is one CPU or one check, when another thread is alive
-(the fork could copy a memo lock that thread holds), or when a profiler,
-tracer or debugger is attached (it would not see the workers).
+writes its reports to a pipe file as plain ``marshal`` data.  The parent
+reads them, runs itself any check that raised or whose report did not
+arrive, and prints the reports in ``CheckId`` order, so the output, exit
+code and first exception are those of ``run_suite``, the exception once the
+other checks have run.  A check's memo fills stay in the process that ran
+it.
+
+Both commands fork by one rule.  A worker leaves by ``os._exit``, so it
+never flushes what it inherited.  Every worker is reaped before the command
+returns; if this process raises or is interrupted, it kills them first.
+This process does all the work itself, forking no worker, when ``os.fork``
+is missing, when there is one CPU (or one check, or one block), when
+another thread is alive (the fork could copy a memo lock that thread
+holds), or when a profiler, tracer or debugger is attached (it would not
+see the workers).  A triangle also forks none but on Linux, the one system
+whose pipes tell their buffer size.
 """
 
 from __future__ import annotations
 
 import argparse
 import decimal
+import itertools
 import json
 import marshal
 import os
@@ -117,6 +131,9 @@ _FORMATS = ("csv", "json", "text")
 # row after row the top of the heap would be trimmed on free and faulted back in.
 _WRITE_BYTES = 1 << 16
 
+# A worker sends each block as its length in this many bytes, then its text.
+_LENGTH_BYTES = 8
+
 # Exact integer arithmetic for the triangles: any result that would have to
 # be rounded raises instead of printing a wrong digit.
 EXACT_INTEGERS = decimal.Context(
@@ -167,6 +184,89 @@ def _family_option(args, parser, need, size: int, size_flag: str):
     return value
 
 
+# -- forked workers -----------------------------------------------------------
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _watched() -> bool:
+    """Whether a profiler, tracer or debugger is attached; it would not see a forked worker."""
+    monitoring = getattr(sys, "monitoring", None)  # from 3.12 cProfile and coverage may use it
+    return bool(sys.getprofile() or sys.gettrace()
+                or monitoring and any(monitoring.get_tool(i) for i in range(6)))
+
+
+def _worker_count(tasks: int) -> int:
+    """The workers to fork beside this process for `tasks` tasks: one per further CPU, at most.
+
+    No worker when ``os.fork`` is missing, when another thread is alive (the fork
+    could copy a memo lock that thread holds), or when a profiler, tracer or
+    debugger is attached (it would not see the workers).
+    """
+    if not hasattr(os, "fork") or threading.active_count() > 1 or _watched():
+        return 0
+    return max(min(_cpu_count(), tasks) - 1, 0)
+
+
+def _open_pipes(count: int, readers: list, writers: list) -> None:
+    """Open `count` pipes: each read end as a file in `readers`, each write end in `writers`."""
+    for _ in range(count):
+        r, w = os.pipe()
+        readers.append(open(r, "rb"))
+        writers.append(w)
+
+
+def _fork_workers(readers: list, writers: list, pids: list, serve) -> None:
+    """Fork worker i for the i-th pipe to run ``serve(i, its write end)``, adding its pid to `pids`.
+
+    A worker closes every other pipe end it inherited and leaves by
+    ``os._exit``, so it never flushes what it inherited.  This process then
+    closes every write end, so a pipe reads to its end once its worker is
+    gone, and a pipe whose worker could not be forked reads as empty.
+    """
+    for me, out in enumerate(writers, 1):
+        try:
+            pid = os.fork()
+        except OSError:  # out of processes: the processes already running do the rest
+            break
+        if pid == 0:
+            code = 1
+            try:
+                for pipe in readers:
+                    pipe.close()
+                for fd in writers:
+                    if fd != out:
+                        os.close(fd)
+                serve(me, out)
+                code = 0
+            finally:
+                os._exit(code)
+        pids.append(pid)
+    while writers:
+        os.close(writers.pop())
+
+
+def _end_workers(readers: list, writers: list, pids: list, done: bool) -> list:
+    """Close the pipe ends left open and reap every worker, killed first unless `done`.
+
+    Returns the workers' exit statuses, in the order of `pids`.
+    """
+    for pipe in readers:
+        pipe.close()
+    for fd in writers:
+        os.close(fd)
+    statuses = []
+    for pid in pids:
+        if not done:  # this process raised or was interrupted
+            os.kill(pid, 9)  # SIGKILL; the signal module is not loaded on the CLI path
+        statuses.append(os.waitpid(pid, 0)[1])
+    return statuses
+
+
 # -- commands -----------------------------------------------------------------
 
 def _write_row(write, head: str, row, cell: str, tail: str, per_write: int) -> float:
@@ -189,28 +289,140 @@ def _write_row(write, head: str, row, cell: str, tail: str, per_write: int) -> f
     return densest
 
 
+def _blocks(rows, budget: float, cell_bytes: int):
+    """(block, n, row) for each of `rows`: each block is the longest run of rows that fits `budget`.
+
+    Each row counts with a bound on its rendered length, read off its
+    entries' digit counts without rendering them: each entry's digits, a
+    sign and ``cell_bytes - 2`` separators, and 32 bytes for the head.  A
+    row longer than `budget` is a block of its own.
+    """
+    block = used = 0
+    for n, row in enumerate(rows):
+        size = sum(map(decimal.Decimal.adjusted, row)) + cell_bytes * len(row) + 32
+        if used and used + size > budget:
+            block += 1
+            used = 0
+        used += size
+        yield block, n, row
+
+
+def _pipe_capacity(fd: int) -> int:
+    """The buffer size of the pipe `fd`, first raised to the system's limit where this user may."""
+    import fcntl  # loaded here, so that no other command pays for it
+    try:
+        with open("/proc/sys/fs/pipe-max-size", "rb") as limit:
+            fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, int(limit.read()))
+    except (OSError, ValueError):  # no such limit to read, or one above this user's quota
+        pass
+    return fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ)
+
+
+def _send_blocks(rows, me: int, procs: int, out: int, render, per_write: int) -> None:
+    """A worker's work: each block b with ``(b - 1) % procs == me`` sent whole to the `out` pipe.
+
+    A block goes out once its last row is rendered, as its length in
+    ``_LENGTH_BYTES`` and then its text, so the parent can tell a block that
+    was cut short.
+    """
+    pieces = []
+
+    def send():
+        data = "".join(pieces).encode("ascii")
+        pipe.write(len(data).to_bytes(_LENGTH_BYTES, "little"))
+        pipe.write(data)
+        pipe.flush()
+        pieces.clear()
+
+    with open(out, "wb") as pipe:
+        for block, n, row in rows:
+            if (block - 1) % procs == me:
+                per_write = render(pieces.append, n, row, per_write)
+            elif pieces:
+                send()
+        if pieces:
+            send()
+
+
+def _forward(pipe, write):
+    """Copy a worker's next block from `pipe` to `write` in pieces of at most ``_WRITE_BYTES``.
+
+    Returns None once the block is whole.  If it was cut short, returns the
+    `write` for this process to render the block by: it drops what was copied.
+    """
+    # 0 once the worker is gone: no block is empty
+    size = int.from_bytes(pipe.read(_LENGTH_BYTES), "little")
+    sent = 0
+    while data := pipe.read(min(size - sent, _WRITE_BYTES)):
+        write(data.decode("ascii"))
+        sent += len(data)
+    if size and sent == size:
+        return None
+
+    def write_rest(text):
+        nonlocal sent
+        if sent < len(text):
+            write(text[sent:])
+        sent = max(sent - len(text), 0)
+    return write_rest
+
+
 def _stream_triangle(kind: StirlingKind, n_max: int, fmt: str) -> None:
     """Write rows 0..n_max of the triangle of `kind` to stdout as each is built.
 
     A row is written in pieces of about half ``_WRITE_BYTES``, each rendered
-    by one ``%``-format call, so the triangle needs memory for one row and
-    one bounded write.  The number of entries in a piece comes from the densest
-    piece of the row before, as a row's entries are at most a few digits
-    wider than those of the row before it.
+    by one ``%``-format call.  The number of entries in a piece comes from
+    the densest piece of the row this process rendered last, as a row's
+    entries are at most a few digits wider than those of the row before it.
+
+    This process and one forked worker per further CPU each build every
+    row and render only the rows of their own blocks.  The blocks are sized
+    to fit the workers' pipes, whose buffers are raised first.  Block 0 is
+    this process's; the workers are forked where block 1 starts, so a
+    triangle of one block forks none, and from there the blocks are dealt
+    in turn, this process first (process p takes block b when
+    ``(b - 1) % procs == p``).  Where a worker's block starts, this process
+    forwards it in pieces of at most ``_WRITE_BYTES``, or renders what it
+    did not get if the worker died or sent it cut short.  Every worker is
+    reaped before this returns; if this process raises, it kills them first.
     """
     write = sys.stdout.write
     if fmt == "json":
         cell, tail = '%s","', '%s"]}'
     else:
         cell, tail = ("%s," if fmt == "csv" else "%s "), "%s\n"
-    per_write = 1
-    with decimal.localcontext(EXACT_INTEGERS):
-        for n, row in enumerate(stirling_rows(kind, n_max, decimal.Decimal(1))):
-            head = '%s{"n":%s,"row":["' % ("," if n else "[", n) if fmt == "json" else cell % n
-            densest = _write_row(write, head, row, cell, tail, per_write)
-            per_write = max(1, int(_WRITE_BYTES / 2 // densest))
+
+    def render(write, n, row, per_write):
+        """Write row n by `write`; the entries per piece of the next row."""
+        head = '%s{"n":%s,"row":["' % ("," if n else "[", n) if fmt == "json" else cell % n
+        densest = _write_row(write, head, row, cell, tail, per_write)
+        return max(1, int(_WRITE_BYTES / 2 // densest))
+
+    workers = _worker_count(n_max + 1) if sys.platform == "linux" else 0  # pipes tell their size
+    procs = workers + 1
+    readers, writers, pids, done = [], [], [], False
+    try:
+        _open_pipes(workers, readers, writers)
+        budget = min(map(_pipe_capacity, writers), default=float("inf")) - _LENGTH_BYTES
+        per_write, current, out = 1, 0, write
+        with decimal.localcontext(EXACT_INTEGERS):
+            rows = _blocks(stirling_rows(kind, n_max, decimal.Decimal(1)), budget, len(cell))
+            for block, n, row in rows:
+                if block != current:
+                    current = block
+                    if block == 1:
+                        _fork_workers(readers, writers, pids, lambda me, fd: _send_blocks(
+                            itertools.chain([(block, n, row)], rows), me, procs, fd, render,
+                            per_write))
+                    owner = (block - 1) % procs
+                    out = _forward(readers[owner - 1], write) if owner else write
+                if out:
+                    per_write = render(out, n, row, per_write)
         if fmt == "json":
             write("]\n")
+        done = True
+    finally:
+        _end_workers(readers, writers, pids, done)
 
 
 def _cmd_table(args, parser) -> int:
@@ -318,20 +530,6 @@ def _cmd_verify(args, parser) -> int:
     return suite_exit_code(reports)
 
 
-def _cpu_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without CPU affinity
-        return os.cpu_count() or 1
-
-
-def _watched() -> bool:
-    """Whether a profiler, tracer or debugger is attached; it would not see a forked worker."""
-    monitoring = getattr(sys, "monitoring", None)  # from 3.12 cProfile and coverage may use it
-    return bool(sys.getprofile() or sys.gettrace()
-                or monitoring and any(monitoring.get_tool(i) for i in range(6)))
-
-
 def _take_checks(tasks: int, selected: list, grid) -> dict:
     """Run each check whose index this process reads from the `tasks` pipe, until it is empty.
 
@@ -375,45 +573,22 @@ def _run_checks(grid, checks) -> list:
     process raises or is interrupted, it kills the workers first.
     """
     selected = [cid for cid in CheckId if checks is None or cid in checks]
-    workers = min(_cpu_count(), len(selected)) - 1
-    if not hasattr(os, "fork") or threading.active_count() > 1 or _watched():
-        workers = 0
     tasks, fill = os.pipe()
     os.write(fill, bytes(range(len(selected))))  # one byte per index: the registry has 22 checks
     os.close(fill)
-    children = {}  # pid -> the pipe file its reports come back on
-    received = {}  # pid -> all it sent, read to the end of its pipe
+    readers, writers, pids, received = [], [], [], None
     try:
-        for _ in range(workers):
-            out_r, out_w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # out of processes: the processes already running take the rest
-                os.close(out_r)
-                os.close(out_w)
-                break
-            if pid == 0:
-                code = 1
-                try:
-                    _send_reports(tasks, out_w, selected, grid)
-                    code = 0
-                finally:
-                    os._exit(code)
-            children[pid] = open(out_r, "rb")
-            os.close(out_w)
+        _open_pipes(_worker_count(len(selected)), readers, writers)
+        _fork_workers(readers, writers, pids,
+                      lambda _, out: _send_reports(tasks, out, selected, grid))
         reports = _take_checks(tasks, selected, grid)
-        for pid, pipe in children.items():
-            received[pid] = pipe.read()
+        received = [pipe.read() for pipe in readers]  # all each worker sent, to its pipe's end
     finally:
         os.close(tasks)
-        for pid, pipe in children.items():
-            pipe.close()
-            if pid not in received:  # this process raised or was interrupted
-                os.kill(pid, 9)  # SIGKILL; the signal module is not loaded on the CLI path
-            if os.waitpid(pid, 0)[1] != 0:  # it died: whatever it sent may be cut short
-                received.pop(pid, None)
-    for data in received.values():
-        reports.update(_read_reports(data, selected, grid))
+        statuses = _end_workers(readers, writers, pids, received is not None)
+    for data, status in zip(received, statuses):
+        if status == 0:  # a worker that died may have sent its reports cut short
+            reports.update(_read_reports(data, selected, grid))
     return [reports[i] if i in reports else verifier.verify(cid, grid)
             for i, cid in enumerate(selected)]
 

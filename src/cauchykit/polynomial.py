@@ -238,7 +238,9 @@ class Polynomial(_Numerators):
         return bool(self.numerators)
 
     def coefficient(self, exponent: int) -> Fraction:
-        """Coefficient of x**exponent (zero beyond the stored degree)."""
+        """Coefficient of x**exponent, zero beyond the degree; a non-int raises TypeError."""
+        if not isinstance(exponent, int):
+            raise TypeError(f"the exponent must be an int: {exponent!r}")
         if 0 <= exponent < len(self.numerators):
             return Fraction(self.numerators[exponent], self.denominator)
         return Fraction(0)

@@ -8,7 +8,8 @@ precision state: callers pick the order each series is built at, usually
 one above the largest index they will read.
 
 Coefficients are exact scalars, ints or ``Fraction`` values; anything
-else (a float, a polynomial) raises ``TypeError``.
+else (a float, a polynomial) raises ``TypeError``, as does an order that is
+not an int.
 
 A series is stored in the polynomials' layout: a tuple ``numerators`` of
 ``order`` ints over one positive int ``denominator``, in lowest terms.
@@ -116,7 +117,8 @@ class PowerSeries(_Numerators):
         return Fraction(self.numerators[n] * scale, self.denominator)
 
     def truncate(self, order: int) -> "PowerSeries":
-        if not 1 <= order <= len(self.numerators):
+        _check_order(order)
+        if order > len(self.numerators):
             raise ValueError("can only truncate to a smaller positive order")
         return PowerSeries.from_numerators(self.numerators[:order], self.denominator)
 
@@ -251,6 +253,8 @@ def egf_coeff(f: PowerSeries, n: int):
 # -- stock series ------------------------------------------------------------
 
 def _check_order(order: int) -> None:
+    if not isinstance(order, int):
+        raise TypeError(f"order must be an int: {order!r}")
     if order < 1:
         raise ValueError("order must be positive")
 
@@ -261,6 +265,7 @@ def one_series(order: int) -> PowerSeries:
 
 
 def t_series(order: int) -> PowerSeries:
+    _check_order(order)
     return PowerSeries([Fraction(0), Fraction(1)], order=order)
 
 

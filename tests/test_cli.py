@@ -3,6 +3,7 @@
 import argparse
 import cProfile
 import hashlib
+import io
 import json
 import marshal
 import os
@@ -646,7 +647,9 @@ def row_ends(writes):
     ("stirling2", "text", 188), ("stirling2", "csv", 188), ("stirling2", "json", 187),
 ])
 def test_chunk_edges_are_where_rows_first_split(monkeypatch, family, fmt, first_split):
-    # keeps the n_max values around the edge in the matching test meaningful
+    # keeps the n_max values around the edge in the matching test meaningful;
+    # on one CPU, as a worker's forwarded block is written in pieces that end mid-row
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
     sink = RecordingStdout()
     monkeypatch.setattr(sys, "stdout", sink)
     assert cli.main(["table", "--family", family, "--n-max", "190", "--format", fmt]) == 0
@@ -659,7 +662,9 @@ def test_chunk_edges_are_where_rows_first_split(monkeypatch, family, fmt, first_
 @pytest.mark.parametrize("family", ["stirling1", "stirling2"])
 def test_large_triangle_is_written_in_bounded_pieces(monkeypatch, family, fmt):
     # a write over 128 KiB, or its encoded copy, is an mmap that glibc
-    # unmaps on free, so the heap would be refaulted row after row
+    # unmaps on free, so the heap would be refaulted row after row; on one
+    # CPU, as a worker's forwarded block is written in pieces that end mid-row
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
     sink = RecordingStdout()
     monkeypatch.setattr(sys, "stdout", sink)
     assert cli.main(["table", "--family", family, "--n-max", "600", "--format", fmt]) == 0
@@ -681,6 +686,8 @@ def synthetic_rows(widths):
                                     [70_000] * 3],
                          ids=["5000 digits", "growing from 5000 digits", "70000 digits"])
 def test_wide_rows_are_written_in_bounded_pieces(monkeypatch, fmt, widths):
+    # on one CPU, as a worker's forwarded block is written in pieces that end mid-entry
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
     sink = RecordingStdout()
     monkeypatch.setattr(sys, "stdout", sink)
     monkeypatch.setattr(cli, "stirling_rows", synthetic_rows(widths))
@@ -697,6 +704,145 @@ def test_wide_rows_are_written_in_bounded_pieces(monkeypatch, fmt, widths):
     if widths[0] < 1 << 16:
         # each piece is sized from the row before, so none splits an entry
         assert not any(w[-1].isdigit() for w in sink.writes)
+
+
+# -- a triangle shared among forked workers ------------------------------------------
+
+# Rows 0..250 of either kind span five or more blocks of a 1 MiB pipe, so on two
+# CPUs the CLI process and its worker each render some blocks and read others.
+SEVERAL_BLOCKS = 250
+
+
+def run_triangle(monkeypatch, cpus, family, n_max, fmt="text"):
+    """`table` for a triangle on `cpus` CPUs: (exit code, every write).
+
+    Every worker must have been reaped when ``main`` returns.
+    """
+    monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+    sink = RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", sink)
+    code = cli.main(["table", "--family", family, "--n-max", str(n_max), "--format", fmt])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return code, sink.writes
+
+
+@pytest.mark.parametrize("cpus", [2, 1], ids=["two CPUs", "one CPU"])
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("family", ["stirling1", "stirling2"])
+def test_forked_triangle_matches_int_rendering(monkeypatch, forks, family, fmt, cpus):
+    code, writes = run_triangle(monkeypatch, cpus, family, SEVERAL_BLOCKS, fmt)
+    assert len(forks) == cpus - 1
+    assert code == 0
+    assert "".join(writes) == old_triangle_output(family, SEVERAL_BLOCKS, fmt)
+    # the forked-path twin of the bounded-pieces tests pinned to one CPU above
+    assert max(map(len, writes)) <= 1 << 16
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("widths", [[5000] * 40, [5000 + 25 * n for n in range(40)]],
+                         ids=["5000 digits", "growing from 5000 digits"])
+def test_forked_wide_rows_are_written_in_bounded_pieces(monkeypatch, forks, fmt, widths):
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "stirling_rows", synthetic_rows(widths))
+    sink = RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", sink)
+    cli._stream_triangle(StirlingKind.SECOND, len(widths) - 1, fmt)
+    assert len(forks) == 1
+    assert max(map(len, sink.writes)) <= 1 << 16
+    rows = [["9" * width] * (n + 1) for n, width in enumerate(widths)]
+    sep = "," if fmt == "csv" else " "
+    expected = (json.dumps([{"n": n, "row": row} for n, row in enumerate(rows)],
+                           separators=(",", ":")) + "\n" if fmt == "json"
+                else "".join(sep.join([str(n), *row]) + "\n" for n, row in enumerate(rows)))
+    assert "".join(sink.writes) == expected
+
+
+class HalfBlockPipe(io.FileIO):
+    """A worker's pipe file that sends half of the worker's second block, then ends the worker."""
+
+    blocks = 0
+
+    def write(self, data):
+        if len(data) > 8:  # a block's text; its 8-byte length went just before
+            self.blocks += 1
+            if self.blocks == 2:
+                half = memoryview(data)[:len(data) // 2]
+                while half:
+                    half = half[super().write(half):]
+                os._exit(1)
+        return super().write(data)
+
+
+@pytest.mark.parametrize("fault", ["exits while rendering", "sends half a block"])
+def test_a_worker_that_dies_leaves_the_output_whole(monkeypatch, forks, fault):
+    # the CLI process renders each block the worker did not send whole,
+    # less what it already forwarded of it
+    parent = os.getpid()
+    if fault == "exits while rendering":
+        write_row = cli._write_row
+        calls = []
+
+        def exiting_write_row(*args):
+            if os.getpid() != parent:
+                calls.append(1)
+                if len(calls) == 30:
+                    os._exit(1)
+            return write_row(*args)
+
+        monkeypatch.setattr(cli, "_write_row", exiting_write_row)
+    else:
+        def half_block_open(file, mode="r", *args, **kwargs):
+            if os.getpid() != parent and mode == "wb":
+                return HalfBlockPipe(file, "wb")
+            return open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", half_block_open, raising=False)
+    code, writes = run_triangle(monkeypatch, 2, "stirling1", SEVERAL_BLOCKS)
+    assert len(forks) == 1
+    assert code == 0
+    assert "".join(writes) == old_triangle_output("stirling1", SEVERAL_BLOCKS, "text")
+    assert max(map(len, writes)) <= 1 << 16
+
+
+@pytest.mark.parametrize("why", ["one CPU", "another thread", "cProfile", "no fork"])
+def test_triangle_renders_in_this_process_alone(monkeypatch, forks, why):
+    # as for verify: no worker when it could inherit a held lock or hide from a profiler
+    cpus = 1 if why == "one CPU" else 2
+    if why == "no fork":
+        monkeypatch.delattr(os, "fork")
+    if why == "another thread":
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait, args=(60,))
+        thread.start()
+        try:
+            code, writes = run_triangle(monkeypatch, cpus, "stirling2", SEVERAL_BLOCKS)
+        finally:
+            stop.set()
+            thread.join(10)
+        assert not thread.is_alive()
+    elif why == "cProfile":
+        code, writes = cProfile.Profile().runcall(run_triangle, monkeypatch, cpus, "stirling2",
+                                                  SEVERAL_BLOCKS)
+    else:
+        code, writes = run_triangle(monkeypatch, cpus, "stirling2", SEVERAL_BLOCKS)
+    assert forks == []
+    assert code == 0
+    assert "".join(writes) == old_triangle_output("stirling2", SEVERAL_BLOCKS, "text")
+
+
+@pytest.mark.parametrize("cpus", [2, 1], ids=["two CPUs", "one CPU"])
+def test_triangle_leaves_the_open_file_descriptors_as_it_found_them(monkeypatch, forks, cpus):
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no /proc/self/fd to list this process's descriptors")
+    before = sorted(os.listdir("/proc/self/fd"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        code, _ = run_triangle(monkeypatch, cpus, "stirling1", SEVERAL_BLOCKS, "json")
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    assert len(forks) == cpus - 1
+    assert code == 0
 
 
 class HashingStdout:
@@ -874,3 +1020,23 @@ def test_closed_pipe_exits_141_without_traceback():
 ])
 def test_closed_pipe_exits_141_in_every_format(fmt, head):
     assert_closed_pipe_exits_141(fmt, head)
+
+
+@pytest.mark.parametrize("read", [100, 3 << 20], ids=["before the fork", "after the fork"])
+def test_closed_pipe_leaves_no_worker_running(read):
+    # `table ... | head -c <read>` in a session of its own: once the CLI has
+    # exited, no process is left in its group, so every worker was reaped
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cauchykit.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    with subprocess.Popen(
+            [sys.executable, "-m", "cauchykit.cli", "table", "--family", "stirling1",
+             "--n-max", "600"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            start_new_session=True) as proc:
+        assert len(proc.stdout.read(read)) == read
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    assert stderr == b""
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)

@@ -542,6 +542,27 @@ def test_truncate_bounds():
         log1p_series(4).truncate(9)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: Polynomial([1, 2, 3]).coefficient(3.0), "the exponent must be an int: 3.0"),
+    (lambda: Polynomial([1, 2, 3]).coefficient(1.0), "the exponent must be an int: 1.0"),
+    (lambda: Polynomial([1, 2, 3]).coefficient(Fraction(1)), "the exponent must be an int"),
+    (lambda: one_series(2.0), "order must be an int: 2.0"),
+    (lambda: t_series(2.0), "order must be an int: 2.0"),
+    (lambda: t_series(None), "order must be an int: None"),
+    (lambda: log1p_series(4).truncate(3.0), "order must be an int: 3.0"),
+], ids=["coefficient(3.0)", "coefficient(1.0)", "coefficient(Fraction)", "one_series(2.0)",
+        "t_series(2.0)", "t_series(None)", "truncate(3.0)"])
+def test_a_non_int_index_or_order_raises_the_package_type_error(call, message):
+    with pytest.raises(TypeError, match=message):
+        call()
+
+
+def test_a_bool_index_or_order_counts_as_an_int():
+    assert Polynomial([1, 2, 3]).coefficient(True) == 2
+    assert t_series(True).coeffs == (F(0),)
+    assert log1p_series(4).truncate(True).coeffs == (F(0),)
+
+
 # -- Stirling generating identities -------------------------------------------------------
 
 @pytest.mark.parametrize("n", range(7))
