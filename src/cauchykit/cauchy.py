@@ -30,7 +30,8 @@ the polynomials) never touches Stirling numbers or series, so agreement
 between paths is a genuine cross-check, not a tautology.  The memoised
 ``cauchy_hi_poly1/2`` hold the triple sum; T4/T7 check it against the bridge.
 The GF_COEFF path reads the kind's EGF to the power k from the table of unit
-powers, ``series._unit_power``, as ``bernoulli`` reads its orders alpha.  The
+powers, ``series._unit_power``; ``bernoulli`` climbs its orders alpha by their
+own recurrence, so the bridge does not read that table below its cap.  The
 oracles climb one ladder per (kind, n), ``_LADDER``; ``_poly_cauchy_moments``
 holds one z-polynomial per (kind, n, k); ``_VOLUMES`` holds the cube volumes,
 one row per k of S2-sized ints over C(l+k, l); ``clear_caches`` empties every memo.
@@ -46,7 +47,7 @@ from functools import lru_cache
 from math import comb, lcm
 from operator import mul
 
-from .bernoulli import bernoulli_hi_poly
+from .bernoulli import _ORDERS, _ORDERS_LOCK, bernoulli_hi_poly
 from .polynomial import Polynomial, _over_common_denominator, falling_factorial
 from .rational import _as_fraction
 from .series import (_POWERS, _POWERS_LOCK, PowerSeries, _log1p_over_t, _one_plus_t_log1p_over_t,
@@ -404,7 +405,7 @@ def clear_caches() -> None:
                  cauchy_hi_poly1, cauchy_hi_poly2):
         memo.cache_clear()
     for table, lock in ((_LADDER, _LADDER_LOCK), (_VOLUMES, _VOLUMES_LOCK),
-                        (_POWERS, _POWERS_LOCK)):
+                        (_POWERS, _POWERS_LOCK), (_ORDERS, _ORDERS_LOCK)):
         with lock:
             table.clear()
     for table in map(stirling_table, StirlingKind):

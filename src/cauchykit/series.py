@@ -28,8 +28,9 @@ including division with explicit cancellation of a shared power of t,
 integer powers (negative powers of unit series included), composition and
 compositional inversion, plus the Sheffer-sequence and connection-coefficient
 extractors built on top of them.  Each of these generating functions is a
-power of a unit t/f; ``_unit_power`` holds every power that ``bernoulli`` and
-``cauchy`` read in one table, ``_POWERS``, and grows it by one rule.
+power of a unit t/f; ``_unit_power`` holds every power that ``cauchy`` reads,
+and the Bernoulli orders past ``bernoulli``'s cap, in one table, ``_POWERS``,
+and grows it by one rule.
 log(1+t) and e^t - 1 are written once, each as t times its int unit f/t.
 
 Costs at order n, in coefficient operations: multiplication and division

@@ -22,8 +22,9 @@ Every check sweeps n = 0..n_max, so a grid with n_max < 0 is vacuous: each
 check reports zero cases.  Both sides of a check may share the arithmetic
 layer and nothing above it: the sums of T5, T8, T9, T10, T13 and EQ58 all
 run through one int kernel, ``polynomial._linear_combination``, and the
-Bernoulli and higher-order Cauchy generating functions through one table of
-unit powers, ``series._unit_power``.
+higher-order Cauchy generating functions through one table of unit powers,
+``series._unit_power``.  The Bernoulli orders climb their own recurrence and
+read that table only past the cap |alpha| <= n + 2.
 """
 
 from __future__ import annotations

@@ -944,6 +944,36 @@ def test_series_division_outputs_are_pinned(monkeypatch, argv, fmt, sha256):
     assert sink.digest.hexdigest() == sha256
 
 
+@pytest.mark.parametrize("argv, sha256", [
+    ("table --family bernoulli_hi --n-max 120 --alpha -7",
+     "dd84bf1ae27116c37117e3bfb5c0977018d9de4839bee1838cb5b5c8d3167327"),
+    ("table --family bernoulli_hi --n-max 120 --alpha 0",
+     "cea34515619fcf703c5e82a5f2063d253770d8fea0dc9d8e9f07838926242271"),
+    ("table --family bernoulli_hi --n-max 120 --alpha 1",
+     "87542235ea4eca91646badc3caf31eb8d380f616bb1137363458409803ac6649"),
+    ("table --family bernoulli_hi --n-max 120 --alpha 2",
+     "3b372968fc041ba03850b3606b336544ba5880770c0b48d6419361920c6d4d34"),
+    ("table --family bernoulli_hi --n-max 120 --alpha 45",
+     "d5ebc62d3b959c74671571b99670a35a88e3893aefa3e3563fe47d839a3cdf57"),
+    ("table --family bernoulli_hi --n-max 120 --alpha 119",
+     "0fb75d9e09e6b7164dd05715072dea25570d47b7f6e2cc7b5133b2693aade93d"),
+    ("table --family bernoulli_hi --n-max 120 --alpha 150",
+     "5291f9925ff58ba5148697ea0dbe0be675ae33fe119bfff3335d0ffafba9a67b"),
+    ("poly --family bernoulli_hi_poly --n 60 --alpha 61",
+     "a17d0d09542b1fd9970721551aaa6b2139b9dcc5f68845159f68e31558a9fe1b"),
+    ("poly --family bernoulli_hi_poly --n 40 --alpha -9",
+     "233c54f314615ec721ea2fbbcce1d97ef30478552fc4a122d0294de04482d473"),
+])
+def test_bernoulli_output_across_the_cap_is_pinned(monkeypatch, argv, sha256):
+    # digests recorded while every order was a series power; alpha = 150 is
+    # past the cap |alpha| <= n + 2 at n = 120, every other order below it
+    cauchykit.clear_caches()
+    sink = HashingStdout()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert cli.main(argv.split()) == 0
+    assert sink.digest.hexdigest() == sha256
+
+
 def test_streamed_triangle_leaves_the_memo_tables_alone(capsys, monkeypatch):
     fresh = {kind: StirlingTable(kind) for kind in StirlingKind}
     monkeypatch.setattr(stirling, "_TABLES", fresh)
@@ -963,14 +993,16 @@ def test_triangle_context_traps_rounding():
 
 
 @pytest.mark.parametrize("family, param, builder", [
-    ("bernoulli_hi", ("--alpha", "-2"), (series, "_expm1_over_t")),
-    ("bernoulli_hi", ("--alpha", "3"), (series, "_expm1_over_t")),
+    ("bernoulli_hi", ("--alpha", "-2"), (bernoulli, "_climb")),
+    ("bernoulli_hi", ("--alpha", "3"), (bernoulli, "_climb")),
     ("cauchy_hi1", ("--order", "3"), (series, "_log1p_over_t")),
     ("cauchy_hi1", ("--order", "0"), (series, "_log1p_over_t")),
     ("cauchy_hi2", ("--order", "2"), (series, "_one_plus_t_log1p_over_t")),
 ])
 def test_number_table_builds_one_series(capsys, monkeypatch, family, param, builder):
-    # builder names the unit's inverse f/t; the table reads one power of t/f
+    # builder names the unit's inverse f/t, and the table reads one power of
+    # t/f; or it names the Bernoulli climb, and the table holds one order
+    # (beside the seed) and reads no series
     cauchykit.clear_caches()
     builds = []
     original = series._unit_power
@@ -988,7 +1020,12 @@ def test_number_table_builds_one_series(capsys, monkeypatch, family, param, buil
                         "--n-max", "30", "--format", "json")
     assert code == 0
     order = int(param[1])
-    assert builds == [(getattr(*builder), order, 31)]
+    if builder[0] is bernoulli:
+        assert builds == []
+        assert sorted(bernoulli._ORDERS) == sorted({order, 1} if order > 1 else {order})
+        assert {len(nums) for nums, _ in bernoulli._ORDERS.values()} == {31}
+    else:
+        assert builds == [(getattr(*builder), order, 31)]
     single = {"bernoulli_hi": cauchykit.bernoulli_hi_number,
               "cauchy_hi1": cauchykit.cauchy_hi1,
               "cauchy_hi2": cauchykit.cauchy_hi2}[family]

@@ -5,10 +5,11 @@ import boundary.  A bug *inside* a kernel that both sides of a check may
 share (the arithmetic layer: products, quotients, shifts, the Stirling
 recurrence, ...) can make both sides wrong together and agree.  Each row
 corrupts one entry of what one kernel returns (a coefficient, a Stirling
-number, a cube volume, a power of a unit; for ``evaluate`` and
-``product_integrate``, one coefficient of the input polynomial), only past
-the size ``SIZE``, and pins the checks that then fail on ``GRID``.  A change
-that empties a row's set, or shrinks it, weakens the verifier.
+number, a cube volume, a power of a unit, a Bernoulli order; for
+``evaluate`` and ``product_integrate``, one coefficient of the input
+polynomial), only past the size ``SIZE``, and pins the checks that then
+fail on ``GRID``.  A change that empties a row's set, or shrinks it,
+weakens the verifier.
 
 Every row patches the kernel in every module of the package that binds it,
 and starts and ends with every memo cleared, so no value built with a
@@ -96,7 +97,7 @@ def _undivided(kernel):
 #  bind it, the corruption, the checks that must fail on GRID in suite order)
 ROWS = [
     ("_convolve", polynomial, "_convolve", [series], _list_output,
-     "T1 T3 T4 T6 T7 T13 EQ6 EQ7 EQ19 EQ28 EQ52 EQ53 EQ58"),
+     "T1 T3 T6 T13 EQ6 EQ7 EQ19 EQ28 EQ52 EQ53 EQ58"),
     ("next_row-signed-first", stirling, "next_row", [], _next_row_of(StirlingKind.SIGNED_FIRST),
      "T2 T4 T5 T7 T8 T9 T10 L11 T12 T13 EQ6 EQ52 EQ53 EQ58 EQ59_61 POLYC_ORACLE"),
     ("next_row-second", stirling, "next_row", [], _next_row_of(StirlingKind.SECOND),
@@ -107,7 +108,7 @@ ROWS = [
      "T2 T4 T7 T8 L11 T12 EQ19 EQ28 EQ59_61 POLYC_ORACLE"),
     ("evaluate", Polynomial, "evaluate", [], _first_input, "T1 T3 T6 T13 POLYC_ORACLE"),
     ("_divide_ints", series, "_divide_ints", [], _quotient,
-     "T1 T3 T4 T6 T7 T13 EQ19 EQ28 EQ52 EQ53 EQ58"),
+     "T1 T3 T6 T13 EQ19 EQ28 EQ52 EQ53 EQ58"),
     ("_factorial_poly", polynomial, "_factorial_poly", [], _output,
      "T2 T4 T7 T12 EQ58 EQ59_61 POLYC_ORACLE"),
     ("_sum_power_volume", cauchy, "_sum_power_volume", [], _volume,
@@ -115,14 +116,14 @@ ROWS = [
     ("antiderivative", Polynomial, "antiderivative", [], _output, "T2 T4 T7"),
     ("_linear_combination", polynomial, "_linear_combination", [verifier], _output,
      "T5 T8 T9 T10 T13 EQ58"),
-    ("_lowest_terms", polynomial, "_lowest_terms", [series], _undivided,
+    ("_lowest_terms", polynomial, "_lowest_terms", [bernoulli, series], _undivided,
      " ".join(c.value for c in CheckId)),
     ("_power", _Numerators, "_power", [], _output,
-     "T1 T3 T4 T6 T7 T13 EQ19 EQ28 EQ52 EQ53 EQ58"),
+     "T3 T6 T13 EQ19 EQ28 EQ52 EQ53 EQ58"),
     ("product_integrate", cauchy, "product_integrate", [cauchykit, verifier], _first_input,
      "POLYC_ORACLE"),
-    ("_unit_power", series, "_unit_power", [bernoulli, cauchy], _output,
-     "T1 T3 T4 T6 T7 T13 EQ19 EQ28"),
+    ("_unit_power", series, "_unit_power", [bernoulli, cauchy], _output, "T3 T6"),
+    ("_up", bernoulli, "_up", [], _quotient, "T1 T3 T4 T7 T13 EQ19 EQ28"),
 ]
 
 

@@ -1,11 +1,15 @@
 """The memos grown under a lock: the table of unit powers (one series per
-(unit, exponent), read by prefix, each built as one power of f/t), the
+(unit, exponent), read by prefix, each built as one power of f/t), the table
+of Bernoulli orders (one int row per order, all at one length), the
 integral-oracle ladder (one list of rounds per key) and the cube-volume
 table (one int row per k).
 
-Bernoulli and both Cauchy kinds read their generating functions as powers of
-a unit t/f through one rule, ``series._unit_power``, so each memo test runs
-over the three units of ``UNITS``."""
+Both Cauchy kinds read their generating functions as powers of a unit t/f
+through one rule, ``series._unit_power``; Bernoulli reads it only past its
+cap |alpha| <= n + 2 and climbs its orders below it.  The tests of the rule
+run over the three units of ``UNITS``; the tests of what a public family
+builds run over the units whose family reads the rule, and read the
+Bernoulli table for Bernoulli."""
 
 import random
 import sys
@@ -112,35 +116,75 @@ def builds(monkeypatch, cold_memos):
     return table.builds
 
 
-def test_a_sweep_builds_few_series_per_key(builds):
-    for unit in UNITS:
+class RecordingOrders(dict):
+    """A table of Bernoulli orders that lists each order it stores as (alpha, length)."""
+
+    def __init__(self):
+        super().__init__()
+        self.builds = []
+
+    def __setitem__(self, alpha, value):
+        self.builds.append((alpha, len(value[0])))
+        super().__setitem__(alpha, value)
+
+
+@pytest.fixture
+def orders(monkeypatch, cold_memos):
+    """The orders stored in a Bernoulli table that starts empty, in every module that binds it."""
+    table = RecordingOrders()
+    for module in (bernoulli, cauchy):
+        monkeypatch.setattr(module, "_ORDERS", table)
+    return table.builds
+
+
+def test_a_sweep_builds_few_series_per_key(builds, orders):
+    for unit in (CAUCHY1, CAUCHY2):
         for e in unit.exponents:
             before = len(builds)
             for n in range(64):
                 unit.numbers(n, e)
             assert 1 <= len(builds) - before <= 7
             assert {key[:2] for key in builds[before:]} == {(unit.over_t, e)}
+    # inside its cap, Bernoulli builds no series and doubles its table's length
+    before = len(builds)
+    for e in BERNOULLI.exponents:
+        for n in range(max(0, abs(e) - 2), 64):
+            BERNOULLI.numbers(n, e)
+    assert len(builds) == before
+    assert {length for _, length in orders} == {1, 2, 4, 8, 16, 32, 64}
 
 
-def test_a_cold_default_verify_builds_67_powers(builds):
-    # the unit-power traffic of the headline run: a change that moves it says so
+def test_a_cold_default_verify_builds_26_powers(builds, orders):
+    # the unit-power traffic of the headline run: a change that moves it says so.
+    # Bernoulli reads a power only past its cap, at n = 0 with |alpha| = 3
     run_suite()
     assert Counter(over_t for over_t, _, _ in builds) == {
-        series._expm1_over_t: 43, series._log1p_over_t: 20,
+        series._expm1_over_t: 2, series._log1p_over_t: 20,
         series._one_plus_t_log1p_over_t: 4}
+    assert [key[1:] for key in builds if key[0] is series._expm1_over_t] == [(-3, 1), (3, 1)]
     assert max(order for _, _, order in builds) <= 30
+    assert sorted(bernoulli._ORDERS) == list(range(-2, 16))
+    assert {len(nums) for nums, _ in bernoulli._ORDERS.values()} == {16}
 
 
-def test_first_fill_is_built_at_the_order_asked_for(builds):
+def test_first_fill_is_built_at_the_order_asked_for(builds, orders):
     for unit in UNITS:
         unit.numbers(60, 2)
-    assert builds == [(unit.over_t, 2, 61) for unit in UNITS]
+    assert builds == [(unit.over_t, 2, 61) for unit in (CAUCHY1, CAUCHY2)]
+    assert orders == [(1, 61), (2, 61)]
+
+
+def held_order(unit: Unit, e: int) -> int:
+    """The order at which the memo holds the unit's power e."""
+    if unit is BERNOULLI:
+        return len(bernoulli._ORDERS[e][0])
+    return series._POWERS[unit.over_t, e].order
 
 
 def assert_a_growth_step_equals_an_exact_build(unit: Unit, e: int) -> None:
     unit.numbers(6, e)      # held at order 7
     unit.numbers(7, e)      # a miss: built at order 14
-    assert series._POWERS[unit.over_t, e].order == 14
+    assert held_order(unit, e) == 14
     for n in (4, 7, 8, 13):
         assert unit.numbers(n, e) == exact_numbers(unit, n, e)
 
@@ -212,9 +256,9 @@ def test_an_inexact_key_raises_before_the_memo_is_read(cold_memos):
     bernoulli_hi_poly(4, 2)
     cauchy_hi1(4, 2)
     with pytest.raises(TypeError):
-        bernoulli._gf(2.0, 3)
+        bernoulli_hi_poly(3, 2.0)
     with pytest.raises(TypeError):
-        bernoulli._gf(Fraction(2), 3)
+        bernoulli_hi_poly(3, Fraction(2))
     with pytest.raises(TypeError):
         cauchy._hi_gf(CauchyKind.FIRST, 2.0, 3)
     for unit in UNITS:
@@ -267,15 +311,35 @@ def run_in_eight_threads(work):
     return [results[i] for i in range(8)]
 
 
-def test_concurrent_first_use_reads_the_same_values(builds):
+def test_concurrent_first_use_reads_the_same_values(builds, orders):
     reference = sweep()
     for _ in range(3):
         clear_caches()
         builds.clear()
+        orders.clear()
         assert run_in_eight_threads(sweep) == [reference] * 8
         # growth under the lock: no thread rebuilds an order another has built
         per_key = Counter((over_t, e) for over_t, e, _ in builds)
-        assert len(per_key) == 6 and max(per_key.values()) <= 7
+        assert len(per_key) == 4 and max(per_key.values()) <= 7
+        assert {alpha for alpha, _ in orders} == {-1, 1, 2}
+        assert max(Counter(orders).values()) == 1
+
+
+def bernoulli_sweep():
+    cases = [(n, alpha) for alpha in (-4, -1, 2, 7, 12) for n in range(max(0, abs(alpha) - 2), 40)]
+    random.Random(threading.get_ident()).shuffle(cases)
+    return {case: bernoulli_hi_poly(*case) for case in cases}
+
+
+def test_concurrent_first_use_builds_each_bernoulli_order_once(orders):
+    reference = bernoulli_sweep()
+    for _ in range(3):
+        clear_caches()
+        orders.clear()
+        assert run_in_eight_threads(bernoulli_sweep) == [reference] * 8
+        # growth under the lock: each order is stored once at each length the table takes
+        assert max(Counter(orders).values()) == 1
+        assert {alpha for alpha, _ in orders} == {-4, -1, 1, 2, 7, 12}
 
 
 NS, KS, ZS = range(14), (4, 2, 1, 3), (Fraction(0), Fraction(1, 2), Fraction(-3, 7))
